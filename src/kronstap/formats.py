@@ -123,6 +123,10 @@ def read_estimate(path):
     expected = _EST_HEADER.size + (sdim * sdim + q * q) * 16
     if len(blob) != expected:
         raise DataError("estimate payload size mismatch")
+    if not 1 <= rank_spatial <= sdim:
+        raise DataError(f"spatial rank {rank_spatial} outside [1, {sdim}]")
+    if not 1 <= rank_temporal <= q:
+        raise DataError(f"temporal rank {rank_temporal} outside [1, {q}]")
     offset = _EST_HEADER.size
     spatial = np.frombuffer(blob, dtype="<c16", count=sdim * sdim,
                             offset=offset).reshape(sdim, sdim)

@@ -6,6 +6,7 @@ ordering and phase conventions pinned down here so repeated runs give
 identical output.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -20,6 +21,8 @@ _HERMITIAN_RTOL = 1e-8
 # Relative magnitude below which a negative eigenvalue of a nominally
 # PSD matrix is treated as rounding noise.
 _CLAMP_RTOL = 1e-10
+# Edge of the square tiles the Hermitian check and symmetrization walk.
+_SYM_TILE = 64
 
 
 def as_matrix(m, name="matrix"):
@@ -68,15 +71,33 @@ def kron(a, b):
     return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
 
 
-def _check_square_hermitian(m, name):
+def _hermitian_part(m, name):
+    """Check that m is square and Hermitian; return (m + m^H) / 2.
+
+    The work goes tile pair by tile pair, so the transposed reads of a
+    large matrix stay in cache; every entry is still computed as in the
+    untiled expression.
+    """
     m = as_matrix(m, name)
-    rows, cols = m.shape
-    if rows != cols:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise DimensionError(f"{name} must be square, got {m.shape}")
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.conj().T) > _HERMITIAN_RTOL * scale:
+    sym = np.empty_like(m)
+    acc = 0.0
+    for i0 in range(0, n, _SYM_TILE):
+        rows = slice(i0, i0 + _SYM_TILE)
+        for j0 in range(0, n, _SYM_TILE):
+            cols = slice(j0, j0 + _SYM_TILE)
+            a = m[rows, cols]
+            b = m[cols, rows].conj().T
+            d = a - b
+            acc += np.vdot(d, d).real
+            np.add(a, b, out=sym[rows, cols])
+    sym /= 2.0
+    scale = math.sqrt(np.vdot(m, m).real)
+    if scale > 0 and math.sqrt(acc) > _HERMITIAN_RTOL * scale:
         raise DataError(f"{name} deviates from Hermitian beyond tolerance")
-    return m
+    return sym
 
 
 def hermitian_eig(m):
@@ -88,15 +109,15 @@ def hermitian_eig(m):
     largest-magnitude component, and every vector is rotated so that
     component is real and positive, which makes the output reproducible.
     """
-    m = _check_square_hermitian(m, "matrix")
-    sym = (m + m.conj().T) / 2.0
+    sym = _hermitian_part(m, "matrix")
     values, vectors = np.linalg.eigh(sym)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
 
     n = values.size
     if n > 1:
-        tie_tol = np.max(np.abs(values)) * 1e-12
+        # sorted values: the largest magnitude sits at one end
+        tie_tol = max(abs(values[0]), abs(values[-1])) * 1e-12
         start = 0
         while start < n:
             stop = start + 1
@@ -112,8 +133,7 @@ def hermitian_eig(m):
                 vectors[:, start:stop] = vectors[:, order]
             start = stop
 
-    for k in range(n):
-        pivot = int(np.argmax(np.abs(vectors[:, k])))
+    for k, pivot in enumerate(np.argmax(np.abs(vectors), axis=0)):
         entry = vectors[pivot, k]
         mag = abs(entry)
         if mag > 0:
@@ -128,17 +148,16 @@ def eig_truncate(m, rank):
     before truncation, so a PSD input yields a PSD result. rank equal to
     the full dimension short-circuits to the symmetrized input.
     """
-    m = _check_square_hermitian(m, "matrix")
+    m = as_matrix(m, "matrix")
     n = m.shape[0]
     if not 1 <= rank <= n:
         raise DimensionError(f"rank must be in [1, {n}], got {rank}")
     if rank == n:
-        return (m + m.conj().T) / 2.0
+        return _hermitian_part(m, "matrix")
     values, vectors = hermitian_eig(m)
-    top = np.max(np.abs(values)) if values.size else 0.0
-    clamp = (values < 0) & (np.abs(values) <= _CLAMP_RTOL * top)
-    values = np.where(clamp, 0.0, values)
-    u = vectors[:, :rank]
+    top = max(abs(values[0]), abs(values[-1]))   # values sorted descending
     lam = values[:rank]
+    lam = np.where((lam < 0) & (np.abs(lam) <= _CLAMP_RTOL * top), 0.0, lam)
+    u = vectors[:, :rank]
     out = (u * lam) @ u.conj().T
     return (out + out.conj().T) / 2.0

@@ -1,36 +1,71 @@
 """Low-rank Kronecker-factored covariance estimation.
 
 Fits kron(A, B) to a sample covariance by alternating least squares,
-which on the rearranged matrix is a rank-one fit. The sweeps never
-materialize the rearrangement: each one streams over the q x q blocks
-of the covariance in place. The spatial factor is eigen-truncated to
-its rank budget every iteration, the temporal factor once at the end.
-Residuals are the relative Frobenius misfit of the rank-one model,
-recorded after the spatial truncation, and iteration stops when the
-residual stops moving by more than the tolerance.
+which on the rearranged matrix is a rank-one fit (Van Loan & Pitsianis
+1993). The sweeps never materialize the rearrangement, and they run on
+whichever representation the SampleCovariance keeps, fixed by its
+shape alone:
+
+- built by `sample_covariance` from n < p*q snapshots, it keeps the
+  (n, p, q) snapshot stack and the pq x pq matrix is never formed.
+  With S = (1/n) sum x_m x_m^H, ||S||_F comes from the n x n Gram
+  matrix, the block-sum start from per-channel row sums, and each
+  sweep is a sum over snapshots computed as two GEMMs;
+- built from n >= p*q snapshots, or constructed from a matrix, it
+  holds the dense matrix, which is validated once and streamed over
+  in q x q blocks in place.
+
+The spatial factor is eigen-truncated to its rank budget every
+iteration, the temporal factor once at the end. Residuals are the
+relative Frobenius misfit of the rank-one model, recorded after the
+spatial truncation, and iteration stops when the residual stops moving
+by more than the tolerance.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .linalg import as_matrix, eig_truncate, kron
+from .linalg import _HERMITIAN_RTOL, as_matrix, eig_truncate, kron
 from .parallel import chunk_spans, get_pool
 
-_HERMITIAN_RTOL = 1e-8
 _HERMITIAN_TILE = 512
 
 
-@dataclass
 class SampleCovariance:
-    """Mean of snapshot outer products, tagged with the bin shape."""
+    """Mean of snapshot outer products, tagged with the bin shape.
 
-    matrix: np.ndarray
-    n_samples: int
-    p: int
-    q: int
+    `sample_covariance` keeps only the read-only (n, p, q) `snapshots`
+    stack when n < p*q; `matrix` is then formed on first access, with
+    the same arithmetic as the dense path, and the estimator never asks
+    for it. From n >= p*q snapshots, or when constructed directly from
+    a pq x pq matrix, the dense `matrix` is held and `snapshots` is
+    None.
+    """
+
+    def __init__(self, matrix, n_samples, p, q):
+        self._matrix = matrix
+        self.n_samples = n_samples
+        self.p = p
+        self.q = q
+        self.snapshots = None
+
+    @classmethod
+    def _from_snapshots(cls, x, p, q):
+        scm = cls(None, x.shape[0], p, q)
+        scm.snapshots = x.reshape(x.shape[0], p, q)
+        scm.snapshots.flags.writeable = False
+        return scm
+
+    @property
+    def matrix(self):
+        if self._matrix is None and self.snapshots is not None:
+            self._matrix = _outer_average(
+                self.snapshots.reshape(self.n_samples, -1), None)
+        return self._matrix
 
 
 @dataclass
@@ -54,7 +89,10 @@ def sample_covariance(snapshots, p, q, pool=None):
     """Average of x x^H over snapshot rows, symmetrized.
 
     No mean is subtracted; the clutter model is zero mean. Snapshots
-    are length p*q vectors in the channel-major layout.
+    are length p*q vectors in the channel-major layout. Fewer than p*q
+    of them are checked for finite entries and kept as a snapshot stack
+    (see SampleCovariance); otherwise the dense matrix is formed here
+    and the estimator validates it.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim != 2:
@@ -64,18 +102,28 @@ def sample_covariance(snapshots, p, q, pool=None):
         raise DimensionError("need at least one snapshot")
     if d != p * q:
         raise DimensionError(f"snapshot length {d} does not match p*q = {p * q}")
-    x = np.ascontiguousarray(x)
+    if n < d:
+        # the one check the snapshot path needs: the stack is Hermitian
+        # PSD by construction, and no validated matrix is ever formed
+        if not np.isfinite(x).all():
+            raise DataError("snapshots contain non-finite entries")
+        return SampleCovariance._from_snapshots(np.array(x), p, q)
+    return SampleCovariance(_outer_average(np.ascontiguousarray(x), pool),
+                            n, p, q)
+
+
+def _outer_average(x, pool):
+    """Dense (1/n) sum of x_m x_m^H over the rows of x, symmetrized."""
+    n, d = x.shape
     xc = np.conj(x)
     out = np.empty((d, d), dtype=np.complex128)
-    spans = chunk_spans(d, min_chunk=32)
 
     def fill(r0, r1):
         out[r0:r1] = x[:, r0:r1].T @ xc
 
-    get_pool(pool).run(fill, spans)
+    get_pool(pool).run(fill, chunk_spans(d, min_chunk=32))
     out /= n
-    out = (out + out.conj().T) / 2.0
-    return SampleCovariance(out, n, p, q)
+    return (out + out.conj().T) / 2.0
 
 
 def _asymmetry(s):
@@ -115,6 +163,83 @@ def _validate_covariance(scm):
     return s, p, q
 
 
+# The four kernels one ALS fit needs from its covariance: its Frobenius
+# norm; the block-sum start sum_rc S[ir, jc] / q^2; the B sweep, which
+# writes sum_ij S[ir, jc] conj_a[i, j] into the rows of `out`; and the
+# V sweep, which returns sum_rc S[ir, jc] conj_b[r, c]. Work is split
+# over chunk_spans(q); each span writes its own slice of the output or
+# returns a partial sum that is added in span order, so the result does
+# not depend on the pool width.
+_Sweeps = namedtuple("_Sweeps", ["fro", "start", "b_sweep", "v_sweep"])
+
+
+def _sum_in_order(parts):
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _dense_sweeps(s, p, q, pool):
+    # axes (i, r, j, c): S[i*q + r, j*q + c] is entry (r, c) of block (i, j)
+    s4 = np.ascontiguousarray(s).reshape(p, q, p, q)
+    spans = chunk_spans(q, min_chunk=16)
+
+    def start():
+        return _sum_in_order(pool.run(
+            lambda r0, r1: np.einsum("irjc->ij", s4[:, r0:r1]), spans,
+        )) / float(q * q)
+
+    def b_sweep(conj_a, out):
+        def step(r0, r1):
+            out[r0:r1] = np.einsum("irjc,ij->rc", s4[:, r0:r1], conj_a)
+
+        pool.run(step, spans)
+
+    def v_sweep(conj_b):
+        return _sum_in_order(pool.run(
+            lambda r0, r1: np.einsum("irjc,rc->ij", s4[:, r0:r1], conj_b[r0:r1]),
+            spans,
+        ))
+
+    return _Sweeps(math.sqrt(np.vdot(s, s).real), start, b_sweep, v_sweep)
+
+
+def _snapshot_sweeps(x, pool):
+    # B = (1/n) sum_m X_m^T conj(A) conj(X_m), V = (1/n) sum_m X_m conj(B) X_m^H.
+    # Regrouped channel-major, rows[i*n + m, r] = X_m[i, r], each sum over
+    # snapshots is a plain 2-D GEMM with (channel, snapshot) as one axis.
+    n, p, q = x.shape
+    flat = x.reshape(n, p * q)
+    gram = flat @ flat.conj().T
+    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(p * n, q)
+    conj_wide = np.conj(rows).reshape(p, n * q)
+    spans = chunk_spans(q, min_chunk=32)
+    w = np.empty_like(rows)
+
+    def start():
+        sums = x.sum(axis=2)
+        return (sums.T @ sums.conj()) / float(n * q * q)
+
+    def b_sweep(conj_a, out):
+        z = ((conj_a / n) @ conj_wide).reshape(p * n, q)
+
+        def step(r0, r1):
+            out[r0:r1] = rows[:, r0:r1].T @ z
+
+        pool.run(step, spans)
+
+    def v_sweep(conj_b):
+        def step(c0, c1):
+            w[:, c0:c1] = rows @ conj_b[:, c0:c1]
+
+        pool.run(step, spans)
+        return (w.reshape(p, n * q) @ conj_wide.T) / n
+
+    return _Sweeps(math.sqrt(np.vdot(gram, gram).real) / n,
+                   start, b_sweep, v_sweep)
+
+
 def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
                      max_iter=100, pool=None, keep_iterates=False):
     """Alternating Kronecker-factor fit to a sample covariance.
@@ -122,7 +247,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     Parameters
     ----------
     scm : SampleCovariance
-        Hermitian PSD covariance of p*q snapshots.
+        Hermitian PSD covariance of p*q snapshots. A snapshot stack is
+        used as is; a dense matrix is validated first.
     rank_spatial, rank_temporal : int
         Eigen-rank budgets for the p x p and q x q factors.
     tol : float
@@ -135,12 +261,18 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         Iteration cap. Hitting it flags the estimate as not converged
         but still returns the partial factors.
     pool : WorkerPool, optional
-        Thread pool for the block sweeps. Does not change the result.
+        Thread pool for the sweeps. Does not change the result.
     keep_iterates : bool
         Record the per-iteration factor matrices on the estimate as
         an `iterates` attribute (testing hook).
     """
-    s, p, q = _validate_covariance(scm)
+    pool = get_pool(pool)
+    if isinstance(scm, SampleCovariance) and scm.snapshots is not None:
+        p, q = scm.p, scm.q
+        sweeps = _snapshot_sweeps(scm.snapshots, pool)
+    else:
+        s, p, q = _validate_covariance(scm)
+        sweeps = _dense_sweeps(s, p, q, pool)
     if not 1 <= rank_spatial <= p:
         raise DimensionError(f"spatial rank must be in [1, {p}], got {rank_spatial}")
     if not 1 <= rank_temporal <= q:
@@ -148,7 +280,7 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     if max_iter < 1:
         raise DimensionError(f"max_iter must be >= 1, got {max_iter}")
 
-    fro = math.sqrt(np.vdot(s, s).real)
+    fro = sweeps.fro
     if fro == 0.0:
         est = KronCovEstimate(
             np.zeros((p, p), dtype=np.complex128),
@@ -159,20 +291,7 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
             est.iterates = []
         return est
 
-    pool = get_pool(pool)
-    # axes (i, r, j, c): S[i*q + r, j*q + c] is entry (r, c) of block (i, j)
-    s4 = np.ascontiguousarray(s).reshape(p, q, p, q)
-    spans = chunk_spans(q, min_chunk=16)
-
-    def reduce_spans(parts):
-        total = parts[0].copy()
-        for part in parts[1:]:
-            total += part
-        return total
-
-    a_mat = reduce_spans(
-        pool.run(lambda r0, r1: np.einsum("irjc->ij", s4[:, r0:r1]), spans)
-    ) / float(q * q)
+    a_mat = sweeps.start()
     b_mat = np.empty((q, q), dtype=np.complex128)
     residuals = []
     iterates = []
@@ -186,23 +305,13 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         norm_a2 = np.vdot(a_mat, a_mat).real
         if norm_a2 == 0.0:
             raise DegenerateInputError("spatial iterate collapsed to zero")
-        conj_a = np.conj(a_mat)
-
-        def b_step(r0, r1):
-            b_mat[r0:r1] = np.einsum("irjc,ij->rc", s4[:, r0:r1], conj_a)
-
-        pool.run(b_step, spans)
+        sweeps.b_sweep(np.conj(a_mat), b_mat)
         b_mat /= norm_a2
 
         norm_b2 = np.vdot(b_mat, b_mat).real
         if norm_b2 == 0.0:
             raise DegenerateInputError("temporal iterate collapsed to zero")
-        conj_b = np.conj(b_mat)
-
-        v_mat = reduce_spans(pool.run(
-            lambda r0, r1: np.einsum("irjc,rc->ij", s4[:, r0:r1], conj_b[r0:r1]),
-            spans,
-        ))
+        v_mat = sweeps.v_sweep(np.conj(b_mat))
 
         spatial = eig_truncate(v_mat / norm_b2, rank_spatial)
         a_mat = spatial

@@ -1,5 +1,7 @@
 """End-to-end CLI runs: pipelines, exit codes, thread handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kronstap.formats import (
     read_detection_csv,
     read_estimate,
     read_phase_history,
+    write_estimate,
 )
 from kronstap.simulate import scene_model
 
@@ -33,6 +36,18 @@ seed = 18
 K = 2
 shared_calibration = yes
 unit_pass_gains = yes
+"""
+
+# 40 bins of 2 x 64: fewer snapshots than p*q = 128, so the estimator runs
+# on the snapshot stack, and q = 64 splits its sweeps into several spans
+FEW_SNAPSHOTS_CONFIG = """
+p = 2
+q = 64
+n_bins = 40
+r_b = 3
+sigma2 = 0.01
+seed = 21
+target = 7 0.375 10 0
 """
 
 
@@ -199,6 +214,47 @@ class TestFilterAndDetect:
         code = run("detect", "--input", small, "--estimate", fit,
                    "--output", tmp_path / "map.csv")
         assert code == DATA_ERROR
+
+    @pytest.mark.parametrize("ranks", [(0, 0), (99, 99)])
+    def test_rank_budget_outside_the_dims_is_a_data_error(self, tmp_path,
+                                                          fitted_scene,
+                                                          ranks):
+        clean, fit = fitted_scene
+        est = read_estimate(fit)
+        bad = tmp_path / "bad.kes"
+        write_estimate(bad, replace(est, rank_spatial=ranks[0],
+                                    rank_temporal=ranks[1]))
+        out = tmp_path / "filtered.kph"
+        code = run("filter", "--input", clean, "--estimate", bad,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+
+
+class TestThreadInvariance:
+    def test_few_snapshot_pipeline_bytes_do_not_depend_on_threads(self,
+                                                                  tmp_path):
+        config = write_config(tmp_path, FEW_SNAPSHOTS_CONFIG)
+        artifacts = {}
+        for threads in (1, 4):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            assert run("simulate", "--config", config,
+                       "--output", out / "scene.kph", "--threads", threads) == 0
+            assert run("estimate", "--input", out / "scene.kph",
+                       "--output", out / "fit.kes", "--ra", 1, "--rb", 3,
+                       "--threads", threads) == 0
+            assert run("filter", "--input", out / "scene.kph",
+                       "--estimate", out / "fit.kes",
+                       "--output", out / "filtered.kph",
+                       "--threads", threads) == 0
+            assert run("detect", "--input", out / "scene.kph",
+                       "--estimate", out / "fit.kes", "--output", out / "map.csv",
+                       "--pgm", out / "map.pgm", "--threads", threads) == 0
+            artifacts[threads] = {path.name: path.read_bytes()
+                                  for path in sorted(out.iterdir())}
+        assert len(artifacts[1]) == 6
+        assert artifacts[1] == artifacts[4]
 
 
 class TestMultipassCli:

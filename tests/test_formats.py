@@ -128,6 +128,29 @@ class TestEstimateFile:
         with pytest.raises(DataError):
             read_estimate(path)
 
+    @pytest.mark.parametrize("ranks", [(0, 2), (1, 0), (0, 0), (4, 2),
+                                       (1, 6), (99, 99)])
+    def test_rank_budget_outside_the_factor_dims_is_rejected(self, tmp_path,
+                                                             ranks):
+        rng = np.random.default_rng(42)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 5),
+                              *ranks, 1, [0.5], True)
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        with pytest.raises(DataError, match="rank"):
+            read_estimate(path)
+
+    def test_rank_budget_at_the_factor_dims_is_accepted(self, tmp_path):
+        rng = np.random.default_rng(43)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 5),
+                              3, 5, 1, [0.5], True)
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        back = read_estimate(path)
+        assert (back.rank_spatial, back.rank_temporal) == (3, 5)
+
 
 class TestCsvFiles:
     def test_residuals_round_trip_exactly(self, tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
@@ -74,6 +78,36 @@ def test_sample_covariance_validation():
         sample_covariance(np.zeros((0, 6)), 2, 3)
     with pytest.raises(DimensionError):
         sample_covariance(np.zeros((4, 5)), 2, 3)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_snapshots_raise_data_error(n, bad):
+    # n = 3 < pq is rejected when the stack is kept; n = 12 >= pq forms
+    # the matrix, which the estimator's validation rejects
+    snaps = helpers.complex_gauss(np.random.default_rng(44), (n, 6))
+    snaps[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(DataError):
+        lr_kron_estimate(sample_covariance(snaps, 2, 3), 1, 2)
+
+
+def test_representation_follows_the_snapshot_count():
+    rng = np.random.default_rng(45)
+    p, q = 2, 3
+    few = sample_covariance(helpers.complex_gauss(rng, (p * q - 1, p * q)), p, q)
+    many = sample_covariance(helpers.complex_gauss(rng, (p * q, p * q)), p, q)
+    assert few.snapshots.shape == (p * q - 1, p, q)
+    assert not few.snapshots.flags.writeable
+    assert many.snapshots is None
+
+
+def test_snapshot_stack_is_a_private_copy():
+    rng = np.random.default_rng(46)
+    snaps = helpers.complex_gauss(rng, (4, 6))
+    scm = sample_covariance(snaps, 2, 3)
+    want = sample_covariance(snaps.copy(), 2, 3).matrix
+    snaps[:] = 0.0
+    assert np.array_equal(scm.matrix, want)
 
 
 def test_estimator_input_validation():
@@ -199,6 +233,56 @@ def test_tighter_tolerance_never_stops_earlier():
     assert tight.iterations >= loose.iterations
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 4), q=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_snapshot_fit_matches_the_dense_fit(p, q, seed, data):
+    # p, q >= 2: with a single channel or pulse every covariance is an
+    # exact Kronecker product and the residual is rounding noise
+    n = data.draw(st.integers(1, p * q - 1), label="n")
+    rank_spatial = data.draw(st.integers(1, p), label="rank_spatial")
+    rank_temporal = data.draw(st.integers(1, q), label="rank_temporal")
+    max_iter = data.draw(st.integers(1, 6), label="max_iter")
+    snaps = helpers.complex_gauss(np.random.default_rng(seed), (n, p * q))
+    scm = sample_covariance(snaps, p, q)
+    assert scm.snapshots is not None
+    dense = SampleCovariance(scm.matrix, n, p, q)
+    fast = lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=-1.0,
+                            max_iter=max_iter)
+    slow = lr_kron_estimate(dense, rank_spatial, rank_temporal, tol=-1.0,
+                            max_iter=max_iter)
+    assert fast.iterations == slow.iterations == max_iter
+    assert helpers.relative_error(fast.spatial, slow.spatial) < 1e-10
+    assert helpers.relative_error(fast.temporal, slow.temporal) < 1e-10
+    np.testing.assert_allclose(fast.residuals, slow.residuals, rtol=1e-10,
+                               atol=0.0)
+
+
+def test_zero_snapshots_give_the_zero_estimate():
+    scm = sample_covariance(np.zeros((3, 8)), 2, 4)
+    assert scm.snapshots is not None
+    est = lr_kron_estimate(scm, 1, 2)
+    assert est.converged
+    assert est.iterations == 0
+    assert est.residuals == [0.0]
+    assert not est.spatial.any()
+    assert not est.temporal.any()
+
+
+def test_snapshot_path_never_forms_the_dense_matrix():
+    p, q, n = 8, 512, 8
+    dense_bytes = (p * q) ** 2 * 16
+    snaps = helpers.complex_gauss(np.random.default_rng(47), (n, p * q))
+    tracemalloc.start()
+    try:
+        scm = sample_covariance(snaps, p, q)
+        lr_kron_estimate(scm, 1, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 8
+
+
 def test_zero_input_returns_zero_estimate():
     est = lr_kron_estimate(_exact_cov(np.zeros((6, 6)), 2, 3), 1, 2)
     assert est.converged
@@ -230,9 +314,24 @@ def test_max_iter_cap_flags_non_convergence():
 
 def test_estimate_pool_invariant_bitwise():
     rng = np.random.default_rng(40)
-    p, q = 3, 32
+    p, q = 3, 64
     snaps = helpers.complex_gauss(rng, (15, p * q))
     scm = sample_covariance(snaps, p, q)
+    assert scm.snapshots is not None
+    with WorkerPool(1) as pool1, WorkerPool(4) as pool4:
+        e1 = lr_kron_estimate(scm, 1, 4, pool=pool1)
+        e4 = lr_kron_estimate(scm, 1, 4, pool=pool4)
+    assert np.array_equal(e1.spatial, e4.spatial)
+    assert np.array_equal(e1.temporal, e4.temporal)
+    assert e1.residuals == e4.residuals
+
+
+def test_dense_estimate_pool_invariant_bitwise():
+    rng = np.random.default_rng(48)
+    p, q = 2, 32
+    snaps = helpers.complex_gauss(rng, (80, p * q))
+    scm = sample_covariance(snaps, p, q)
+    assert scm.snapshots is None
     with WorkerPool(1) as pool1, WorkerPool(4) as pool4:
         e1 = lr_kron_estimate(scm, 1, 4, pool=pool1)
         e4 = lr_kron_estimate(scm, 1, 4, pool=pool4)
