@@ -5,7 +5,8 @@ Subcommands: simulate, estimate, filter, detect, bench. Exit status is
 and 3 when the estimator hit its iteration cap without converging.
 The thread pool size comes from --threads, falling back to the
 KRONSTAP_THREADS environment variable, and never changes numerical
-output.
+output. simulate and estimate use the pool; filter and detect run
+batched kernels on the calling thread.
 """
 
 import argparse
@@ -18,12 +19,12 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats
 from .errors import ConfigError, DataError, KronStapError
-from .filters import build_filter, detection_image, make_doppler_grid, \
-    make_spatial_grid
+from .filters import bin_blocks, build_filter, detection_image, \
+    make_doppler_grid, make_spatial_grid
 from .layout import cube_to_snapshots
 from .lrkron import lr_kron_estimate, sample_covariance
 from .multipass import change_detect, pass_images, stack_passes
-from .parallel import WorkerPool, chunk_spans
+from .parallel import WorkerPool
 from .simulate import PhaseHistory, gen_clutter, gen_multipass, inject_target
 
 USAGE_ERROR = 1
@@ -179,24 +180,14 @@ def cmd_filter(args, pool):
     est = formats.read_estimate(args.estimate)
     filt, stacked = _projection_filter_for(history, est, args.kind,
                                            args.no_temporal_projection)
+    k, n_bins, p, q = history.data.shape
+    # bin-major source: a stacked bin's K*p rows are K pass blocks of p
+    source = stack_passes(history).data if stacked \
+        else history.data.swapaxes(0, 1)
     out = np.empty_like(history.data)
-    if stacked:
-        st = stack_passes(history)
-        k = history.n_passes
-
-        def run(m0, m1):
-            for m in range(m0, m1):
-                filtered = filt.apply_matrix(st.data[m])
-                out[:, m] = filtered.reshape(k, history.p, history.q)
-
-        pool.run(run, chunk_spans(history.n_bins))
-    else:
-        def run(m0, m1):
-            for m in range(m0, m1):
-                for k in range(history.n_passes):
-                    out[k, m] = filt.apply_matrix(history.data[k, m])
-
-        pool.run(run, chunk_spans(history.n_bins))
+    for m0, m1 in bin_blocks(n_bins):
+        filtered = filt.apply_matrix(source[m0:m1])
+        out[:, m0:m1] = filtered.reshape(m1 - m0, k, p, q).swapaxes(0, 1)
     formats.write_phase_history(
         args.output,
         PhaseHistory(history.p, history.q, history.n_passes, out,
@@ -220,7 +211,7 @@ def cmd_detect(args, pool):
         if not stacked:
             raise DataError("change detection needs a stacked estimate")
         st = stack_passes(history)
-        images = pass_images(filt, st, dopplers, args.grid_spatial, pool=pool)
+        images = pass_images(filt, st, dopplers, args.grid_spatial)
         image = change_detect(images[0], images[1], signed=args.signed)
         label = "change map"
     else:
@@ -229,8 +220,7 @@ def cmd_detect(args, pool):
         filt, _ = _projection_filter_for(history, est, args.kind,
                                          args.no_temporal_projection)
         grid = make_spatial_grid(history.p, args.grid_spatial)
-        image = detection_image(filt, history.data[0], dopplers, grid,
-                                pool=pool)
+        image = detection_image(filt, history.data[0], dopplers, grid)
         label = "detection map"
     formats.write_detection_csv(args.output, image)
     if args.pgm is not None:

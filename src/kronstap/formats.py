@@ -18,7 +18,9 @@ carry a header row, with floats printed at full precision so they read
 back exactly.
 """
 
+import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +39,17 @@ _EST_HEADER = struct.Struct("<4sHHIIIIII")
 
 
 def write_phase_history(path, history):
-    """Serialize a PhaseHistory; byte output depends only on the content."""
+    """Serialize a PhaseHistory; byte output depends only on the content.
+
+    The payload goes to the file straight from the cube's memory, with
+    no serialized copy.
+    """
     data = np.ascontiguousarray(history.data, dtype="<c16")
     k, n_bins, p, q = data.shape
     with open(path, "wb") as fh:
         fh.write(_PH_HEADER.pack(PH_MAGIC, FORMAT_VERSION, FLAG_COMPLEX128,
                                  p, q, k, n_bins))
-        fh.write(data.tobytes())
+        data.tofile(fh)
         fh.write(struct.pack("<I", len(history.truth)))
         for target in history.truth:
             fh.write(_TARGET_RECORD.pack(
@@ -53,38 +59,48 @@ def write_phase_history(path, history):
 
 
 def read_phase_history(path):
-    """Read a KPH1 file back into a PhaseHistory, verifying every byte."""
+    """Read a KPH1 file back into a PhaseHistory, verifying every byte.
+
+    The payload is read straight into the returned cube, so the file is
+    held in memory once. Sizes are checked against the file's length
+    before anything that large is allocated.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _PH_HEADER.size:
-        raise DataError("file too short for a phase-history header")
-    magic, version, flags, p, q, k, n_bins = _PH_HEADER.unpack_from(blob, 0)
-    if magic != PH_MAGIC:
-        raise DataError(f"bad magic {magic!r}, expected {PH_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported format version {version}")
-    if flags != FLAG_COMPLEX128:
-        raise DataError(f"unsupported entry encoding flags {flags}")
-    if min(p, q, k, n_bins) < 1:
-        raise DataError("dimension fields must be positive")
-    n_entries = k * n_bins * p * q
-    offset = _PH_HEADER.size
-    payload_bytes = n_entries * 16
-    if len(blob) < offset + payload_bytes + 4:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_PH_HEADER.size)
+        if len(header) < _PH_HEADER.size:
+            raise DataError("file too short for a phase-history header")
+        magic, version, flags, p, q, k, n_bins = _PH_HEADER.unpack(header)
+        if magic != PH_MAGIC:
+            raise DataError(f"bad magic {magic!r}, expected {PH_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise DataError(f"unsupported format version {version}")
+        if flags != FLAG_COMPLEX128:
+            raise DataError(f"unsupported entry encoding flags {flags}")
+        if min(p, q, k, n_bins) < 1:
+            raise DataError("dimension fields must be positive")
+        payload_bytes = k * n_bins * p * q * 16
+        if size < _PH_HEADER.size + payload_bytes + 4:
+            raise DataError("truncated payload")
+        # aligned, writable and native on little-endian hosts; astype
+        # only copies on a big-endian one
+        data = np.empty((k, n_bins, p, q), dtype="<c16")
+        if fh.readinto(data) != payload_bytes:
+            raise DataError("truncated payload")
+        data = data.astype(np.complex128, copy=False)
+        tail = fh.read()
+    if len(tail) < 4:
         raise DataError("truncated payload")
-    data = np.frombuffer(blob, dtype="<c16", count=n_entries, offset=offset)
-    data = data.reshape(k, n_bins, p, q).astype(np.complex128)
-    offset += payload_bytes
-    (n_targets,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    (n_targets,) = struct.unpack_from("<I", tail, 0)
+    offset = 4
     expected = offset + n_targets * _TARGET_RECORD.size
-    if len(blob) < expected:
+    if len(tail) < expected:
         raise DataError("truncated target records")
-    if len(blob) > expected:
+    if len(tail) > expected:
         raise DataError("trailing bytes after target records")
     truth = []
     for _ in range(n_targets):
-        bin_index, doppler, re, im = _TARGET_RECORD.unpack_from(blob, offset)
+        bin_index, doppler, re, im = _TARGET_RECORD.unpack_from(tail, offset)
         offset += _TARGET_RECORD.size
         if bin_index >= n_bins:
             raise DataError(f"target bin {bin_index} out of range")
@@ -223,18 +239,17 @@ _FLOAT_KEYS = {"sigma2", "texture_shape", "kappa", "change_fraction",
 _BOOL_KEYS = {"shared_calibration", "unit_pass_gains"}
 
 
+@dataclass(frozen=True)
 class SimJob:
     """Parsed simulation request: scene config plus run options."""
 
-    def __init__(self, scene, n_passes, change_fraction, shared_calibration,
-                 unit_pass_gains, pass_gain_spread, targets):
-        self.scene = scene
-        self.n_passes = n_passes
-        self.change_fraction = change_fraction
-        self.shared_calibration = shared_calibration
-        self.unit_pass_gains = unit_pass_gains
-        self.pass_gain_spread = pass_gain_spread
-        self.targets = targets
+    scene: SceneConfig
+    n_passes: int
+    change_fraction: float
+    shared_calibration: bool
+    unit_pass_gains: bool
+    pass_gain_spread: float
+    targets: list
 
 
 def _parse_bool(value, lineno):

@@ -80,12 +80,13 @@ def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
                             tol=tol, max_iter=max_iter, pool=pool)
 
 
-def pass_images(filt, stacked, dopplers, spatial_count=16, pool=None):
+def pass_images(filt, stacked, dopplers, spatial_count=16):
     """One detection image per pass from jointly filtered stacked bins.
 
     The spatial candidates for pass k are the single-pass grid embedded
     in pass k's channel block with zeros elsewhere, so each image reads
-    out one pass of the filtered stack.
+    out one pass of the filtered stack. Each image is one
+    detection_image call, which walks the bins in batched blocks.
     """
     if filt.p != stacked.stacked_channels or filt.q != stacked.q:
         raise DimensionError(
@@ -97,7 +98,7 @@ def pass_images(filt, stacked, dopplers, spatial_count=16, pool=None):
     for k in range(stacked.n_passes):
         block = grid[k * spatial_count:(k + 1) * spatial_count]
         images.append(
-            detection_image(filt, stacked.data, dopplers, block, pool=pool)
+            detection_image(filt, stacked.data, dopplers, block)
         )
     return images
 

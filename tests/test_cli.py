@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
+from kronstap.filters import BLOCK_BINS, build_filter
 from kronstap.formats import (
     parse_scene_config,
     read_detection_csv,
     read_estimate,
     read_phase_history,
     write_estimate,
+    write_phase_history,
 )
+from kronstap.multipass import stack_passes
 from kronstap.simulate import scene_model
 
 CLUTTER_CONFIG = """
@@ -36,6 +39,18 @@ seed = 18
 K = 2
 shared_calibration = yes
 unit_pass_gains = yes
+"""
+
+# two noisy passes over more bins than one filter block holds
+MANY_BIN_TWO_PASS_CONFIG = f"""
+p = 2
+q = 8
+n_bins = {BLOCK_BINS + 44}
+r_b = 2
+sigma2 = 0.01
+seed = 19
+K = 2
+change_fraction = 0.1
 """
 
 # 40 bins of 2 x 64: fewer snapshots than p*q = 128, so the estimator runs
@@ -230,6 +245,21 @@ class TestFilterAndDetect:
         assert code == DATA_ERROR
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cube_is_a_data_error(self, tmp_path, fitted_scene,
+                                             command, bad):
+        clean, fit = fitted_scene
+        history = read_phase_history(clean)
+        history.data[0, 150, 2, 5] = bad
+        broken = tmp_path / "broken.kph"
+        write_phase_history(broken, history)
+        out = tmp_path / "out"
+        code = run(command, "--input", broken, "--estimate", fit,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+
 
 class TestThreadInvariance:
     def test_few_snapshot_pipeline_bytes_do_not_depend_on_threads(self,
@@ -295,6 +325,41 @@ class TestMultipassCli:
         history = read_phase_history(out)
         assert history.n_passes == 2
         assert history.data.shape == read_phase_history(cube).data.shape
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_filter_matches_per_bin_filtering(self, tmp_path, stacked):
+        config = write_config(tmp_path, MANY_BIN_TWO_PASS_CONFIG)
+        cube = tmp_path / "passes.kph"
+        fit = tmp_path / "fit.kes"
+        assert run("simulate", "--config", config, "--output", cube) == 0
+        if stacked:
+            assert run("estimate", "--input", cube, "--output", fit,
+                       "--ra", 2, "--rb", 2) == 0
+        else:
+            # a single-pass fit of the same shape filters each pass alone
+            single = write_config(
+                tmp_path, MANY_BIN_TWO_PASS_CONFIG.replace("K = 2", "K = 1"),
+                "single.cfg")
+            assert run("simulate", "--config", single,
+                       "--output", tmp_path / "single.kph") == 0
+            assert run("estimate", "--input", tmp_path / "single.kph",
+                       "--output", fit, "--ra", 1, "--rb", 2) == 0
+        out = tmp_path / "filtered.kph"
+        assert run("filter", "--input", cube, "--estimate", fit,
+                   "--output", out) == 0
+        history = read_phase_history(cube)
+        filt = build_filter("kron", estimate=read_estimate(fit))
+        k, n_bins, p, q = history.data.shape
+        stack = stack_passes(history).data
+        expected = np.empty_like(history.data)
+        for m in range(n_bins):
+            if stacked:
+                expected[:, m] = filt.apply_matrix(stack[m]).reshape(k, p, q)
+            else:
+                for pass_index in range(k):
+                    expected[pass_index, m] = filt.apply_matrix(
+                        history.data[pass_index, m])
+        assert np.array_equal(read_phase_history(out).data, expected)
 
 
 class TestBenchCli:

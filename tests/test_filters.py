@@ -4,6 +4,7 @@ import pytest
 import helpers
 from kronstap.errors import DataError, DimensionError
 from kronstap.filters import (
+    BLOCK_BINS,
     DetectionMap,
     build_filter,
     detection_image,
@@ -17,7 +18,6 @@ from kronstap.filters import (
     subspace_basis,
 )
 from kronstap.lrkron import KronCovEstimate
-from kronstap.parallel import WorkerPool
 
 
 def orthonormal_columns(rng, n, r):
@@ -150,8 +150,56 @@ class TestProjectionFilters:
 
     def test_bin_shape_mismatch_is_rejected(self):
         filt = projection_filter("kron", None, None, 3, 4)
-        with pytest.raises(DimensionError):
-            filt.apply_matrix(np.zeros((4, 3), dtype=np.complex128))
+        for shape in ((4, 3), (5, 4, 3), (2, 5, 3, 5), (12,)):
+            with pytest.raises(DimensionError):
+                filt.apply_matrix(np.zeros(shape, dtype=np.complex128))
+
+
+def per_bin(filt, stack):
+    """apply_matrix on each (p, q) bin of a stack, one call per bin."""
+    out = np.empty_like(stack)
+    for index in np.ndindex(stack.shape[:-2]):
+        out[index] = filt.apply_matrix(stack[index])
+    return out
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("kind", ["kron", "classical"])
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    @pytest.mark.parametrize("spatial_only", [False, True])
+    def test_stacks_match_per_bin_calls_bitwise(self, kind, p, spatial_only):
+        rng = np.random.default_rng(40 + p)
+        q = 16
+        u_a = orthonormal_columns(rng, p, 1)
+        u_b = orthonormal_columns(rng, q, 3)
+        for bases in ((u_a, u_b), (None, u_b), (u_a, None), (None, None)):
+            filt = projection_filter(kind, *bases, p, q,
+                                     spatial_only=spatial_only)
+            for shape in ((7, p, q), (2, 5, p, q)):
+                stack = helpers.complex_gauss(rng, shape)
+                out = filt.apply_matrix(stack)
+                assert out.shape == stack.shape
+                assert np.array_equal(out, per_bin(filt, stack))
+
+    def test_optimal_stack_matches_per_bin_calls(self):
+        rng = np.random.default_rng(47)
+        p, q = 2, 3
+        sigma = helpers.random_psd(rng, p * q) + np.eye(p * q)
+        filt = build_filter("optimal", sigma=sigma, p=p, q=q)
+        for shape in ((6, p, q), (2, 4, p, q)):
+            stack = helpers.complex_gauss(rng, shape)
+            assert np.allclose(filt.apply_matrix(stack), per_bin(filt, stack),
+                               rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        rng = np.random.default_rng(48)
+        u_a = orthonormal_columns(rng, 3, 1)
+        stack = helpers.complex_gauss(rng, (6, 3, 4))
+        stack[4, 2, 1] = bad
+        for kind in ("kron", "classical"):
+            with pytest.raises(DataError):
+                projection_filter(kind, u_a, None, 3, 4).apply_matrix(stack)
 
 
 class TestFilterOutput:
@@ -335,18 +383,24 @@ class TestDetectionImage:
         assert best_bin == target_bin
         assert dopplers[best_doppler] == doppler
 
-    def test_pool_choice_never_changes_the_map(self):
+    def test_block_batched_map_matches_a_per_bin_reference(self):
         rng = np.random.default_rng(31)
-        p, q = 2, 8
-        cube = helpers.complex_gauss(rng, (13, p, q))
-        u_a = orthonormal_columns(rng, p, 1)
-        filt = projection_filter("kron", u_a, None, p, q)
+        q, n_bins = 8, 2 * BLOCK_BINS + 13      # two full blocks and a tail
         dopplers = make_doppler_grid(16)
-        grid = make_spatial_grid(p, 8)
-        serial = detection_image(filt, cube, dopplers, grid)
-        with WorkerPool(4) as pool:
-            threaded = detection_image(filt, cube, dopplers, grid, pool=pool)
-        assert np.array_equal(serial.values, threaded.values)
+        temporal = np.exp(2j * np.pi * np.outer(np.arange(q), dopplers))
+        temporal /= np.sqrt(q)
+        for p in (1, 2, 3):
+            cube = helpers.complex_gauss(rng, (n_bins, p, q))
+            filt = projection_filter("kron", orthonormal_columns(rng, p, 1),
+                                     orthonormal_columns(rng, q, 2), p, q)
+            grid = make_spatial_grid(p, 8)
+            image = detection_image(filt, cube, dopplers, grid)
+            expected = np.empty((n_bins, dopplers.size))
+            for m in range(n_bins):
+                filtered = filt.apply_matrix(cube[m])
+                responses = grid.conj() @ (filtered @ temporal.conj())
+                expected[m] = np.abs(responses).max(axis=0)
+            assert np.array_equal(image.values, expected)
 
     def test_cube_shape_is_validated(self):
         filt = projection_filter("kron", None, None, 2, 4)

@@ -1,5 +1,8 @@
 """On-disk format checks: byte layouts, round trips, parser errors."""
 
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,12 @@ from kronstap.formats import (
     write_residuals_csv,
 )
 from kronstap.lrkron import KronCovEstimate
-from kronstap.simulate import SceneConfig, gen_clutter, inject_target
+from kronstap.simulate import (
+    PhaseHistory,
+    SceneConfig,
+    gen_clutter,
+    inject_target,
+)
 
 MINIMAL_CONFIG = """
 p = 2
@@ -93,6 +101,35 @@ class TestPhaseHistoryFile:
         path.write_bytes(b"KPH1\x01\x00")
         with pytest.raises(DataError):
             read_phase_history(path)
+
+    def test_read_returns_a_native_writable_cube(self, tmp_path):
+        path = tmp_path / "scene.kph"
+        write_phase_history(path, minimal_history())
+        data = read_phase_history(path).data
+        assert data.dtype == np.complex128
+        assert data.dtype.isnative
+        assert data.flags.aligned
+        assert data.flags.writeable
+        assert data.flags.c_contiguous
+        data[0, 0, 0, 0] = 1.0 + 2.0j
+
+    def test_read_and_write_hold_the_cube_once(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = helpers.complex_gauss(rng, (2, 256, 4, 64))   # 4 MB
+        history = PhaseHistory(4, 64, 2, data, [])
+        path = tmp_path / "scene.kph"
+        tracemalloc.start()
+        try:
+            write_phase_history(path, history)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_phase_history(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 0.25 * data.nbytes
+        assert read_peak < 1.25 * data.nbytes
+        assert np.array_equal(back.data, data)
 
 
 class TestEstimateFile:
@@ -261,6 +298,8 @@ class TestSceneConfigParsing:
         assert job.unit_pass_gains is False
         assert job.pass_gain_spread == 0.75
         assert job.targets == [(5, 0.3, 1.5 - 0.5j), (7, 0.1, 2.0 + 0.0j)]
+        with pytest.raises(FrozenInstanceError):
+            job.n_passes = 3
 
     def test_defaults_apply_when_keys_are_omitted(self):
         job = parse_scene_config("p=2\nq=8\nn_bins=16\nr_b=2\n")

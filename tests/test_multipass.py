@@ -3,7 +3,12 @@ import pytest
 
 import helpers
 from kronstap.errors import DimensionError
-from kronstap.filters import build_filter, make_doppler_grid
+from kronstap.filters import (
+    BLOCK_BINS,
+    build_filter,
+    make_doppler_grid,
+    make_stacked_spatial_grid,
+)
 from kronstap.lrkron import lr_kron_estimate, sample_covariance
 from kronstap.multipass import (
     change_detect,
@@ -96,6 +101,27 @@ class TestPassImages:
         for image in images:
             assert image.values.shape == (20, 16)
             assert np.array_equal(image.dopplers, dopplers)
+
+    def test_images_match_a_per_bin_reference(self):
+        config = two_pass_config(n_bins=BLOCK_BINS + 30, noise_power=0.01)
+        history = gen_multipass(config, 2, change_fraction=0.1)
+        stacked = stack_passes(history)
+        est = multipass_estimate(stacked, config.rank_temporal)
+        filt = build_filter("kron", estimate=est)
+        dopplers = make_doppler_grid(16)
+        count = 8
+        images = pass_images(filt, stacked, dopplers, spatial_count=count)
+        grid = make_stacked_spatial_grid(config.p, 2, count)
+        temporal = np.exp(2j * np.pi * np.outer(np.arange(config.q), dopplers))
+        temporal /= np.sqrt(config.q)
+        for k, image in enumerate(images):
+            block = grid[k * count:(k + 1) * count].conj()
+            expected = np.empty_like(image.values)
+            for m in range(stacked.n_bins):
+                filtered = filt.apply_matrix(stacked.data[m])
+                responses = block @ (filtered @ temporal.conj())
+                expected[m] = np.abs(responses).max(axis=0)
+            assert np.array_equal(image.values, expected)
 
     def test_filter_shape_mismatch_is_rejected(self):
         config = two_pass_config(n_bins=10)
