@@ -3,10 +3,11 @@
 Subcommands: simulate, estimate, filter, detect, bench. Exit status is
 0 on success, 1 for usage problems, 2 for malformed or mismatched data,
 and 3 when the estimator hit its iteration cap without converging.
-The thread pool size comes from --threads, falling back to the
+The thread count comes from --threads, falling back to the
 KRONSTAP_THREADS environment variable, and never changes numerical
-output. simulate and estimate use the pool; filter and detect run
-batched kernels on the calling thread.
+output. It sizes the one WorkerPool, which estimate opens for the
+snapshot-path sweeps (fewer snapshots than p*q); every other stage runs
+on the calling thread.
 """
 
 import argparse
@@ -43,7 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: KRONSTAP_THREADS or 1)")
+                        help="threads for the estimator's snapshot sweeps "
+                             "(default: KRONSTAP_THREADS or 1)")
 
 
 def build_parser():
@@ -111,20 +113,19 @@ def build_parser():
     return parser
 
 
-def cmd_simulate(args, pool):
+def cmd_simulate(args):
     job = formats.load_scene_config(args.config)
     scene = job.scene
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
     if job.n_passes == 1:
-        history = gen_clutter(scene, pool=pool)
+        history = gen_clutter(scene)
     else:
         history = gen_multipass(scene, job.n_passes,
                                 change_fraction=job.change_fraction,
                                 shared_calibration=job.shared_calibration,
                                 unit_gains=job.unit_pass_gains,
-                                gain_spread=job.pass_gain_spread,
-                                pool=pool)
+                                gain_spread=job.pass_gain_spread)
     for bin_index, doppler, amplitude in job.targets:
         history = inject_target(history, bin_index, doppler, amplitude,
                                 kappa=scene.kappa)
@@ -144,12 +145,13 @@ def _load_snapshots(history):
     return snapshots, stacked.stacked_channels, stacked.q
 
 
-def cmd_estimate(args, pool):
+def cmd_estimate(args):
     history = formats.read_phase_history(args.input)
     snapshots, sdim, q = _load_snapshots(history)
-    scm = sample_covariance(snapshots, sdim, q, pool=pool)
-    est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
-                           max_iter=args.max_iter, pool=pool)
+    scm = sample_covariance(snapshots, sdim, q)
+    with WorkerPool(args.threads) as pool:
+        est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
+                               max_iter=args.max_iter, pool=pool)
     formats.write_estimate(args.output, est)
     formats.write_residuals_csv(args.output + ".residuals.csv", est.residuals)
     state = "converged" if est.converged else "hit max-iter"
@@ -175,7 +177,7 @@ def _projection_filter_for(history, est, kind, drop_temporal):
     return filt, stacked
 
 
-def cmd_filter(args, pool):
+def cmd_filter(args):
     history = formats.read_phase_history(args.input)
     est = formats.read_estimate(args.estimate)
     filt, stacked = _projection_filter_for(history, est, args.kind,
@@ -197,7 +199,7 @@ def cmd_filter(args, pool):
     return 0
 
 
-def cmd_detect(args, pool):
+def cmd_detect(args):
     history = formats.read_phase_history(args.input)
     est = formats.read_estimate(args.estimate)
     dopplers = make_doppler_grid(args.grid_doppler)
@@ -255,7 +257,7 @@ def _load_sweep(path):
     return rows
 
 
-def cmd_bench(args, pool):
+def cmd_bench(args):
     if args.default_sweep == (args.sweep is not None):
         raise DataError("pass exactly one of --sweep or --default-sweep")
     sweep = bench_mod.default_sweep() if args.default_sweep \
@@ -292,9 +294,9 @@ def main(argv=None):
     if threads < 1:
         sys.stderr.write(f"kronstap: thread count must be >= 1, got {threads}\n")
         return USAGE_ERROR
+    args.threads = threads
     try:
-        with WorkerPool(threads) as pool:
-            return args.func(args, pool)
+        return args.func(args)
     except KronStapError as exc:
         sys.stderr.write(f"kronstap: error: {exc}\n")
         return DATA_ERROR

@@ -36,21 +36,6 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-def matmul(a, b):
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def frobenius_norm(m):
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def vec(m):
     """Stack columns of m into a single vector (column-major)."""
     return as_matrix(m).ravel(order="F")

@@ -12,8 +12,11 @@ shape alone:
   matrix, the block-sum start from per-channel row sums, and each
   sweep is a sum over snapshots computed as two GEMMs;
 - built from n >= p*q snapshots, or constructed from a matrix, it
-  holds the dense matrix, which is validated once and streamed over
-  in q x q blocks in place.
+  holds the dense matrix, which is validated and symmetrized once;
+  each sweep is then one einsum over its (p, q, p, q) block view.
+
+Only the snapshot sweeps split their GEMMs over a WorkerPool; the
+dense path, like the sample covariance, runs on the calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
 iteration, the temporal factor once at the end. Residuals are the
@@ -29,10 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .linalg import _HERMITIAN_RTOL, as_matrix, eig_truncate, kron
+from .linalg import _HERMITIAN_RTOL, _hermitian_part, eig_truncate, kron
 from .parallel import chunk_spans, get_pool
-
-_HERMITIAN_TILE = 512
 
 
 class SampleCovariance:
@@ -64,7 +65,7 @@ class SampleCovariance:
     def matrix(self):
         if self._matrix is None and self.snapshots is not None:
             self._matrix = _outer_average(
-                self.snapshots.reshape(self.n_samples, -1), None)
+                self.snapshots.reshape(self.n_samples, -1))
         return self._matrix
 
 
@@ -85,7 +86,7 @@ class KronCovEstimate:
         return kron(self.spatial, self.temporal)
 
 
-def sample_covariance(snapshots, p, q, pool=None):
+def sample_covariance(snapshots, p, q):
     """Average of x x^H over snapshot rows, symmetrized.
 
     No mean is subtracted; the clutter model is zero mean. Snapshots
@@ -108,55 +109,25 @@ def sample_covariance(snapshots, p, q, pool=None):
         if not np.isfinite(x).all():
             raise DataError("snapshots contain non-finite entries")
         return SampleCovariance._from_snapshots(np.array(x), p, q)
-    return SampleCovariance(_outer_average(np.ascontiguousarray(x), pool),
-                            n, p, q)
+    return SampleCovariance(_outer_average(np.ascontiguousarray(x)), n, p, q)
 
 
-def _outer_average(x, pool):
+def _outer_average(x):
     """Dense (1/n) sum of x_m x_m^H over the rows of x, symmetrized."""
-    n, d = x.shape
-    xc = np.conj(x)
-    out = np.empty((d, d), dtype=np.complex128)
-
-    def fill(r0, r1):
-        out[r0:r1] = x[:, r0:r1].T @ xc
-
-    get_pool(pool).run(fill, chunk_spans(d, min_chunk=32))
-    out /= n
+    out = x.T @ np.conj(x)
+    out /= x.shape[0]
     return (out + out.conj().T) / 2.0
-
-
-def _asymmetry(s):
-    """Frobenius norm of s - s^H, accumulated over tile pairs.
-
-    Tiling bounds the temporary to one tile pair; a full s.conj().T
-    copy of a large covariance would briefly double its footprint.
-    """
-    n = s.shape[0]
-    acc = 0.0
-    for i0 in range(0, n, _HERMITIAN_TILE):
-        i1 = min(i0 + _HERMITIAN_TILE, n)
-        d = s[i0:i1, i0:i1] - s[i0:i1, i0:i1].conj().T
-        acc += np.vdot(d, d).real
-        for j0 in range(i1, n, _HERMITIAN_TILE):
-            j1 = min(j0 + _HERMITIAN_TILE, n)
-            d = s[i0:i1, j0:j1] - s[j0:j1, i0:i1].conj().T
-            acc += 2.0 * np.vdot(d, d).real
-    return math.sqrt(acc)
 
 
 def _validate_covariance(scm):
     if not isinstance(scm, SampleCovariance):
         raise DimensionError("estimator expects a SampleCovariance")
     p, q = scm.p, scm.q
-    s = as_matrix(scm.matrix, "covariance")
+    s = _hermitian_part(scm.matrix, "covariance")
     if s.shape != (p * q, p * q):
         raise DimensionError(
             f"covariance shape {s.shape} does not match p*q = {p * q}"
         )
-    scale = math.sqrt(np.vdot(s, s).real)
-    if scale > 0 and _asymmetry(s) > _HERMITIAN_RTOL * scale:
-        raise DataError("covariance deviates from Hermitian beyond tolerance")
     diag = s.diagonal().real
     if diag.size and np.min(diag) < -_HERMITIAN_RTOL * max(np.max(diag), 0.0):
         raise DataError("covariance has a negative diagonal, not PSD")
@@ -165,42 +136,25 @@ def _validate_covariance(scm):
 
 # The four kernels one ALS fit needs from its covariance: its Frobenius
 # norm; the block-sum start sum_rc S[ir, jc] / q^2; the B sweep, which
-# writes sum_ij S[ir, jc] conj_a[i, j] into the rows of `out`; and the
-# V sweep, which returns sum_rc S[ir, jc] conj_b[r, c]. Work is split
-# over chunk_spans(q); each span writes its own slice of the output or
-# returns a partial sum that is added in span order, so the result does
-# not depend on the pool width.
+# writes sum_ij S[ir, jc] conj_a[i, j] into `out`; and the V sweep,
+# which returns sum_rc S[ir, jc] conj_b[r, c]. The snapshot sweeps split
+# their GEMMs over chunk_spans(q); each span writes its own slice of the
+# output, so the result does not depend on the pool width.
 _Sweeps = namedtuple("_Sweeps", ["fro", "start", "b_sweep", "v_sweep"])
 
 
-def _sum_in_order(parts):
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
-
-
-def _dense_sweeps(s, p, q, pool):
+def _dense_sweeps(s, p, q):
     # axes (i, r, j, c): S[i*q + r, j*q + c] is entry (r, c) of block (i, j)
-    s4 = np.ascontiguousarray(s).reshape(p, q, p, q)
-    spans = chunk_spans(q, min_chunk=16)
+    s4 = s.reshape(p, q, p, q)
 
     def start():
-        return _sum_in_order(pool.run(
-            lambda r0, r1: np.einsum("irjc->ij", s4[:, r0:r1]), spans,
-        )) / float(q * q)
+        return np.einsum("irjc->ij", s4) / float(q * q)
 
     def b_sweep(conj_a, out):
-        def step(r0, r1):
-            out[r0:r1] = np.einsum("irjc,ij->rc", s4[:, r0:r1], conj_a)
-
-        pool.run(step, spans)
+        np.einsum("irjc,ij->rc", s4, conj_a, out=out)
 
     def v_sweep(conj_b):
-        return _sum_in_order(pool.run(
-            lambda r0, r1: np.einsum("irjc,rc->ij", s4[:, r0:r1], conj_b[r0:r1]),
-            spans,
-        ))
+        return np.einsum("irjc,rc->ij", s4, conj_b)
 
     return _Sweeps(math.sqrt(np.vdot(s, s).real), start, b_sweep, v_sweep)
 
@@ -248,7 +202,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     ----------
     scm : SampleCovariance
         Hermitian PSD covariance of p*q snapshots. A snapshot stack is
-        used as is; a dense matrix is validated first.
+        used as is; a dense matrix is validated and the fit runs on its
+        Hermitian part (m + m^H) / 2.
     rank_spatial, rank_temporal : int
         Eigen-rank budgets for the p x p and q x q factors.
     tol : float
@@ -261,18 +216,18 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         Iteration cap. Hitting it flags the estimate as not converged
         but still returns the partial factors.
     pool : WorkerPool, optional
-        Thread pool for the sweeps. Does not change the result.
+        Thread pool for the snapshot sweeps (n < p*q); the dense path
+        runs on the calling thread. Does not change the result.
     keep_iterates : bool
         Record the per-iteration factor matrices on the estimate as
         an `iterates` attribute (testing hook).
     """
-    pool = get_pool(pool)
     if isinstance(scm, SampleCovariance) and scm.snapshots is not None:
         p, q = scm.p, scm.q
-        sweeps = _snapshot_sweeps(scm.snapshots, pool)
+        sweeps = _snapshot_sweeps(scm.snapshots, get_pool(pool))
     else:
         s, p, q = _validate_covariance(scm)
-        sweeps = _dense_sweeps(s, p, q, pool)
+        sweeps = _dense_sweeps(s, p, q)
     if not 1 <= rank_spatial <= p:
         raise DimensionError(f"spatial rank must be in [1, {p}], got {rank_spatial}")
     if not 1 <= rank_temporal <= q:

@@ -74,8 +74,7 @@ def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
     if not isinstance(stacked, StackedHistory):
         raise DimensionError("multipass_estimate expects a StackedHistory")
     snapshots = np.ascontiguousarray(stacked.data).reshape(stacked.n_bins, -1)
-    scm = sample_covariance(snapshots, stacked.stacked_channels, stacked.q,
-                            pool=pool)
+    scm = sample_covariance(snapshots, stacked.stacked_channels, stacked.q)
     return lr_kron_estimate(scm, stacked.n_passes, rank_temporal,
                             tol=tol, max_iter=max_iter, pool=pool)
 

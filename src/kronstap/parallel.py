@@ -1,9 +1,13 @@
 """Deterministic work distribution for the thread pool.
 
-Every parallel loop in the package is expressed as a list of index spans
-produced by chunk_spans. Span boundaries depend only on the problem
-size, never on the pool width, and each span writes a disjoint slice of
-the output (or returns a partial that is combined in span order). The
+The one parallel loop in the package is the Kronecker estimator's
+snapshot-path sweeps (lrkron, fewer snapshots than p*q), the loop that
+the bench's thread-speedup row times. Every other stage measured no
+faster on a pool than on the calling thread and runs there.
+
+The loop is expressed as a list of index spans produced by chunk_spans.
+Span boundaries depend only on the problem size, never on the pool
+width, and each span writes a disjoint slice of the output. The
 numerical result is therefore bitwise identical for any thread count,
 including the serial pool.
 """

@@ -12,11 +12,10 @@ for every A, B, so a Kronecker product of any two factors collapses to
 a rank-one matrix. The map is a pure permutation of entries: it is
 exactly invertible and preserves the Frobenius norm.
 
-rearrange computes each output element through closed-form integer
-index maps (block row, block column, and flattened source position),
-independently per element, so rows can be filled on any schedule
-without changing the result. The test suite checks those maps against
-a literal block-extraction oracle.
+On the (p, q, p, q) view S4[i, r, j, c] = S[i*q + r, j*q + c] the map is
+one axis transpose to (j, i, c, r), so rearrange and unrearrange are
+each one reshape-transpose. The test suite checks them against a
+literal block-extraction oracle.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import as_matrix
-from .parallel import chunk_spans, get_pool
 
 
 @dataclass
@@ -48,41 +46,14 @@ def _check_dims(s, p, q, name="matrix"):
     return s
 
 
-def _source_offsets(p, q):
-    """Flattened source index = row_base[t] + col_offset[u].
-
-    Output element (t, u) pulls S[i*q + r, j*q + c] where i = t mod p,
-    j = t div p index the block and r = u mod q, c = u div q the entry
-    inside it. On the row-major flat view of S that source position
-    separates into a per-row base and a per-column offset.
-    """
-    t = np.arange(p * p)
-    i = t % p
-    j = t // p
-    row_base = (i * q) * (p * q) + j * q
-    u = np.arange(q * q)
-    r = u % q
-    c = u // q
-    col_offset = r * (p * q) + c
-    return row_base, col_offset
-
-
-def rearrange(s, p, q, pool=None):
+def rearrange(s, p, q):
     """Rearrange a pq x pq matrix into its p^2 x q^2 block form."""
     s = _check_dims(s, p, q)
-    flat = np.ascontiguousarray(s).reshape(-1)
-    row_base, col_offset = _source_offsets(p, q)
-    out = np.empty((p * p, q * q), dtype=np.complex128)
-
-    def fill(t0, t1):
-        for t in range(t0, t1):
-            out[t] = flat[row_base[t] + col_offset]
-
-    get_pool(pool).run(fill, chunk_spans(p * p))
+    out = s.reshape(p, q, p, q).transpose(2, 0, 3, 1).reshape(p * p, q * q)
     return RearrangedMatrix(p, q, out)
 
 
-def unrearrange(r, pool=None):
+def unrearrange(r):
     """Invert rearrange exactly (entry permutation, no arithmetic)."""
     if not isinstance(r, RearrangedMatrix):
         raise DimensionError("unrearrange expects a RearrangedMatrix")
@@ -92,16 +63,7 @@ def unrearrange(r, pool=None):
         raise DimensionError(
             f"rearranged data shape {data.shape} does not match p={p}, q={q}"
         )
-    row_base, col_offset = _source_offsets(p, q)
-    flat = np.empty(p * q * p * q, dtype=np.complex128)
-
-    def fill(t0, t1):
-        # rows scatter to disjoint source positions, so spans are independent
-        for t in range(t0, t1):
-            flat[row_base[t] + col_offset] = data[t]
-
-    get_pool(pool).run(fill, chunk_spans(p * p))
-    return flat.reshape(p * q, p * q)
+    return data.reshape(p, p, q, q).transpose(1, 3, 0, 2).reshape(p * q, p * q)
 
 
 def lr_kron_init(r):

@@ -12,7 +12,9 @@ Randomness comes from keyed substreams of one seed: stream (1, m) feeds
 bin m's shared draws (speckle, texture), stream (2, m, k) feeds pass k
 of bin m (gain, replacement speckle, noise), stream (3, k) the per-pass
 calibrations and streams (0,), (4,) the scene profile and the changed
-bin selection. Generation order therefore never affects the data.
+bin selection. Bin m's data therefore depends on the seed and m, and on
+n_bins only through which bins change: without scene change, a longer
+scene with the same seed extends a shorter one.
 """
 
 import math
@@ -22,7 +24,6 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .linalg import kron
-from .parallel import chunk_spans, get_pool
 
 _TEXTURES = ("constant", "inverse_gamma")
 
@@ -153,7 +154,7 @@ def _texture_draw(rng, config):
 
 
 def _generate(model, n_passes, change_fraction, shared_calibration,
-              unit_gains, gain_spread, pool):
+              unit_gains, gain_spread):
     config = model.config
     p, q, n_bins = config.p, config.q, config.n_bins
     r = config.rank_temporal
@@ -173,40 +174,36 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
         changed[picks] = True
 
     data = np.empty((n_passes, n_bins, p, q), dtype=np.complex128)
-
-    def fill(m0, m1):
-        for m in range(m0, m1):
-            shared_rng = _stream(config.seed, 1, m)
-            z = _complex_normal(shared_rng, r)
-            tau = _texture_draw(shared_rng, config)
-            speckle = model.temporal_profiles @ (scale * z)
-            for k in range(n_passes):
-                pass_rng = _stream(config.seed, 2, m, k)
-                zeta = _complex_normal(pass_rng, 1)[0]
-                gain = 1.0 if unit_gains else 1.0 + gain_spread * zeta
-                if changed[m]:
-                    z_k = _complex_normal(pass_rng, r)
-                    speckle_k = model.temporal_profiles @ (scale * z_k)
-                else:
-                    speckle_k = speckle
-                noise = _complex_normal(pass_rng, p * q).reshape(p, q)
-                data[k, m] = (tau * gain) * np.outer(calibrations[k], speckle_k)
-                data[k, m] += noise_amp * noise
-
-    get_pool(pool).run(fill, chunk_spans(n_bins))
+    for m in range(n_bins):
+        shared_rng = _stream(config.seed, 1, m)
+        z = _complex_normal(shared_rng, r)
+        tau = _texture_draw(shared_rng, config)
+        speckle = model.temporal_profiles @ (scale * z)
+        for k in range(n_passes):
+            pass_rng = _stream(config.seed, 2, m, k)
+            zeta = _complex_normal(pass_rng, 1)[0]
+            gain = 1.0 if unit_gains else 1.0 + gain_spread * zeta
+            if changed[m]:
+                z_k = _complex_normal(pass_rng, r)
+                speckle_k = model.temporal_profiles @ (scale * z_k)
+            else:
+                speckle_k = speckle
+            noise = _complex_normal(pass_rng, p * q).reshape(p, q)
+            data[k, m] = (tau * gain) * np.outer(calibrations[k], speckle_k)
+            data[k, m] += noise_amp * noise
     return PhaseHistory(p, q, n_passes, data)
 
 
-def gen_clutter(config, pool=None):
+def gen_clutter(config):
     """Single-pass clutter cube for a scene config."""
     model = scene_model(config)
     return _generate(model, 1, 0.0, shared_calibration=True,
-                     unit_gains=True, gain_spread=0.0, pool=pool)
+                     unit_gains=True, gain_spread=0.0)
 
 
 def gen_multipass(config, n_passes, change_fraction=0.0,
                   shared_calibration=False, unit_gains=False,
-                  gain_spread=0.5, pool=None):
+                  gain_spread=0.5):
     """Registered multipass cube with shared background speckle.
 
     Passes share each bin's temporal speckle and texture, scaled by a
@@ -223,7 +220,7 @@ def gen_multipass(config, n_passes, change_fraction=0.0,
         raise DataError(f"change fraction must be in [0, 1], got {change_fraction}")
     model = scene_model(config)
     return _generate(model, n_passes, change_fraction, shared_calibration,
-                     unit_gains, gain_spread, pool)
+                     unit_gains, gain_spread)
 
 
 def inject_target(history, bin_index, doppler, amplitude, pass_index=0,

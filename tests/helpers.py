@@ -27,23 +27,6 @@ def complex_gauss(rng, shape):
     return (real + 1j * imag) / np.sqrt(2.0)
 
 
-def matmul_loops(a, b):
-    """Triple-loop matrix product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def kron_loops(a, b):
     """Kronecker product straight from the block definition."""
     a = np.asarray(a)

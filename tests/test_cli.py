@@ -16,6 +16,7 @@ from kronstap.formats import (
     write_phase_history,
 )
 from kronstap.multipass import stack_passes
+from kronstap.parallel import WorkerPool
 from kronstap.simulate import scene_model
 
 CLUTTER_CONFIG = """
@@ -285,6 +286,55 @@ class TestThreadInvariance:
                                   for path in sorted(out.iterdir())}
         assert len(artifacts[1]) == 6
         assert artifacts[1] == artifacts[4]
+
+
+class TestParallelSite:
+    """The estimator's snapshot sweeps are the one place a pool runs."""
+
+    @pytest.fixture()
+    def pool_runs(self, monkeypatch):
+        runs = []
+        original = WorkerPool.run
+
+        def counted(pool, fn, spans):
+            runs.append(len(spans))
+            return original(pool, fn, spans)
+
+        monkeypatch.setattr(WorkerPool, "run", counted)
+        return runs
+
+    @pytest.mark.parametrize("config_text, ra, multipass", [
+        (TARGET_CONFIG, 1, False),
+        (MANY_BIN_TWO_PASS_CONFIG, 2, True),
+    ], ids=["single-pass", "multipass"])
+    def test_dense_pipeline_runs_no_pool(self, tmp_path, pool_runs,
+                                         config_text, ra, multipass):
+        config = write_config(tmp_path, config_text)
+        cube, fit = tmp_path / "scene.kph", tmp_path / "fit.kes"
+        detect_flags = ["--multipass"] if multipass else []
+        stages = [
+            ["simulate", "--config", config, "--output", cube],
+            ["estimate", "--input", cube, "--output", fit,
+             "--ra", ra, "--rb", 2],
+            ["filter", "--input", cube, "--estimate", fit,
+             "--output", tmp_path / "filtered.kph"],
+            ["detect", "--input", cube, "--estimate", fit,
+             "--output", tmp_path / "map.csv", *detect_flags],
+        ]
+        for stage in stages:
+            assert run(*stage, "--threads", 4) == 0
+            assert pool_runs == [], stage[0]
+
+    def test_few_snapshot_estimate_runs_the_pool(self, tmp_path, pool_runs):
+        config = write_config(tmp_path, FEW_SNAPSHOTS_CONFIG)
+        cube = tmp_path / "scene.kph"
+        assert run("simulate", "--config", config, "--output", cube,
+                   "--threads", 4) == 0
+        assert pool_runs == []
+        assert run("estimate", "--input", cube, "--output",
+                   tmp_path / "fit.kes", "--ra", 1, "--rb", 3,
+                   "--threads", 4) == 0
+        assert len(pool_runs) >= 1
 
 
 class TestMultipassCli:

@@ -6,10 +6,8 @@ from kronstap.errors import DataError, DimensionError
 from kronstap.linalg import (
     as_matrix,
     eig_truncate,
-    frobenius_norm,
     hermitian_eig,
     kron,
-    matmul,
     unvec,
     vec,
 )
@@ -24,22 +22,6 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(DataError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_matmul_against_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n, k, m = rng.integers(1, 6, size=3)
-        a = helpers.complex_gauss(rng, (n, k))
-        b = helpers.complex_gauss(rng, (k, m))
-        got = matmul(a, b)
-        want = helpers.matmul_loops(a, b)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_vec_unvec_roundtrip_and_order():
@@ -61,13 +43,6 @@ def test_kron_against_definition():
         a = helpers.complex_gauss(rng, (pa, qa))
         b = helpers.complex_gauss(rng, (pb, qb))
         assert np.max(np.abs(kron(a, b) - helpers.kron_loops(a, b))) < 1e-13
-
-
-def test_frobenius_norm_matches_sum_of_squares():
-    rng = np.random.default_rng(14)
-    m = helpers.complex_gauss(rng, (5, 7))
-    want = np.sqrt(sum(abs(m[i, j]) ** 2 for i in range(5) for j in range(7)))
-    assert abs(frobenius_norm(m) - want) < 1e-12
 
 
 def test_hermitian_eig_reconstructs_and_orders():

@@ -36,15 +36,6 @@ def test_sample_covariance_matches_outer_product_average():
     assert np.array_equal(got.matrix, got.matrix.conj().T)
 
 
-def test_sample_covariance_pool_invariant():
-    rng = np.random.default_rng(32)
-    snaps = helpers.complex_gauss(rng, (40, 3 * 64))
-    with WorkerPool(1) as pool1, WorkerPool(4) as pool4:
-        c1 = sample_covariance(snaps, 3, 64, pool1)
-        c4 = sample_covariance(snaps, 3, 64, pool4)
-    assert np.array_equal(c1.matrix, c4.matrix)
-
-
 def test_sample_covariance_monte_carlo_consistency():
     # relative error should shrink like 1/sqrt(n): quadrupling the
     # sample count should roughly halve it
@@ -130,6 +121,24 @@ def test_estimator_input_validation():
     neg[5, 5] = -1.0
     with pytest.raises(DataError):
         lr_kron_estimate(_exact_cov(neg, 2, 3), 1, 1)
+
+
+def test_near_hermitian_covariance_fits_as_its_symmetrization():
+    rng = np.random.default_rng(49)
+    p, q = 2, 5
+    s = helpers.random_psd(rng, p * q)
+    skew = helpers.complex_gauss(rng, (p * q, p * q))
+    skew = (skew - skew.conj().T) * (1e-10 * np.linalg.norm(s))
+    near = s + skew
+    sym = (near + near.conj().T) / 2.0
+    assert not np.array_equal(near, sym)
+    got = lr_kron_estimate(_exact_cov(near, p, q), 1, 3)
+    want = lr_kron_estimate(_exact_cov(sym, p, q), 1, 3)
+    assert np.array_equal(got.spatial, want.spatial)
+    assert np.array_equal(got.temporal, want.temporal)
+    assert got.residuals == want.residuals
+    with pytest.raises(DataError):
+        lr_kron_estimate(_exact_cov(s + 1e3 * skew, p, q), 1, 3)
 
 
 def test_exact_kronecker_recovery():

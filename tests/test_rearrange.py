@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from kronstap.errors import DimensionError
 from kronstap.linalg import unvec, vec
-from kronstap.parallel import WorkerPool
 from kronstap.rearrange import (
     RearrangedMatrix,
     lr_kron_init,
@@ -81,14 +82,15 @@ def test_identity_rearranges_to_identity_outer():
         assert np.array_equal(r.data, want)
 
 
-def test_pool_invariant():
-    rng = np.random.default_rng(25)
-    s = helpers.complex_gauss(rng, (4 * 16, 4 * 16))
-    with WorkerPool(1) as pool1, WorkerPool(4) as pool4:
-        r1 = rearrange(s, 4, 16, pool1)
-        r4 = rearrange(s, 4, 16, pool4)
-        assert np.array_equal(r1.data, r4.data)
-        assert np.array_equal(unrearrange(r1, pool4), unrearrange(r4, pool1))
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_rearrange_is_the_block_permutation(p, q, seed):
+    s = helpers.complex_gauss(np.random.default_rng(seed), (p * q, p * q))
+    r = rearrange(s, p, q)
+    assert np.array_equal(r.data, helpers.block_rearrange(s, p, q))
+    assert abs(np.linalg.norm(r.data) - np.linalg.norm(s)) \
+        <= 1e-14 * np.linalg.norm(s)
+    assert np.array_equal(unrearrange(r), s)
 
 
 def test_lr_kron_init_recovers_spatial_direction():

@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from kronstap.errors import DataError, DimensionError
-from kronstap.parallel import WorkerPool
 from kronstap.simulate import (
     SceneConfig,
     gen_clutter,
@@ -114,12 +113,15 @@ class TestGenClutter:
         second = gen_clutter(config)
         assert np.array_equal(first.data, second.data)
 
-    def test_pool_choice_never_changes_the_cube(self):
-        config = small_config(n_bins=17, seed=22)
-        serial = gen_clutter(config)
-        with WorkerPool(4) as pool:
-            threaded = gen_clutter(config, pool=pool)
-        assert np.array_equal(serial.data, threaded.data)
+    def test_a_longer_scene_extends_a_shorter_one(self):
+        # bin m's draws are keyed by (seed, m) alone, so without scene
+        # change the bin count never reaches back into earlier bins
+        short = small_config(n_bins=17, seed=22, texture="inverse_gamma")
+        long = small_config(n_bins=40, seed=22, texture="inverse_gamma")
+        assert np.array_equal(gen_clutter(short).data,
+                              gen_clutter(long).data[:, :17])
+        assert np.array_equal(gen_multipass(short, 3).data,
+                              gen_multipass(long, 3).data[:, :17])
 
 
 class TestInjectTarget:
