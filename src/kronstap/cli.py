@@ -3,11 +3,12 @@
 Subcommands: simulate, estimate, filter, detect, bench. Exit status is
 0 on success, 1 for usage problems, 2 for malformed or mismatched data,
 and 3 when the estimator hit its iteration cap without converging.
-The thread count comes from --threads, falling back to the
-KRONSTAP_THREADS environment variable, and never changes numerical
-output. It sizes the one WorkerPool, which estimate opens for the
-snapshot-path sweeps (fewer snapshots than p*q); every other stage runs
-on the calling thread.
+Every subcommand but bench takes its thread count from --threads,
+falling back to the KRONSTAP_THREADS environment variable, and the
+count never changes numerical output. It sizes the one WorkerPool,
+which estimate opens for the snapshot-path sweeps (fewer snapshots
+than p*q); every other stage runs on the calling thread. bench takes
+no --threads: its pool widths are the sweep rows' threads column.
 """
 
 import argparse
@@ -26,7 +27,10 @@ from .layout import cube_to_snapshots
 from .lrkron import lr_kron_estimate, sample_covariance
 from .multipass import change_detect, pass_images, stack_passes
 from .parallel import WorkerPool
-from .simulate import PhaseHistory, gen_clutter, gen_multipass, inject_target
+# inject_target stays importable from here: perfbench's span tracer wraps
+# cli.inject_target by name, while cmd_simulate adds targets in place
+from .simulate import PhaseHistory, _add_target, gen_clutter, gen_multipass, \
+    inject_target  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -108,7 +112,6 @@ def build_parser():
     p_ben.add_argument("--n", type=int, default=5, dest="n_train",
                        help="training snapshots per trial")
     p_ben.add_argument("--seed", type=int, default=0)
-    _add_common(p_ben)
     p_ben.set_defaults(func=cmd_bench)
     return parser
 
@@ -126,9 +129,10 @@ def cmd_simulate(args):
                                 shared_calibration=job.shared_calibration,
                                 unit_gains=job.unit_pass_gains,
                                 gain_spread=job.pass_gain_spread)
+    # the cube is ours alone, so targets go in without a copy of it
     for bin_index, doppler, amplitude in job.targets:
-        history = inject_target(history, bin_index, doppler, amplitude,
-                                kappa=scene.kappa)
+        _add_target(history, bin_index, doppler, amplitude,
+                    kappa=scene.kappa)
     formats.write_phase_history(args.output, history)
     print(f"wrote {args.output}: {history.n_passes} pass(es), "
           f"{history.n_bins} bins of {history.p}x{history.q}, "
@@ -283,18 +287,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("KRONSTAP_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            sys.stderr.write(f"kronstap: bad KRONSTAP_THREADS value {env!r}\n")
+    if "threads" in vars(args):
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("KRONSTAP_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                sys.stderr.write(
+                    f"kronstap: bad KRONSTAP_THREADS value {env!r}\n")
+                return USAGE_ERROR
+        if threads < 1:
+            sys.stderr.write(
+                f"kronstap: thread count must be >= 1, got {threads}\n")
             return USAGE_ERROR
-    if threads < 1:
-        sys.stderr.write(f"kronstap: thread count must be >= 1, got {threads}\n")
-        return USAGE_ERROR
-    args.threads = threads
+        args.threads = threads
     try:
         return args.func(args)
     except KronStapError as exc:

@@ -24,7 +24,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DataError, DimensionError
 from .layout import from_snapshot, to_snapshot
-from .linalg import as_matrix, hermitian_eig
+from .linalg import _CLAMP_RTOL, as_matrix, hermitian_eig
 
 FILTER_KINDS = ("optimal", "classical", "kron")
 
@@ -85,9 +85,18 @@ def subspace_basis(matrix, rank, tol=1e-9):
 
     Keeps at most `rank` directions and drops eigenvalues below
     tol * largest. Returns None when nothing survives, which downstream
-    code treats as an empty subspace.
+    code treats as an empty subspace. A matrix that is not PSD up to
+    rounding (an eigenvalue below -_CLAMP_RTOL times the largest
+    magnitude) raises DataError: its top directions mean nothing.
     """
     values, vectors = hermitian_eig(matrix)
+    # sorted descending, so the largest magnitude sits at one end
+    scale = max(abs(values[0]), abs(values[-1])) if values.size else 0.0
+    if values.size and values[-1] < -_CLAMP_RTOL * scale:
+        raise DataError(
+            f"matrix is not positive semidefinite: eigenvalue "
+            f"{values[-1]:.3e} against largest magnitude {scale:.3e}"
+        )
     top = values[0] if values.size else 0.0
     if top <= 0.0:
         return None

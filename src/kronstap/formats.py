@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .linalg import _hermitian_part
 from .lrkron import KronCovEstimate
 from .simulate import PhaseHistory, SceneConfig, TargetTruth
 
@@ -124,6 +125,12 @@ def write_estimate(path, estimate):
 
 
 def read_estimate(path):
+    """Read a KES1 file back into a KronCovEstimate.
+
+    Both factors must be finite and Hermitian within linalg's tolerance,
+    or DataError is raised. Whether they are PSD is left to the filter's
+    eigendecomposition, which the factors go through anyway.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _EST_HEADER.size:
@@ -149,6 +156,8 @@ def read_estimate(path):
     offset += sdim * sdim * 16
     temporal = np.frombuffer(blob, dtype="<c16", count=q * q,
                              offset=offset).reshape(q, q)
+    _hermitian_part(spatial, "spatial factor")
+    _hermitian_part(temporal, "temporal factor")
     return KronCovEstimate(spatial.astype(np.complex128),
                            temporal.astype(np.complex128),
                            rank_spatial, rank_temporal, iterations,

@@ -8,13 +8,18 @@ factor. Multipass scenes reuse the temporal speckle across passes with
 per-pass gains, and can flip a fraction of bins to independent speckle
 to emulate scene change.
 
-Randomness comes from keyed substreams of one seed: stream (1, m) feeds
-bin m's shared draws (speckle, texture), stream (2, m, k) feeds pass k
-of bin m (gain, replacement speckle, noise), stream (3, k) the per-pass
-calibrations and streams (0,), (4,) the scene profile and the changed
-bin selection. Bin m's data therefore depends on the seed and m, and on
-n_bins only through which bins change: without scene change, a longer
-scene with the same seed extends a shorter one.
+Randomness comes from keyed substreams of one seed. The bins are
+walked in fixed blocks of BLOCK_BINS, and block b draws each quantity
+for all of its bins at once from a stream of its own: (1, b, 0) the
+speckle weights, (1, b, 1) the textures, and for pass k (2, b, k, 0)
+the gains, (2, b, k, 1) the replacement speckle and (2, b, k, 2) the
+noise. Stream (3, k) gives the per-pass calibrations and streams (0,),
+(4,) the scene profile and the changed-bin selection. A block draws
+only the bins that exist, in bin order, so bin m's data depends on the
+seed, on m's block and on m's offset in that block, and on n_bins only
+through which bins change: without scene change, a longer scene with
+the same seed extends a shorter one. BLOCK_BINS is part of that
+contract; changing it changes every scene.
 """
 
 import math
@@ -26,6 +31,11 @@ from .errors import DataError, DimensionError
 from .linalg import kron
 
 _TEXTURES = ("constant", "inverse_gamma")
+
+# Bins per block of random draws. Part of the data contract: every block
+# has its own streams, so changing this changes every scene. It is not
+# filters.BLOCK_BINS, which only sets how many bins one batched call takes.
+BLOCK_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -117,9 +127,11 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _complex_normal(rng, n):
-    draws = rng.standard_normal(2 * n)
-    return (draws[0::2] + 1j * draws[1::2]) / math.sqrt(2.0)
+def _complex_normal(rng, shape, scale=1.0):
+    """Circular complex normals of variance scale**2, viewed from float pairs."""
+    draws = rng.standard_normal((*shape, 2))
+    draws *= scale / math.sqrt(2.0)
+    return draws.view(np.complex128)[..., 0]
 
 
 def scene_model(config):
@@ -145,20 +157,48 @@ def scene_model(config):
     return SceneModel(config, calibration, profiles, weights)
 
 
-def _texture_draw(rng, config):
+def _texture_draws(rng, config, n):
     if config.texture == "constant":
-        return 1.0
+        return np.ones(n)
     shape = config.texture_shape
-    g = rng.gamma(shape, 1.0 / (shape - 1.0))
-    return 1.0 / math.sqrt(g)
+    return 1.0 / np.sqrt(rng.gamma(shape, 1.0 / (shape - 1.0), n))
+
+
+def _speckle(z, basis):
+    """(nb, q) speckle of (nb, r) weights; each row's bits ignore nb.
+
+    The product always runs at the full block height, because numpy
+    sends a lone row through a vector kernel whose rounding differs from
+    the GEMM's, and a one-bin tail block would then break the prefix
+    property.
+    """
+    padded = np.zeros((BLOCK_BINS, z.shape[1]), dtype=np.complex128)
+    padded[:len(z)] = z
+    return (padded @ basis)[:len(z)]
+
+
+def _cmul(a, b, out):
+    """out = a * b for broadcastable complex arrays, in real arithmetic.
+
+    numpy's complex multiply rounds differently (with or without fused
+    multiply-add) in its contiguous and broadcast loops, and which loop
+    runs can hinge on how many bins share the call. Separate float64
+    products and sums round the same way in every loop. A product with
+    a real factor (textures) rounds once either way and needs no care.
+    """
+    np.multiply(a.real, b.real, out=out.real)
+    out.real -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=out.imag)
+    out.imag += a.imag * b.real
+    return out
 
 
 def _generate(model, n_passes, change_fraction, shared_calibration,
               unit_gains, gain_spread):
     config = model.config
-    p, q, n_bins = config.p, config.q, config.n_bins
+    seed, p, q, n_bins = config.seed, config.p, config.q, config.n_bins
     r = config.rank_temporal
-    scale = np.sqrt(model.temporal_weights)
+    basis = (model.temporal_profiles * np.sqrt(model.temporal_weights)).T
     noise_amp = math.sqrt(config.noise_power)
 
     if shared_calibration:
@@ -169,28 +209,36 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     n_changed = int(round(change_fraction * n_bins))
     changed = np.zeros(n_bins, dtype=bool)
     if n_changed > 0:
-        picks = _stream(config.seed, 4).choice(n_bins, size=n_changed,
-                                               replace=False)
+        picks = _stream(seed, 4).choice(n_bins, size=n_changed,
+                                        replace=False)
         changed[picks] = True
 
     data = np.empty((n_passes, n_bins, p, q), dtype=np.complex128)
-    for m in range(n_bins):
-        shared_rng = _stream(config.seed, 1, m)
-        z = _complex_normal(shared_rng, r)
-        tau = _texture_draw(shared_rng, config)
-        speckle = model.temporal_profiles @ (scale * z)
+    for b, m0 in enumerate(range(0, n_bins, BLOCK_BINS)):
+        m1 = min(m0 + BLOCK_BINS, n_bins)
+        nb = m1 - m0
+        speckle = _speckle(_complex_normal(_stream(seed, 1, b, 0), (nb, r)),
+                           basis)
+        tau = _texture_draws(_stream(seed, 1, b, 1), config, nb)
+        block_changed = changed[m0:m1]
         for k in range(n_passes):
-            pass_rng = _stream(config.seed, 2, m, k)
-            zeta = _complex_normal(pass_rng, 1)[0]
-            gain = 1.0 if unit_gains else 1.0 + gain_spread * zeta
-            if changed[m]:
-                z_k = _complex_normal(pass_rng, r)
-                speckle_k = model.temporal_profiles @ (scale * z_k)
+            if unit_gains:
+                coef = tau
             else:
-                speckle_k = speckle
-            noise = _complex_normal(pass_rng, p * q).reshape(p, q)
-            data[k, m] = (tau * gain) * np.outer(calibrations[k], speckle_k)
-            data[k, m] += noise_amp * noise
+                zeta = _complex_normal(_stream(seed, 2, b, k, 0), (nb,))
+                coef = tau * (1.0 + gain_spread * zeta)
+            speckle_k = speckle
+            if block_changed.any():
+                fresh = _complex_normal(_stream(seed, 2, b, k, 1), (nb, r))
+                speckle_k = np.where(block_changed[:, None],
+                                     _speckle(fresh, basis), speckle)
+            channel = _cmul(coef[:, None], calibrations[k],
+                            np.empty((nb, p), dtype=np.complex128))
+            out = _cmul(channel[:, :, None], speckle_k[:, None, :],
+                        data[k, m0:m1])
+            if noise_amp > 0:
+                out += _complex_normal(_stream(seed, 2, b, k, 2),
+                                       (nb, p, q), noise_amp)
     return PhaseHistory(p, q, n_passes, data)
 
 
@@ -230,6 +278,15 @@ def inject_target(history, bin_index, doppler, amplitude, pass_index=0,
     Returns a new PhaseHistory; injections are additive so their order
     does not matter. kappa defaults to the steering convention's 0.5.
     """
+    injected = PhaseHistory(history.p, history.q, history.n_passes,
+                            history.data.copy(), list(history.truth))
+    _add_target(injected, bin_index, doppler, amplitude, pass_index, kappa)
+    return injected
+
+
+def _add_target(history, bin_index, doppler, amplitude, pass_index=0,
+                kappa=None):
+    """inject_target's work, done in place on history's cube and truth."""
     from .filters import make_steering
 
     if not 0 <= bin_index < history.n_bins:
@@ -240,8 +297,6 @@ def inject_target(history, bin_index, doppler, amplitude, pass_index=0,
                        0.5 if kappa is None else kappa)
     signature = np.outer(sv.spatial, sv.temporal)
     signature /= np.linalg.norm(sv.spatial) * np.linalg.norm(sv.temporal)
-    data = history.data.copy()
-    data[pass_index, bin_index] += amplitude * signature
-    truth = list(history.truth)
-    truth.append(TargetTruth(int(bin_index), float(doppler), complex(amplitude)))
-    return PhaseHistory(history.p, history.q, history.n_passes, data, truth)
+    history.data[pass_index, bin_index] += amplitude * signature
+    history.truth.append(
+        TargetTruth(int(bin_index), float(doppler), complex(amplitude)))

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: pipelines, exit codes, thread handling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,23 @@ class TestSimulate:
         history = read_phase_history(out)
         assert len(history.truth) == 1
         assert history.truth[0].bin_index == 11
+
+    def test_targets_go_into_the_generated_cube_without_a_copy(self,
+                                                                tmp_path):
+        # 8 MB cube: the parent of this check copied it once per target
+        config = write_config(tmp_path, "p = 4\nq = 64\nn_bins = 2048\n"
+                              "r_b = 3\nseed = 5\ntarget = 9 0.25 3 0\n")
+        out = tmp_path / "scene.kph"
+        cube_bytes = 2048 * 4 * 64 * 16
+        tracemalloc.start()
+        try:
+            assert run("simulate", "--config", config, "--output", out) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cube_bytes
+        history = read_phase_history(out)
+        assert history.truth[0].bin_index == 9
 
     def test_bad_config_is_a_data_error(self, tmp_path):
         config = write_config(tmp_path, "p = 2\nwhat\n")
@@ -257,6 +275,37 @@ class TestFilterAndDetect:
         write_phase_history(broken, history)
         out = tmp_path / "out"
         code = run(command, "--input", broken, "--estimate", fit,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    def test_negated_factors_are_a_data_error(self, tmp_path, fitted_scene,
+                                              command):
+        # (-A) x (-B) = A x B, but a negative semidefinite factor leaves
+        # only rounding noise as its "top" eigen-direction
+        clean, fit = fitted_scene
+        est = read_estimate(fit)
+        bad = tmp_path / "negated.kes"
+        write_estimate(bad, replace(est, spatial=-est.spatial,
+                                    temporal=-est.temporal))
+        out = tmp_path / "out"
+        code = run(command, "--input", clean, "--estimate", bad,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    def test_non_finite_factor_is_a_data_error(self, tmp_path, fitted_scene,
+                                               command):
+        clean, fit = fitted_scene
+        est = read_estimate(fit)
+        temporal = est.temporal.copy()
+        temporal[2, 2] = np.nan
+        bad = tmp_path / "nan.kes"
+        write_estimate(bad, replace(est, temporal=temporal))
+        out = tmp_path / "out"
+        code = run(command, "--input", clean, "--estimate", bad,
                    "--output", out)
         assert code == DATA_ERROR
         assert not out.exists()
@@ -432,6 +481,19 @@ class TestBenchCli:
         assert run("bench", "--output", out) == DATA_ERROR
         assert run("bench", "--output", out, "--sweep", sweep,
                    "--default-sweep") == DATA_ERROR
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, monkeypatch):
+        # pool widths come from the sweep rows; an ignored flag would lie
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("row = 2 16 1 1e-4\n")
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--sweep", sweep, "--output", out,
+                   "--trials", 1, "--threads", 2) == USAGE_ERROR
+        assert not out.exists()
+        # nor does bench read KRONSTAP_THREADS
+        monkeypatch.setenv("KRONSTAP_THREADS", "junk")
+        assert run("bench", "--sweep", sweep, "--output", out,
+                   "--trials", 1) == 0
 
     def test_malformed_sweep_rows_are_data_errors(self, tmp_path):
         sweep = tmp_path / "sweep.cfg"

@@ -87,6 +87,19 @@ class TestSubspaceBasis:
         assert basis.shape == (3, 1)
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
 
+    def test_a_matrix_that_is_not_psd_is_a_data_error(self):
+        rng = np.random.default_rng(17)
+        m = helpers.random_psd(rng, 4, rank=1)
+        # negated, the only positive eigenvalues are rounding noise
+        with pytest.raises(DataError, match="positive semidefinite"):
+            subspace_basis(-m, 1)
+        with pytest.raises(DataError):
+            subspace_basis(np.diag([1.0, -1e-6]), 1)
+
+    def test_rounding_level_negative_eigenvalues_pass(self):
+        basis = subspace_basis(np.diag([1.0, -1e-12]), 2)
+        assert basis.shape == (2, 1)
+
 
 class TestProjectionFilters:
     def test_empty_bases_give_the_identity(self):

@@ -178,6 +178,29 @@ class TestEstimateFile:
         with pytest.raises(DataError, match="rank"):
             read_estimate(path)
 
+    @pytest.mark.parametrize("factor", ["spatial", "temporal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factors_are_rejected(self, tmp_path, factor, bad):
+        rng = np.random.default_rng(44)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 5), 1, 2, 1, [0.5], True)
+        getattr(est, factor)[1, 1] = bad
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        with pytest.raises(DataError, match=f"{factor} factor"):
+            read_estimate(path)
+
+    @pytest.mark.parametrize("factor", ["spatial", "temporal"])
+    def test_non_hermitian_factors_are_rejected(self, tmp_path, factor):
+        rng = np.random.default_rng(45)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 5), 1, 2, 1, [0.5], True)
+        getattr(est, factor)[0, 1] += 1e-3
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        with pytest.raises(DataError, match=f"{factor} factor"):
+            read_estimate(path)
+
     def test_rank_budget_at_the_factor_dims_is_accepted(self, tmp_path):
         rng = np.random.default_rng(43)
         est = KronCovEstimate(helpers.random_psd(rng, 3),

@@ -1,11 +1,16 @@
 """Scene generator checks: covariance law, determinism, pass coupling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from kronstap.errors import DataError, DimensionError
 from kronstap.simulate import (
+    BLOCK_BINS,
     SceneConfig,
     gen_clutter,
     gen_multipass,
@@ -114,14 +119,51 @@ class TestGenClutter:
         assert np.array_equal(first.data, second.data)
 
     def test_a_longer_scene_extends_a_shorter_one(self):
-        # bin m's draws are keyed by (seed, m) alone, so without scene
-        # change the bin count never reaches back into earlier bins
+        # bin m's draws come from its block's streams, keyed by (seed,
+        # block), at m's offset in the block; a block draws only the bins
+        # that exist, in order, so without scene change the bin count
+        # never reaches back into earlier bins
         short = small_config(n_bins=17, seed=22, texture="inverse_gamma")
         long = small_config(n_bins=40, seed=22, texture="inverse_gamma")
         assert np.array_equal(gen_clutter(short).data,
                               gen_clutter(long).data[:, :17])
         assert np.array_equal(gen_multipass(short, 3).data,
                               gen_multipass(long, 3).data[:, :17])
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_short=st.integers(1, 700), extra=st.integers(0, 700),
+           p=st.integers(1, 3), q=st.integers(1, 4), r=st.integers(1, 4),
+           texture=st.sampled_from(["constant", "inverse_gamma"]),
+           seed=st.integers(0, 2**32 - 1))
+    # a one-bin tail block, and a tail that grows into a full block
+    @example(n_short=BLOCK_BINS + 1, extra=BLOCK_BINS - 1, p=1, q=4, r=2,
+             texture="inverse_gamma", seed=1)
+    @example(n_short=BLOCK_BINS, extra=1, p=2, q=3, r=3, texture="constant",
+             seed=0)
+    def test_prefix_property_across_block_boundaries(self, n_short, extra,
+                                                     p, q, r, texture, seed):
+        n_long = min(n_short + extra, 700)
+        short = SceneConfig(p=p, q=q, n_bins=n_short,
+                            rank_temporal=min(r, q), texture=texture,
+                            seed=seed)
+        long = replace(short, n_bins=n_long)
+        assert np.array_equal(gen_clutter(short).data,
+                              gen_clutter(long).data[:, :n_short])
+        assert np.array_equal(gen_multipass(short, 2).data,
+                              gen_multipass(long, 2).data[:, :n_short])
+
+    def test_bins_a_block_apart_draw_independently(self):
+        # same offset in consecutive blocks: a stream key that missed the
+        # block index would repeat the block
+        config = small_config(p=2, q=8, n_bins=4 * BLOCK_BINS,
+                              noise_power=0.0, seed=23)
+        x = gen_clutter(config).data[0]
+        a = x[:3 * BLOCK_BINS].ravel()
+        b = x[BLOCK_BINS:].ravel()
+        for m in range(3 * BLOCK_BINS):
+            assert not np.array_equal(x[m], x[m + BLOCK_BINS])
+        rho = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        assert abs(rho) < 0.1
 
 
 class TestInjectTarget:
@@ -206,6 +248,33 @@ class TestGenMultipass:
         b = history.data[1, :, 0, :].ravel()
         rho = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(rho) > 0.9
+
+    def test_changed_bins_decorrelate_in_every_block(self):
+        # three full blocks and a tail; each block keys its own
+        # replacement speckle per pass
+        config = small_config(p=2, q=8, n_bins=3 * BLOCK_BINS + 40,
+                              noise_power=0.0, seed=24)
+        history = gen_multipass(config, 2, change_fraction=0.5,
+                                shared_calibration=True, unit_gains=True)
+        first, second = history.data
+
+        def rho(a, b):
+            a, b = a.ravel(), b.ravel()
+            return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+        changed = np.any(first != second, axis=(1, 2))
+        assert changed.sum() == round(0.5 * config.n_bins)
+        for m0 in range(0, config.n_bins, BLOCK_BINS):
+            picked = changed[m0:m0 + BLOCK_BINS]
+            assert 0 < picked.sum() < picked.size
+            block = slice(m0, m0 + BLOCK_BINS)
+            assert rho(first[block][picked], second[block][picked]) < 0.25
+        # changed bins at one offset in two blocks get unrelated speckle
+        m = np.flatnonzero(changed[:-BLOCK_BINS] & changed[BLOCK_BINS:])
+        assert m.size > 100
+        later = second[m + BLOCK_BINS]
+        assert not np.any(np.all(second[m] == later, axis=(1, 2)))
+        assert rho(second[m], later) < 0.25
 
     def test_bad_arguments_are_rejected(self):
         config = small_config()
