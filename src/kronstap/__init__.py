@@ -20,7 +20,6 @@ from .filters import (
     SteeringVector,
     build_filter,
     detection_image,
-    filter_output,
     make_doppler_grid,
     make_spatial_grid,
     make_steering,
@@ -41,7 +40,6 @@ from .multipass import (
     multipass_estimate,
     pass_images,
     stack_passes,
-    unstack_passes,
 )
 from .parallel import WorkerPool
 from .rearrange import (
@@ -66,12 +64,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "DegenerateInputError", "DimensionError",
     "KronStapError", "DetectionMap", "StapFilter", "SteeringVector",
-    "build_filter", "detection_image", "filter_output", "make_doppler_grid",
+    "build_filter", "detection_image", "make_doppler_grid",
     "make_spatial_grid", "make_steering", "projection_filter", "sinr",
     "subspace_basis", "EigenPairs", "eig_truncate", "hermitian_eig",
     "KronCovEstimate", "SampleCovariance", "lr_kron_estimate",
     "sample_covariance", "StackedHistory", "change_detect",
-    "multipass_estimate", "pass_images", "stack_passes", "unstack_passes",
+    "multipass_estimate", "pass_images", "stack_passes",
     "WorkerPool", "RearrangedMatrix", "lr_kron_init", "rearrange",
     "unrearrange", "PhaseHistory", "SceneConfig", "SceneModel",
     "TargetTruth", "gen_clutter", "gen_multipass", "inject_target",

@@ -1,11 +1,20 @@
 """Steering vectors, clutter-cancelation filters and detection maps.
 
-Three filter kinds are supported. "optimal" whitens with the inverse of
-a known covariance and is only meant for small problems where that
-matrix is available. "classical" projects out the joint subspace
-spanned by the Kronecker product of the spatial and temporal bases.
-"kron" applies the complementary projector in each factor separately,
-which also removes every cross term between the two subspaces.
+Two filter kinds are supported. "classical" projects out the joint
+subspace spanned by the Kronecker product of the spatial and temporal
+bases. "kron" applies the complementary projector in each factor
+separately, which also removes every cross term between the two
+subspaces.
+
+A factor's subspace comes from linalg._top_eigenpairs: for a factor
+whose rank budget plus oversampling is small against its dimension
+(a temporal factor with q in the hundreds and a rank budget of a few),
+a checked Rayleigh-Ritz solve on a rank-sized range, and the full
+n x n eigensolve otherwise, or when that check fails (a full-rank
+factor, a tie across the rank cut). Both give the same kept count, PSD
+verdict and projector up to rounding.
+Factors that formats.read_estimate already checked at the file boundary
+are not checked again.
 
 Projection filters are kept factored; applying one works on the p x q
 bin matrix through two-sided products, so the pq x pq operator is never
@@ -17,16 +26,18 @@ on the calling thread. No worker pool is used: spreading the same
 blocks over a 2-thread pool measured slower than the serial loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DataError, DimensionError
 from .layout import from_snapshot, to_snapshot
-from .linalg import _CLAMP_RTOL, as_matrix, hermitian_eig
+# hermitian_eig stays importable from here: perfbench's span tracer wraps
+# filters.hermitian_eig by name, while subspace_basis runs _top_eigenpairs
+from .linalg import _CLAMP_RTOL, _hermitian_part, _top_eigenpairs, \
+    as_matrix, hermitian_eig  # noqa: F401
 
-FILTER_KINDS = ("optimal", "classical", "kron")
+FILTER_KINDS = ("classical", "kron")
 
 # Bins per batched call when a cube is filtered or scanned: enough to
 # amortize numpy's per-call cost, few enough that each block's
@@ -87,9 +98,17 @@ def subspace_basis(matrix, rank, tol=1e-9):
     tol * largest. Returns None when nothing survives, which downstream
     code treats as an empty subspace. A matrix that is not PSD up to
     rounding (an eigenvalue below -_CLAMP_RTOL times the largest
-    magnitude) raises DataError: its top directions mean nothing.
+    magnitude) raises DataError: its top directions mean nothing. The
+    matrix must be finite and Hermitian within linalg's tolerance.
+    A tol below _CLAMP_RTOL can keep directions of rounding noise,
+    which no eigensolver determines.
     """
-    values, vectors = hermitian_eig(matrix)
+    return _checked_basis(_hermitian_part(matrix, "matrix"), rank, tol)
+
+
+def _checked_basis(sym, rank, tol):
+    """subspace_basis of a matrix already checked and symmetrized."""
+    values, vectors = _top_eigenpairs(sym, rank)
     # sorted descending, so the largest magnitude sits at one end
     scale = max(abs(values[0]), abs(values[-1])) if values.size else 0.0
     if values.size and values[-1] < -_CLAMP_RTOL * scale:
@@ -117,8 +136,6 @@ class StapFilter:
     spatial_basis: np.ndarray = None
     temporal_basis: np.ndarray = None
     spatial_only: bool = False
-    # Cholesky factor of the covariance, set for kind "optimal" only
-    _chol: tuple = field(default=None, repr=False, compare=False)
 
     def apply_matrix(self, x):
         """Filter one (p, q) bin matrix, or a (..., p, q) stack of them.
@@ -127,8 +144,7 @@ class StapFilter:
         every entry is finite. Each bin of a stack comes out bitwise
         equal to filtering it alone. The kron path runs its temporal
         product over the whole stack as one (m*p, q) GEMM; the spatial
-        products broadcast over the stack. "optimal" solves every bin
-        with one multi-RHS Cholesky solve.
+        products broadcast over the stack.
         """
         x = np.asarray(x)
         if x.ndim < 2 or x.shape[-2:] != (self.p, self.q):
@@ -139,10 +155,6 @@ class StapFilter:
         x = np.ascontiguousarray(x, dtype=np.complex128)
         if not np.isfinite(x).all():
             raise DataError("bin matrix contains non-finite entries")
-        if self.kind == "optimal":
-            flat = x.reshape(-1, self.p * self.q)
-            solved = cho_solve(self._chol, flat.T, check_finite=False)
-            return solved.T.reshape(x.shape)
         u_a = self.spatial_basis
         u_b = None if self.spatial_only else self.temporal_basis
         if self.kind == "kron":
@@ -184,35 +196,27 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q,
     return StapFilter(kind, p, q, spatial_basis, temporal_basis, spatial_only)
 
 
-def build_filter(kind, estimate=None, sigma=None, p=None, q=None,
-                 drop_temporal=False, rank_tol=1e-9):
-    """Construct a StapFilter.
+def _factor_basis(estimate, name, rank, tol):
+    """Subspace basis of one factor, checked unless read_estimate did."""
+    factor = getattr(estimate, name)
+    if not any(factor is checked for checked in estimate._checked):
+        factor = _hermitian_part(factor, f"{name} factor")
+    return _checked_basis(factor, rank, tol)
 
-    kind "optimal" takes the full covariance `sigma` with its bin shape
-    (p, q). The projection kinds take a KronCovEstimate and pull their
-    bases from the factor eigendecompositions, honoring the estimate's
-    rank budgets. drop_temporal skips the temporal projection, leaving
-    spatial-only cancelation.
+
+def build_filter(kind, estimate, drop_temporal=False, rank_tol=1e-9):
+    """Construct a projection StapFilter from a KronCovEstimate.
+
+    The bases come from the factor eigendecompositions (see
+    subspace_basis), honoring the estimate's rank budgets. drop_temporal
+    skips the temporal projection, leaving spatial-only cancelation.
     """
     if kind not in FILTER_KINDS:
         raise DimensionError(f"unknown filter kind {kind!r}")
-    if kind == "optimal":
-        if sigma is None or p is None or q is None:
-            raise DimensionError("optimal filter needs sigma and its bin shape")
-        sigma = as_matrix(sigma, "covariance")
-        if sigma.shape != (p * q, p * q):
-            raise DimensionError(
-                f"covariance shape {sigma.shape} does not match p*q = {p * q}"
-            )
-        try:
-            chol = cho_factor(sigma, lower=True)
-        except LinAlgError as exc:
-            raise DataError("covariance is not positive definite") from exc
-        return StapFilter("optimal", p, q, _chol=chol)
     if estimate is None:
         raise DimensionError(f"{kind} filter needs a covariance estimate")
-    u_a = subspace_basis(estimate.spatial, estimate.rank_spatial, rank_tol)
-    u_b = subspace_basis(estimate.temporal, estimate.rank_temporal, rank_tol)
+    u_a = _factor_basis(estimate, "spatial", estimate.rank_spatial, rank_tol)
+    u_b = _factor_basis(estimate, "temporal", estimate.rank_temporal, rank_tol)
     return StapFilter(
         kind,
         estimate.spatial.shape[0],
@@ -221,13 +225,6 @@ def build_filter(kind, estimate=None, sigma=None, p=None, q=None,
         u_b,
         spatial_only=drop_temporal,
     )
-
-
-def filter_output(filt, steering, x):
-    """Filtered matched-filter output (F d)^H x for one snapshot."""
-    d = steering.vector if isinstance(steering, SteeringVector) else np.asarray(steering)
-    w = filt.apply(d)
-    return complex(np.vdot(w, np.asarray(x).ravel()))
 
 
 def sinr(weights, steering, amplitude, sigma):

@@ -128,8 +128,12 @@ def read_estimate(path):
     """Read a KES1 file back into a KronCovEstimate.
 
     Both factors must be finite and Hermitian within linalg's tolerance,
-    or DataError is raised. Whether they are PSD is left to the filter's
-    eigendecomposition, which the factors go through anyway.
+    or DataError is raised. The estimate holds their Hermitian parts
+    (m + m^H) / 2, which equal the stored factors when those are exactly
+    Hermitian, as the estimator writes them. The arrays are read-only
+    and marked as checked, so build_filter does not check them again.
+    Whether they are PSD is left to the filter's eigensolve, which the
+    factors go through anyway.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -156,12 +160,13 @@ def read_estimate(path):
     offset += sdim * sdim * 16
     temporal = np.frombuffer(blob, dtype="<c16", count=q * q,
                              offset=offset).reshape(q, q)
-    _hermitian_part(spatial, "spatial factor")
-    _hermitian_part(temporal, "temporal factor")
-    return KronCovEstimate(spatial.astype(np.complex128),
-                           temporal.astype(np.complex128),
-                           rank_spatial, rank_temporal, iterations,
-                           [], bool(converged))
+    spatial = _hermitian_part(spatial, "spatial factor")
+    temporal = _hermitian_part(temporal, "temporal factor")
+    for factor in (spatial, temporal):
+        factor.flags.writeable = False
+    return KronCovEstimate(spatial, temporal, rank_spatial, rank_temporal,
+                           iterations, [], bool(converged),
+                           _checked=(spatial, temporal))
 
 
 def write_residuals_csv(path, residuals):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .linalg import _HERMITIAN_RTOL, _hermitian_part, eig_truncate, kron
+from .linalg import _HERMITIAN_RTOL, _hermitian_part, eig_truncate
 from .parallel import chunk_spans, get_pool
 
 
@@ -80,10 +80,9 @@ class KronCovEstimate:
     iterations: int
     residuals: list = field(default_factory=list)
     converged: bool = True
-
-    def product(self):
-        """Materialize kron(spatial, temporal). Small sizes only."""
-        return kron(self.spatial, self.temporal)
+    # the factor arrays formats.read_estimate checked and symmetrized at
+    # the file boundary; build_filter does not check these again
+    _checked: tuple = field(default=(), repr=False, compare=False)
 
 
 def sample_covariance(snapshots, p, q):

@@ -52,17 +52,6 @@ def stack_passes(history):
     return StackedHistory(p, q, k, stacked, list(history.truth))
 
 
-def unstack_passes(stacked):
-    """Invert stack_passes."""
-    if not isinstance(stacked, StackedHistory):
-        raise DimensionError("unstack_passes expects a StackedHistory")
-    n_bins = stacked.n_bins
-    cube = stacked.data.reshape(n_bins, stacked.n_passes, stacked.p, stacked.q)
-    data = np.ascontiguousarray(cube.transpose(1, 0, 2, 3))
-    return PhaseHistory(stacked.p, stacked.q, stacked.n_passes, data,
-                        list(stacked.truth))
-
-
 def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
                        pool=None):
     """Joint Kronecker covariance fit of the stacked snapshots.

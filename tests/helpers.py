@@ -10,6 +10,12 @@ import os
 
 import numpy as np
 
+from kronstap.errors import DataError, DimensionError
+from kronstap.filters import SteeringVector
+from kronstap.layout import from_snapshot, to_snapshot
+from kronstap.multipass import StackedHistory
+from kronstap.simulate import PhaseHistory
+
 
 def usable_cpus():
     """CPUs this process may run on: its affinity mask where the OS
@@ -123,3 +129,48 @@ def relative_error(approx, exact):
     if scale == 0.0:
         return float(np.linalg.norm(approx))
     return float(np.linalg.norm(np.asarray(approx) - exact) / scale)
+
+
+class WhiteningFilter:
+    """The optimal clutter filter x -> Sigma^{-1} x for a known covariance.
+
+    Declared oracle: the SINR-optimal reference for small problems,
+    built on numpy's Cholesky factor and two solves per call. It takes
+    one (p, q) bin or a (..., p, q) stack, like StapFilter.apply_matrix.
+    """
+
+    def __init__(self, sigma, p, q):
+        try:
+            self.chol = np.linalg.cholesky(np.asarray(sigma, np.complex128))
+        except np.linalg.LinAlgError as exc:
+            raise DataError("covariance is not positive definite") from exc
+        self.p = p
+        self.q = q
+
+    def apply_matrix(self, x):
+        x = np.asarray(x, dtype=np.complex128)
+        flat = x.reshape(-1, self.p * self.q).T
+        half = np.linalg.solve(self.chol, flat)
+        return np.linalg.solve(self.chol.conj().T, half).T.reshape(x.shape)
+
+    def apply(self, x):
+        return to_snapshot(self.apply_matrix(from_snapshot(x, self.p, self.q)))
+
+
+def filter_output(filt, steering, x):
+    """Filtered matched-filter output (F d)^H x for one snapshot."""
+    d = steering.vector if isinstance(steering, SteeringVector) \
+        else np.asarray(steering)
+    w = filt.apply(d)
+    return complex(np.vdot(w, np.asarray(x).ravel()))
+
+
+def unstack_passes(stacked):
+    """Invert multipass.stack_passes, one pass block at a time."""
+    if not isinstance(stacked, StackedHistory):
+        raise DimensionError("unstack_passes expects a StackedHistory")
+    p, k = stacked.p, stacked.n_passes
+    data = np.empty((k, stacked.n_bins, p, stacked.q), dtype=np.complex128)
+    for pass_index in range(k):
+        data[pass_index] = stacked.data[:, pass_index * p:(pass_index + 1) * p]
+    return PhaseHistory(p, stacked.q, k, data, list(stacked.truth))

@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
+from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter
 from kronstap.formats import (
     parse_scene_config,
@@ -306,6 +309,61 @@ class TestFilterAndDetect:
         write_estimate(bad, replace(est, temporal=temporal))
         out = tmp_path / "out"
         code = run(command, "--input", clean, "--estimate", bad,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+
+
+class TestDamagedEstimateFile:
+    """A truncated or bit-flipped KES file never crashes filter or detect."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        # q = 24 at r_b = 2 is wide enough for the range solve
+        tmp = tmp_path_factory.mktemp("damaged")
+        config = write_config(tmp, "p = 2\nq = 24\nn_bins = 30\nr_b = 2\n"
+                                   "sigma2 = 0.01\nseed = 23\n")
+        scene = tmp / "scene.kph"
+        fit = tmp / "fit.kes"
+        assert run("simulate", "--config", config, "--output", scene) == 0
+        assert run("estimate", "--input", scene, "--output", fit,
+                   "--ra", 1, "--rb", 2) == 0
+        return tmp, scene, fit.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_filter_and_detect_exit_0_or_2(self, fitted, data):
+        tmp, scene, blob = fitted
+        if data.draw(st.booleans()):
+            damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged = bytes(flipped)
+        path = tmp / "damaged.kes"
+        path.write_bytes(damaged)
+        try:
+            read_estimate(path)
+            readable = True
+        except KronStapError:
+            readable = False
+        for command in ("filter", "detect"):
+            code = run(command, "--input", scene, "--estimate", path,
+                       "--output", tmp / f"out.{command}")
+            assert code in (0, DATA_ERROR)
+            if not readable:
+                assert code == DATA_ERROR
+
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    def test_a_negated_temporal_factor_exits_2(self, fitted, command):
+        # the 24 x 24 temporal factor goes through the range solve
+        tmp, scene, _ = fitted
+        est = read_estimate(tmp / "fit.kes")
+        bad = tmp / "negated.kes"
+        write_estimate(bad, replace(est, temporal=-est.temporal))
+        out = tmp / "negated.out"
+        code = run(command, "--input", scene, "--estimate", bad,
                    "--output", out)
         assert code == DATA_ERROR
         assert not out.exists()

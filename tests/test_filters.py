@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from kronstap import filters, formats, linalg
 from kronstap.errors import DataError, DimensionError
 from kronstap.filters import (
     BLOCK_BINS,
     DetectionMap,
     build_filter,
     detection_image,
-    filter_output,
     make_doppler_grid,
     make_spatial_grid,
     make_stacked_spatial_grid,
@@ -17,6 +21,7 @@ from kronstap.filters import (
     sinr,
     subspace_basis,
 )
+from kronstap.formats import read_estimate, write_estimate
 from kronstap.lrkron import KronCovEstimate
 
 
@@ -99,6 +104,203 @@ class TestSubspaceBasis:
     def test_rounding_level_negative_eigenvalues_pass(self):
         basis = subspace_basis(np.diag([1.0, -1e-12]), 2)
         assert basis.shape == (2, 1)
+
+
+def factor_with_values(rng, n, values):
+    """Hermitian n x n matrix with the given nonzero eigenvalues."""
+    basis, _ = np.linalg.qr(helpers.complex_gauss(rng, (n, len(values))))
+    m = (basis * np.asarray(values, dtype=np.float64)) @ basis.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def range_test_factor(rng, n, rank, budget, kind):
+    if kind == "low":
+        return helpers.random_psd(rng, n, rank)
+    if kind == "negated":
+        return -helpers.random_psd(rng, n, rank)
+    if kind == "full":
+        return helpers.random_psd(rng, n)
+    if kind == "indefinite":
+        # PSD but for one eigenvalue far below the rounding clamp
+        return factor_with_values(rng, n, [3.0] * rank + [-1e-6])
+    # "tied": the budget cuts a pair of equal values in two
+    distinct = 4.0 + np.arange(budget - 1, 0, -1, dtype=np.float64)
+    return factor_with_values(rng, n, list(distinct) + [2.0, 2.0])
+
+
+def projector(basis):
+    return None if basis is None else basis @ basis.conj().T
+
+
+class CountFullSolves:
+    """Counts linalg._full_eig calls while installed."""
+
+    def __init__(self, mp):
+        self.sizes = []
+        original = linalg._full_eig
+
+        def counted(sym):
+            self.sizes.append(sym.shape[0])
+            return original(sym)
+
+        mp.setattr(linalg, "_full_eig", counted)
+
+
+class TestRangeSolve:
+    """subspace_basis through the range solve against the full solve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(16, 200), rank=st.integers(1, 6),
+           budget=st.integers(1, 8),
+           kind=st.sampled_from(["low", "negated", "full", "indefinite",
+                                 "tied"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_full_solve(self, n, rank, budget, kind, seed):
+        m = range_test_factor(np.random.default_rng(seed), n, rank, budget,
+                              kind)
+        outcomes = []
+        for min_ratio in (linalg._RANGE_MIN_RATIO, np.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_RANGE_MIN_RATIO", min_ratio)
+                try:
+                    outcomes.append(subspace_basis(m, budget))
+                except DataError:
+                    outcomes.append(DataError)
+        fast, full = outcomes
+        if full is DataError or fast is DataError:
+            assert fast is full
+        elif full is None or fast is None:
+            assert fast is full
+        else:
+            assert fast.shape == full.shape
+            want = projector(full)
+            gap = np.linalg.norm(projector(fast) - want)
+            assert gap <= 1e-12 * np.linalg.norm(want)
+
+    def test_a_low_rank_factor_skips_the_full_solve(self):
+        # a budget above the rank cuts through rounding noise, not a tie
+        m = helpers.random_psd(np.random.default_rng(50), 64, 3)
+        for budget in (3, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                full = CountFullSolves(mp)
+                basis = subspace_basis(m, budget)
+            assert full.sizes == []
+            assert basis.shape == (64, 3)
+
+    def test_a_full_rank_factor_gets_the_full_solve_basis(self):
+        m = helpers.random_psd(np.random.default_rng(51), 64)
+        with pytest.MonkeyPatch.context() as mp:
+            full = CountFullSolves(mp)
+            basis = subspace_basis(m, 3)
+        assert full.sizes == [64]
+        want = linalg.hermitian_eig(m).vectors[:, :3]
+        assert np.array_equal(basis, want)
+
+    def test_a_tie_at_the_window_edge_gets_the_full_solve(self):
+        # rank exactly k, so the range holds the whole matrix, but the
+        # tie runs from inside the budget to the last Ritz value
+        budget = 2
+        k = budget + linalg._RANGE_OVERSAMPLE
+        m = factor_with_values(np.random.default_rng(52), 64,
+                               [3.0] + [2.0] * (k - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            full = CountFullSolves(mp)
+            basis = subspace_basis(m, budget)
+        assert full.sizes == [64]
+        assert np.array_equal(basis, linalg.hermitian_eig(m).vectors[:, :2])
+
+    def test_small_factors_go_straight_to_the_full_solve(self):
+        m = helpers.random_psd(np.random.default_rng(53), 16, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            full = CountFullSolves(mp)
+            subspace_basis(m, 1)
+        assert full.sizes == [16]
+
+    def test_a_negated_low_rank_factor_is_a_data_error(self):
+        m = helpers.random_psd(np.random.default_rng(54), 128, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            full = CountFullSolves(mp)
+            with pytest.raises(DataError, match="positive semidefinite"):
+                subspace_basis(-m, 4)
+        assert full.sizes == []
+
+    def test_entries_near_the_float_limit_take_the_full_solve(self):
+        # the range products overflow; the full solve scales the matrix
+        m = helpers.random_psd(np.random.default_rng(57), 64, 3)
+        m[0, 1] = m[1, 0] = 8e307
+        with pytest.MonkeyPatch.context() as mp:
+            full = CountFullSolves(mp)
+            with pytest.raises(DataError, match="positive semidefinite"):
+                subspace_basis(m, 3)
+        assert full.sizes == [64]
+
+    def test_the_range_solve_keeps_the_conventions(self):
+        m = helpers.random_psd(np.random.default_rng(55), 96, 4)
+        values, vectors = linalg._top_eigenpairs(m, 4)
+        assert values.size == 4 + linalg._RANGE_OVERSAMPLE
+        # descending up to the tie tolerance, within which ties reorder
+        assert np.all(np.diff(values) <= linalg._TIE_RTOL * values[0])
+        full = linalg.hermitian_eig(m)
+        assert np.allclose(values[:4], full.values[:4], rtol=1e-13, atol=0)
+        for k in range(4):
+            pivot = int(np.argmax(np.abs(vectors[:, k])))
+            assert vectors[pivot, k].real > 0
+            assert abs(vectors[pivot, k].imag) < 1e-15
+        assert np.max(np.abs(vectors[:, :4] - full.vectors[:, :4])) < 1e-12
+
+
+class TestCheckedFactors:
+    """Factors read from a KES file are checked there, and only there."""
+
+    @pytest.fixture()
+    def hermitian_checks(self, monkeypatch):
+        names = []
+        original = linalg._hermitian_part
+
+        def counted(m, name):
+            names.append(name)
+            return original(m, name)
+
+        monkeypatch.setattr(linalg, "_hermitian_part", counted)
+        # filters and formats hold their own references to the check
+        monkeypatch.setattr(filters, "_hermitian_part", counted)
+        monkeypatch.setattr(formats, "_hermitian_part", counted)
+        return names
+
+    def estimate_file(self, tmp_path):
+        rng = np.random.default_rng(56)
+        est = KronCovEstimate(helpers.random_psd(rng, 3, 1),
+                              helpers.random_psd(rng, 64, 3), 1, 3, 2,
+                              [0.5], True)
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        return est, path
+
+    def test_a_read_estimate_is_not_checked_again(self, tmp_path,
+                                                  hermitian_checks):
+        est, path = self.estimate_file(tmp_path)
+        back = read_estimate(path)
+        assert hermitian_checks == ["spatial factor", "temporal factor"]
+        filt = build_filter("kron", back)
+        assert hermitian_checks == ["spatial factor", "temporal factor"]
+        want = build_filter("kron", est)
+        assert np.array_equal(filt.temporal_basis, want.temporal_basis)
+        assert not back.temporal.flags.writeable
+
+    def test_user_factors_are_checked(self, tmp_path, hermitian_checks):
+        est, path = self.estimate_file(tmp_path)
+        build_filter("kron", est)
+        assert hermitian_checks == ["spatial factor", "temporal factor"]
+        back = read_estimate(path)
+        del hermitian_checks[:]
+        # a replaced factor is not the array the file boundary checked
+        skewed = back.temporal.copy()
+        skewed[0, 1] += 1e-3
+        with pytest.raises(DataError, match="temporal factor"):
+            build_filter("kron", replace(back, temporal=skewed))
+        assert hermitian_checks == ["temporal factor"]
+        with pytest.raises(DataError):
+            subspace_basis(skewed, 3)
 
 
 class TestProjectionFilters:
@@ -195,10 +397,11 @@ class TestStackedApply:
                 assert np.array_equal(out, per_bin(filt, stack))
 
     def test_optimal_stack_matches_per_bin_calls(self):
+        # the whitening oracle batches like StapFilter.apply_matrix
         rng = np.random.default_rng(47)
         p, q = 2, 3
         sigma = helpers.random_psd(rng, p * q) + np.eye(p * q)
-        filt = build_filter("optimal", sigma=sigma, p=p, q=q)
+        filt = helpers.WhiteningFilter(sigma, p, q)
         for shape in ((6, p, q), (2, 4, p, q)):
             stack = helpers.complex_gauss(rng, shape)
             assert np.allclose(filt.apply_matrix(stack), per_bin(filt, stack),
@@ -221,7 +424,7 @@ class TestFilterOutput:
         sv = make_steering(0.3, 3, 7)
         x = helpers.complex_gauss(rng, 21)
         filt = projection_filter("kron", None, None, 3, 7)
-        y = filter_output(filt, sv, x)
+        y = helpers.filter_output(filt, sv, x)
         assert abs(y - complex(np.vdot(sv.vector, x))) < 1e-14
 
     def test_clutter_snapshot_is_annihilated(self):
@@ -233,7 +436,7 @@ class TestFilterOutput:
         for _ in range(10):
             x = np.kron(u_a @ helpers.complex_gauss(rng, 1),
                         u_b @ helpers.complex_gauss(rng, 4))
-            y = filter_output(filt, sv, x)
+            y = helpers.filter_output(filt, sv, x)
             assert abs(y) <= 1e-10 * np.linalg.norm(x)
 
     def test_known_amplitude_recovered_up_to_filtered_noise(self):
@@ -252,7 +455,7 @@ class TestFilterOutput:
         for _ in range(25):
             alpha = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
             noise = sigma * helpers.complex_gauss(rng, p * q)
-            y = filter_output(filt, d, alpha * d + noise)
+            y = helpers.filter_output(filt, d, alpha * d + noise)
             assert abs(y - alpha) <= np.linalg.norm(noise) + 1e-12
 
 
@@ -270,7 +473,7 @@ class TestSinr:
         cov = helpers.random_psd(rng, n) + 0.1 * np.eye(n)
         d = helpers.complex_gauss(rng, n)
         d /= np.linalg.norm(d)
-        best = sinr(np.linalg.solve(cov, d), d, 1.0, cov)
+        best = sinr(helpers.WhiteningFilter(cov, n, 1).apply(d), d, 1.0, cov)
         for _ in range(1000):
             w = helpers.complex_gauss(rng, n)
             assert best >= sinr(w, d, 1.0, cov) * (1.0 - 1e-12)
@@ -288,18 +491,22 @@ class TestSinr:
 
 
 class TestBuildFilter:
+    # "optimal" is no filter kind of the package; the whitening filter
+    # lives on as the test oracle helpers.WhiteningFilter
     def test_optimal_whitens_against_the_covariance(self):
         rng = np.random.default_rng(25)
         p, q = 2, 4
         cov = helpers.random_psd(rng, p * q) + 0.2 * np.eye(p * q)
-        filt = build_filter("optimal", sigma=cov, p=p, q=q)
+        filt = helpers.WhiteningFilter(cov, p, q)
         x = helpers.complex_gauss(rng, p * q)
         out = filt.apply(x)
         assert np.allclose(out, np.linalg.solve(cov, x), atol=1e-10)
+        with pytest.raises(DimensionError, match="unknown filter kind"):
+            build_filter("optimal", KronCovEstimate(cov, np.eye(1), 1, 1, 0))
 
     def test_optimal_rejects_indefinite_covariance(self):
         with pytest.raises(DataError):
-            build_filter("optimal", sigma=np.diag([1.0, -1.0]), p=1, q=2)
+            helpers.WhiteningFilter(np.diag([1.0, -1.0]), 1, 2)
 
     def test_projection_kinds_pull_bases_from_the_estimate(self):
         rng = np.random.default_rng(26)

@@ -1,13 +1,17 @@
 """On-disk format checks: byte layouts, round trips, parser errors."""
 
+import os
+import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from kronstap.errors import ConfigError, DataError
+from kronstap.errors import ConfigError, DataError, KronStapError
 from kronstap.filters import DetectionMap
 from kronstap.formats import (
     parse_scene_config,
@@ -210,6 +214,70 @@ class TestEstimateFile:
         write_estimate(path, est)
         back = read_estimate(path)
         assert (back.rank_spatial, back.rank_temporal) == (3, 5)
+
+
+def random_hermitian(rng, n, scale):
+    g = scale * helpers.complex_gauss(rng, (n, n))
+    return (g + g.conj().T) / 2.0
+
+
+def kes_blob(est):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fit.kes")
+        write_estimate(path, est)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def read_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fit.kes")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return read_estimate(path)
+
+
+class TestEstimateFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sdim=st.integers(1, 5), q=st.integers(1, 9), data=st.data())
+    def test_round_trip_is_exact(self, sdim, q, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        scale = 10.0 ** data.draw(st.integers(-100, 100))
+        est = KronCovEstimate(
+            random_hermitian(rng, sdim, scale), random_hermitian(rng, q, scale),
+            data.draw(st.integers(1, sdim)), data.draw(st.integers(1, q)),
+            data.draw(st.integers(0, 2 ** 32 - 1)), [0.5], data.draw(st.booleans()),
+        )
+        back = read_blob(kes_blob(est))
+        assert np.array_equal(back.spatial, est.spatial)
+        assert np.array_equal(back.temporal, est.temporal)
+        assert (back.rank_spatial, back.rank_temporal, back.iterations,
+                back.converged) == (est.rank_spatial, est.rank_temporal,
+                                    est.iterations, est.converged)
+        assert back.residuals == []      # the history is not stored
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_and_bit_flipped_files_raise_only_package_errors(
+            self, data):
+        rng = np.random.default_rng(60)
+        est = KronCovEstimate(helpers.random_psd(rng, 2, 1),
+                              helpers.random_psd(rng, 24, 2), 1, 2, 3,
+                              [0.5], True)
+        blob = kes_blob(est)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(KronStapError):
+            read_blob(blob[:cut])
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            back = read_blob(bytes(flipped))
+        except KronStapError:
+            return
+        for factor in (back.spatial, back.temporal):
+            assert np.isfinite(factor).all()
+            assert np.array_equal(factor, factor.conj().T)
 
 
 class TestCsvFiles:

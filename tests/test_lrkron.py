@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import helpers
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
 from kronstap.lrkron import (
-    KronCovEstimate,
     SampleCovariance,
     lr_kron_estimate,
     sample_covariance,
@@ -152,7 +151,7 @@ def test_exact_kronecker_recovery():
         est = lr_kron_estimate(_exact_cov(s, p, q), ra, rb, tol=1e-6)
         assert est.converged
         assert est.iterations <= 3
-        assert helpers.relative_error(est.product(), s) < 1e-10
+        assert helpers.relative_error(np.kron(est.spatial, est.temporal), s) < 1e-10
         # the expanded-norm residual bottoms out near sqrt(eps), not 0
         assert est.residuals[-1] < 1e-6
 
@@ -164,7 +163,7 @@ def test_white_noise_input_fits_exactly():
     s = 0.7 * np.eye(p * q, dtype=np.complex128)
     est = lr_kron_estimate(_exact_cov(s, p, q), p, q, tol=1e-6)
     assert est.converged
-    assert helpers.relative_error(est.product(), s) < 1e-12
+    assert helpers.relative_error(np.kron(est.spatial, est.temporal), s) < 1e-12
     off = est.spatial - np.diag(np.diag(est.spatial))
     assert np.max(np.abs(off)) < 1e-12 * np.abs(np.diag(est.spatial)).max()
 
@@ -209,7 +208,7 @@ def test_full_rank_budget_matches_rank_one_svd_of_rearrangement():
         u, sv, vh = np.linalg.svd(r.data)
         best = np.outer(u[:, 0] * sv[0], vh[0])
         want = unrearrange(type(r)(p, q, best))
-        assert helpers.relative_error(est.product(), want) < 1e-9
+        assert helpers.relative_error(np.kron(est.spatial, est.temporal), want) < 1e-9
 
 
 def test_negative_tol_runs_full_budget():
@@ -360,9 +359,3 @@ def test_keep_iterates_records_history():
     assert spatial.shape == (p, p)
     assert temporal.shape == (q, q)
     assert np.array_equal(spatial, est.spatial)
-
-
-def test_product_materializes_kron():
-    est = KronCovEstimate(np.eye(2, dtype=np.complex128) * 2.0,
-                          np.eye(3, dtype=np.complex128), 1, 1, 0)
-    assert np.array_equal(est.product(), np.kron(est.spatial, est.temporal))

@@ -15,7 +15,6 @@ from kronstap.multipass import (
     multipass_estimate,
     pass_images,
     stack_passes,
-    unstack_passes,
 )
 from kronstap.simulate import SceneConfig, gen_multipass, inject_target
 
@@ -45,7 +44,7 @@ class TestStacking:
         config = two_pass_config(noise_power=0.02)
         history = gen_multipass(config, 3)
         history = inject_target(history, 4, 0.3, 1.0 + 2.0j, pass_index=2)
-        back = unstack_passes(stack_passes(history))
+        back = helpers.unstack_passes(stack_passes(history))
         assert np.array_equal(back.data, history.data)
         assert back.truth == history.truth
 
@@ -53,7 +52,7 @@ class TestStacking:
         with pytest.raises(DimensionError):
             stack_passes(np.zeros((2, 3, 4)))
         with pytest.raises(DimensionError):
-            unstack_passes(np.zeros((3, 4)))
+            helpers.unstack_passes(np.zeros((3, 4)))
 
 
 class TestMultipassEstimate:
