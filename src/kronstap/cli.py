@@ -164,7 +164,14 @@ def cmd_estimate(args):
     return 0 if est.converged else NO_CONVERGENCE
 
 
-def _projection_filter_for(history, est, kind, drop_temporal):
+def _projection_filter_for(history, args):
+    """The filter of the estimate args.estimate names, for history's shape.
+
+    Returns (filter, whether the estimate is stacked). The estimate is
+    dropped once its filter is built, so the memory of its factors is
+    free again for the pass over the cube that follows.
+    """
+    est = formats.read_estimate(args.estimate)
     sdim = est.spatial.shape[0]
     stacked = sdim == history.n_passes * history.p and history.n_passes > 1
     if not stacked and sdim != history.p:
@@ -177,15 +184,14 @@ def _projection_filter_for(history, est, kind, drop_temporal):
             f"estimate temporal dim {est.temporal.shape[0]} "
             f"does not match q={history.q}"
         )
-    filt = build_filter(kind, estimate=est, drop_temporal=drop_temporal)
+    filt = build_filter(args.kind, estimate=est,
+                        drop_temporal=args.no_temporal_projection)
     return filt, stacked
 
 
 def cmd_filter(args):
     history = formats.read_phase_history(args.input)
-    est = formats.read_estimate(args.estimate)
-    filt, stacked = _projection_filter_for(history, est, args.kind,
-                                           args.no_temporal_projection)
+    filt, stacked = _projection_filter_for(history, args)
     k, n_bins, p, q = history.data.shape
     # bin-major source: a stacked bin's K*p rows are K pass blocks of p
     source = stack_passes(history).data if stacked \
@@ -205,15 +211,13 @@ def cmd_filter(args):
 
 def cmd_detect(args):
     history = formats.read_phase_history(args.input)
-    est = formats.read_estimate(args.estimate)
     dopplers = make_doppler_grid(args.grid_doppler)
     if args.multipass:
         if history.n_passes != 2:
             raise DataError(
                 f"change detection needs exactly 2 passes, got {history.n_passes}"
             )
-        filt, stacked = _projection_filter_for(history, est, args.kind,
-                                               args.no_temporal_projection)
+        filt, stacked = _projection_filter_for(history, args)
         if not stacked:
             raise DataError("change detection needs a stacked estimate")
         st = stack_passes(history)
@@ -223,8 +227,7 @@ def cmd_detect(args):
     else:
         if history.n_passes != 1:
             raise DataError("multipass input needs --multipass")
-        filt, _ = _projection_filter_for(history, est, args.kind,
-                                         args.no_temporal_projection)
+        filt, _ = _projection_filter_for(history, args)
         grid = make_spatial_grid(history.p, args.grid_spatial)
         image = detection_image(filt, history.data[0], dopplers, grid)
         label = "detection map"

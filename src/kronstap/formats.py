@@ -13,9 +13,13 @@ Phase-history files ("KPH1") are little-endian throughout:
     targets    (bin u32, doppler f64, amplitude_re f64, amplitude_im f64)
 
 Estimate files ("KES1") share the entry encoding and carry the two
-factor matrices back to back after a fixed header. CSV outputs always
-carry a header row, with floats printed at full precision so they read
-back exactly.
+factor matrices back to back after a fixed header.
+
+Both binary formats are written from the arrays' memory and read
+straight into the arrays the reader returns, so a file is held in
+memory once either way; `read_estimate` symmetrizes each factor in
+place. CSV outputs always carry a header row, with floats printed at
+full precision so they read back exactly.
 """
 
 import os
@@ -110,7 +114,11 @@ def read_phase_history(path):
 
 
 def write_estimate(path, estimate):
-    """Serialize the two factors of a KronCovEstimate."""
+    """Serialize the two factors of a KronCovEstimate.
+
+    The factors go to the file straight from their memory, with no
+    serialized copy.
+    """
     spatial = np.ascontiguousarray(estimate.spatial, dtype="<c16")
     temporal = np.ascontiguousarray(estimate.temporal, dtype="<c16")
     sdim = spatial.shape[0]
@@ -120,8 +128,8 @@ def write_estimate(path, estimate):
                                   sdim, q, estimate.rank_spatial,
                                   estimate.rank_temporal, estimate.iterations,
                                   1 if estimate.converged else 0))
-        fh.write(spatial.tobytes())
-        fh.write(temporal.tobytes())
+        spatial.tofile(fh)
+        temporal.tofile(fh)
 
 
 def read_estimate(path):
@@ -130,40 +138,43 @@ def read_estimate(path):
     Both factors must be finite and Hermitian within linalg's tolerance,
     or DataError is raised. The estimate holds their Hermitian parts
     (m + m^H) / 2, which equal the stored factors when those are exactly
-    Hermitian, as the estimator writes them. The arrays are read-only
-    and marked as checked, so build_filter does not check them again.
-    Whether they are PSD is left to the filter's eigensolve, which the
-    factors go through anyway.
+    Hermitian, as the estimator writes them. Each factor is read
+    straight into its own array and symmetrized in place, so the file
+    is held in memory once. The arrays are read-only and marked as
+    checked, so build_filter does not check them again. Whether they
+    are PSD is left to the filter's eigensolve, which the factors go
+    through anyway.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _EST_HEADER.size:
-        raise DataError("file too short for an estimate header")
-    (magic, version, flags, sdim, q, rank_spatial, rank_temporal,
-     iterations, converged) = _EST_HEADER.unpack_from(blob, 0)
-    if magic != EST_MAGIC:
-        raise DataError(f"bad magic {magic!r}, expected {EST_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise DataError(f"unsupported format version {version}")
-    if flags != FLAG_COMPLEX128:
-        raise DataError(f"unsupported entry encoding flags {flags}")
-    expected = _EST_HEADER.size + (sdim * sdim + q * q) * 16
-    if len(blob) != expected:
-        raise DataError("estimate payload size mismatch")
-    if not 1 <= rank_spatial <= sdim:
-        raise DataError(f"spatial rank {rank_spatial} outside [1, {sdim}]")
-    if not 1 <= rank_temporal <= q:
-        raise DataError(f"temporal rank {rank_temporal} outside [1, {q}]")
-    offset = _EST_HEADER.size
-    spatial = np.frombuffer(blob, dtype="<c16", count=sdim * sdim,
-                            offset=offset).reshape(sdim, sdim)
-    offset += sdim * sdim * 16
-    temporal = np.frombuffer(blob, dtype="<c16", count=q * q,
-                             offset=offset).reshape(q, q)
-    spatial = _hermitian_part(spatial, "spatial factor")
-    temporal = _hermitian_part(temporal, "temporal factor")
-    for factor in (spatial, temporal):
-        factor.flags.writeable = False
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_EST_HEADER.size)
+        if len(header) < _EST_HEADER.size:
+            raise DataError("file too short for an estimate header")
+        (magic, version, flags, sdim, q, rank_spatial, rank_temporal,
+         iterations, converged) = _EST_HEADER.unpack(header)
+        if magic != EST_MAGIC:
+            raise DataError(f"bad magic {magic!r}, expected {EST_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise DataError(f"unsupported format version {version}")
+        if flags != FLAG_COMPLEX128:
+            raise DataError(f"unsupported entry encoding flags {flags}")
+        if size != _EST_HEADER.size + (sdim * sdim + q * q) * 16:
+            raise DataError("estimate payload size mismatch")
+        if not 1 <= rank_spatial <= sdim:
+            raise DataError(f"spatial rank {rank_spatial} outside [1, {sdim}]")
+        if not 1 <= rank_temporal <= q:
+            raise DataError(f"temporal rank {rank_temporal} outside [1, {q}]")
+        factors = []
+        for name, dim in (("spatial factor", sdim), ("temporal factor", q)):
+            factor = np.empty((dim, dim), dtype="<c16")
+            if fh.readinto(factor) != factor.nbytes:
+                raise DataError("estimate payload size mismatch")
+            # astype only copies on a big-endian host
+            factor = _hermitian_part(factor.astype(np.complex128, copy=False),
+                                     name, overwrite=True)
+            factor.flags.writeable = False
+            factors.append(factor)
+    spatial, temporal = factors
     return KronCovEstimate(spatial, temporal, rank_spatial, rank_temporal,
                            iterations, [], bool(converged),
                            _checked=(spatial, temporal))

@@ -5,16 +5,23 @@ complex128. Eigenwork delegates to LAPACK through numpy, with the
 ordering and phase conventions pinned down here so repeated runs give
 identical output.
 
-Two solves share those conventions. `hermitian_eig`, and through it
-`eig_truncate` and the estimator, always runs the full n x n eigh.
-`_top_eigenpairs`, which the filter uses to find a factor's subspace,
-first tries a Rayleigh-Ritz solve on the range of the matrix times a
-fixed random n x (rank + _RANGE_OVERSAMPLE) test matrix (Halko,
-Martinsson & Tropp 2011). It keeps that result only when the range is
-checked to hold the whole matrix up to rounding, and runs the full
-solve otherwise: when rank + _RANGE_OVERSAMPLE is more than n /
-_RANGE_MIN_RATIO, when the residual is too large (a full-rank or
-slowly decaying spectrum), or when a tie straddles the rank cut.
+Two solves share those conventions. `hermitian_eig` always runs the
+full n x n eigh. `_top_eigenpairs` first tries a Rayleigh-Ritz solve
+on a k-column range (Halko, Martinsson & Tropp 2011) and keeps it only
+when the range is checked to hold the whole matrix up to rounding. It
+runs the full solve otherwise: when the rank budget is not below k,
+when k is more than n / _RANGE_MIN_RATIO, when the residual is too
+large (a full-rank or slowly decaying spectrum), or when a tie
+straddles the rank cut. It has two callers:
+
+- the filter, for a factor's subspace, on the range of the factor
+  times a fixed random n x (rank + _RANGE_OVERSAMPLE) test matrix;
+- `eig_truncate` given a `span`, which is the estimator's final
+  temporal truncation on the snapshot path, on the span of the
+  snapshot rows, which holds the temporal iterate's range.
+
+`eig_truncate` without a span, as in the estimator's spatial
+truncation and on its dense path, runs `hermitian_eig`.
 """
 
 import math
@@ -83,33 +90,61 @@ def kron(a, b):
     return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
 
 
-def _hermitian_part(m, name):
+def _hermitian_part(m, name, overwrite=False):
     """Check that m is square and Hermitian; return (m + m^H) / 2.
 
     The work goes tile pair by tile pair, so the transposed reads of a
     large matrix stay in cache; every entry is still computed as in the
-    untiled expression.
+    untiled expression. With overwrite, the result is written over m,
+    which must then be a writable complex128 array, and m is returned:
+    the same bits without a second n x n array. m is overwritten even
+    when the check fails.
+
+    When ||m||_F^2 overflows, the check runs on a copy of m scaled by
+    its largest component instead, so an asymmetry that overflows as
+    well cannot pass as a ratio of two infinities, and m is halved
+    before the sum, which would overflow for entries above ~9e307.
     """
     m = as_matrix(m, name)
     n = m.shape[0]
     if m.shape[1] != n:
         raise DimensionError(f"{name} must be square, got {m.shape}")
-    sym = np.empty_like(m)
+    scale2 = np.vdot(m, m).real
+    halved = not math.isfinite(scale2)
+    if halved:
+        scaled = m / max(np.abs(m.real).max(), np.abs(m.imag).max())
+        d = scaled - scaled.conj().T
+        _check_hermitian(np.vdot(d, d).real, np.vdot(scaled, scaled).real,
+                         name)
+        # m + m^H overflows for entries above ~9e307: halve first
+        m = np.multiply(m, 0.5, out=m if overwrite else None)
+    out = m if overwrite else np.empty_like(m)
     acc = 0.0
+    # each tile pair's conjugate transposes are copies, taken before
+    # the tile they come from is written, so out may be m
     for i0 in range(0, n, _SYM_TILE):
         rows = slice(i0, i0 + _SYM_TILE)
-        for j0 in range(0, n, _SYM_TILE):
+        for j0 in range(i0, n, _SYM_TILE):
             cols = slice(j0, j0 + _SYM_TILE)
             a = m[rows, cols]
-            b = m[cols, rows].conj().T
-            d = a - b
-            acc += np.vdot(d, d).real
-            np.add(a, b, out=sym[rows, cols])
-    sym /= 2.0
-    scale = math.sqrt(np.vdot(m, m).real)
-    if scale > 0 and math.sqrt(acc) > _HERMITIAN_RTOL * scale:
+            b_h = m[cols, rows].conj().T
+            d = a - b_h
+            # the mirror tile's difference is -d^H, of the same norm
+            acc += (1.0 if i0 == j0 else 2.0) * np.vdot(d, d).real
+            if j0 > i0:
+                np.add(m[cols, rows], a.conj().T, out=out[cols, rows])
+            np.add(a, b_h, out=out[rows, cols])
+    if not halved:
+        out /= 2.0
+        # a finite scale bounds the asymmetry by 4 * scale2, so an
+        # overflowed acc means an asymmetry above the scale: a failure
+        _check_hermitian(acc, scale2, name)
+    return out
+
+
+def _check_hermitian(acc, scale2, name):
+    if scale2 > 0 and math.sqrt(acc) > _HERMITIAN_RTOL * math.sqrt(scale2):
         raise DataError(f"{name} deviates from Hermitian beyond tolerance")
-    return sym
 
 
 def _pin_conventions(values, vectors):
@@ -166,14 +201,18 @@ def hermitian_eig(m):
     return _full_eig(_hermitian_part(m, "matrix"))
 
 
-def _top_eigenpairs(sym, rank):
+def _top_eigenpairs(sym, rank, span=None):
     """Leading eigenpairs of a checked Hermitian matrix under a rank budget.
 
     sym must already be Hermitian (a `_hermitian_part` result). The
-    result is either the k = rank + _RANGE_OVERSAMPLE Ritz pairs of sym
-    on the range Q of sym times a fixed Gaussian test matrix, or, when
-    that solve is declined, `_full_eig(sym)`. Both carry the same
-    conventions, sorted descending.
+    result is either the k Ritz pairs of sym on an orthonormal basis Q
+    of a k-column range, or, when that solve is declined,
+    `_full_eig(sym)`. Both carry the same conventions, sorted
+    descending. The range is that of sym times a fixed Gaussian test
+    matrix of k = rank + _RANGE_OVERSAMPLE columns, or the columns of
+    span when the caller knows a matrix whose range holds sym's (k is
+    then span's column count). It is tried only when rank < k and
+    _RANGE_MIN_RATIO * k <= n.
 
     The range result is kept only when ||sym - Q (sym Q)^H||_F is at
     most _RANGE_RTOL times the largest Ritz magnitude. Every eigenvalue
@@ -185,26 +224,35 @@ def _top_eigenpairs(sym, rank):
     largest magnitude), which covers a tie reaching the last Ritz value:
     which members of such a tie fall inside the budget is decided by
     the solver, not the matrix, and the full solve's choice is kept.
+    The residual is summed over row tiles, so no n x n temporary is
+    formed.
     """
     n = sym.shape[0]
-    k = rank + _RANGE_OVERSAMPLE
-    if rank < 1 or _RANGE_MIN_RATIO * k > n:
+    k = rank + _RANGE_OVERSAMPLE if span is None else span.shape[1]
+    if not 1 <= rank < k or _RANGE_MIN_RATIO * k > n:
         return _full_eig(sym)
-    rng = np.random.default_rng(_RANGE_SEED)
-    omega = rng.standard_normal((n, 2 * k)).view(np.complex128)
     # entries near the float limit overflow in these products; the full
     # solve scales such a matrix, so non-finite results decline to it
     with np.errstate(over="ignore", invalid="ignore"):
-        q, _ = np.linalg.qr(sym @ omega)
+        if span is None:
+            rng = np.random.default_rng(_RANGE_SEED)
+            span = sym @ rng.standard_normal((n, 2 * k)).view(np.complex128)
+        q, _ = np.linalg.qr(span)
         sq = sym @ q
-        resid = sym - q @ sq.conj().T
+        sq_h = sq.conj().T
+        tile = np.empty((min(n, _SYM_TILE), n), dtype=sym.dtype)
+        resid2 = 0.0
+        for r0 in range(0, n, _SYM_TILE):
+            r1 = min(r0 + _SYM_TILE, n)
+            d = np.matmul(q[r0:r1], sq_h, out=tile[:r1 - r0])
+            np.subtract(sym[r0:r1], d, out=d)
+            resid2 += np.vdot(d, d).real
         t = q.conj().T @ sq
-        resid_norm = math.sqrt(np.vdot(resid, resid).real)
     if not np.isfinite(t).all():
         return _full_eig(sym)
     values, w = np.linalg.eigh((t + t.conj().T) / 2.0)
     top = max(abs(values[0]), abs(values[-1]))
-    if not resid_norm <= _RANGE_RTOL * top:
+    if not math.sqrt(resid2) <= _RANGE_RTOL * top:
         return _full_eig(sym)
     values = values[::-1].copy()
     if (abs(values[rank] - values[rank - 1]) <= _TIE_RTOL * top
@@ -213,12 +261,17 @@ def _top_eigenpairs(sym, rank):
     return _pin_conventions(values, q @ w[:, ::-1])
 
 
-def eig_truncate(m, rank):
+def eig_truncate(m, rank, span=None):
     """Best Hermitian approximation keeping the top `rank` eigenpairs.
 
     Negative eigenvalues within rounding distance of zero are clamped
     before truncation, so a PSD input yields a PSD result. rank equal to
     the full dimension short-circuits to the symmetrized input.
+
+    span, an n x k matrix whose columns span a range that holds m's,
+    lets the eigenpairs come from the checked Rayleigh-Ritz solve of
+    `_top_eigenpairs` on that range; the full solve still runs whenever
+    that solve is declined. Without it the full solve always runs.
     """
     m = as_matrix(m, "matrix")
     n = m.shape[0]
@@ -226,7 +279,11 @@ def eig_truncate(m, rank):
         raise DimensionError(f"rank must be in [1, {n}], got {rank}")
     if rank == n:
         return _hermitian_part(m, "matrix")
-    values, vectors = hermitian_eig(m)
+    if span is None:
+        values, vectors = hermitian_eig(m)
+    else:
+        values, vectors = _top_eigenpairs(_hermitian_part(m, "matrix"),
+                                          rank, span)
     top = max(abs(values[0]), abs(values[-1]))   # values sorted descending
     lam = values[:rank]
     lam = np.where((lam < 0) & (np.abs(lam) <= _CLAMP_RTOL * top), 0.0, lam)

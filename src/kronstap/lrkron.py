@@ -19,10 +19,18 @@ Only the snapshot sweeps split their GEMMs over a WorkerPool; the
 dense path, like the sample covariance, runs on the calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
-iteration, the temporal factor once at the end. Residuals are the
-relative Frobenius misfit of the rank-one model, recorded after the
-spatial truncation, and iteration stops when the residual stops moving
-by more than the tolerance.
+iteration, by the full p x p eigensolve, and the temporal factor once
+at the end. On the snapshot path the temporal iterate B's columns lie
+in the span of the p*n snapshot rows, so that truncation is a checked
+Rayleigh-Ritz solve on that span (`eig_truncate` with a span): a
+q x p*n QR and products and a p*n x p*n eigh instead of the q x q
+eigh. It takes the full solve when the check declines, when
+rank_temporal >= p*n, or when p*n is more than q / 4 (see linalg);
+rank_temporal == q short-circuits to the symmetrized B on either path.
+
+Residuals are the relative Frobenius misfit of the rank-one model,
+recorded after the spatial truncation, and iteration stops when the
+residual stops moving by more than the tolerance.
 """
 
 import math
@@ -138,8 +146,10 @@ def _validate_covariance(scm):
 # writes sum_ij S[ir, jc] conj_a[i, j] into `out`; and the V sweep,
 # which returns sum_rc S[ir, jc] conj_b[r, c]. The snapshot sweeps split
 # their GEMMs over chunk_spans(q); each span writes its own slice of the
-# output, so the result does not depend on the pool width.
-_Sweeps = namedtuple("_Sweeps", ["fro", "start", "b_sweep", "v_sweep"])
+# output, so the result does not depend on the pool width. `span` is a
+# q-row matrix whose columns span every B sweep's range, or None.
+_Sweeps = namedtuple("_Sweeps",
+                     ["fro", "start", "b_sweep", "v_sweep", "span"])
 
 
 def _dense_sweeps(s, p, q):
@@ -155,7 +165,8 @@ def _dense_sweeps(s, p, q):
     def v_sweep(conj_b):
         return np.einsum("irjc,rc->ij", s4, conj_b)
 
-    return _Sweeps(math.sqrt(np.vdot(s, s).real), start, b_sweep, v_sweep)
+    return _Sweeps(math.sqrt(np.vdot(s, s).real), start, b_sweep, v_sweep,
+                   None)
 
 
 def _snapshot_sweeps(x, pool):
@@ -189,8 +200,9 @@ def _snapshot_sweeps(x, pool):
         pool.run(step, spans)
         return (w.reshape(p, n * q) @ conj_wide.T) / n
 
+    # B = rows^T (...) conj(rows): its columns lie in the span of rows^T
     return _Sweeps(math.sqrt(np.vdot(gram, gram).real) / n,
-                   start, b_sweep, v_sweep)
+                   start, b_sweep, v_sweep, rows.T)
 
 
 def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
@@ -283,7 +295,7 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
             break
         eta_prev = eta
 
-    temporal = eig_truncate(b_mat, rank_temporal)
+    temporal = eig_truncate(b_mat, rank_temporal, sweeps.span)
     est = KronCovEstimate(
         spatial, temporal, rank_spatial, rank_temporal,
         iterations, residuals, converged,

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from kronstap import linalg
 from kronstap.errors import DataError, DimensionError
 from kronstap.filters import SteeringVector
 from kronstap.layout import from_snapshot, to_snapshot
@@ -174,3 +175,17 @@ def unstack_passes(stacked):
     for pass_index in range(k):
         data[pass_index] = stacked.data[:, pass_index * p:(pass_index + 1) * p]
     return PhaseHistory(p, stacked.q, k, data, list(stacked.truth))
+
+
+class CountFullSolves:
+    """Records the size of every linalg._full_eig call while installed."""
+
+    def __init__(self, mp):
+        self.sizes = []
+        original = linalg._full_eig
+
+        def counted(sym):
+            self.sizes.append(sym.shape[0])
+            return original(sym)
+
+        mp.setattr(linalg, "_full_eig", counted)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
 from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter
@@ -68,6 +69,14 @@ r_b = 3
 sigma2 = 0.01
 seed = 21
 target = 7 0.375 10 0
+"""
+
+SPAN_PATH_CONFIG = """
+p = 2
+q = 128
+n_bins = 8
+r_b = 3
+seed = 22
 """
 
 
@@ -393,6 +402,24 @@ class TestThreadInvariance:
                                   for path in sorted(out.iterdir())}
         assert len(artifacts[1]) == 6
         assert artifacts[1] == artifacts[4]
+
+
+    def test_span_truncated_fit_does_not_depend_on_threads(self, tmp_path,
+                                                           monkeypatch):
+        # 4 * p * n_bins <= q: the temporal truncation runs on the
+        # snapshots' span, not the q x q eigensolve
+        config = write_config(tmp_path, SPAN_PATH_CONFIG)
+        scene = tmp_path / "scene.kph"
+        assert run("simulate", "--config", config, "--output", scene) == 0
+        full = helpers.CountFullSolves(monkeypatch)
+        fits = []
+        for threads in (1, 4):
+            out = tmp_path / f"fit{threads}.kes"
+            assert run("estimate", "--input", scene, "--output", out,
+                       "--ra", 1, "--rb", 3, "--threads", threads) == 0
+            fits.append(out.read_bytes())
+        assert 128 not in full.sizes
+        assert fits[0] == fits[1]
 
 
 class TestParallelSite:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,20 +133,6 @@ def projector(basis):
     return None if basis is None else basis @ basis.conj().T
 
 
-class CountFullSolves:
-    """Counts linalg._full_eig calls while installed."""
-
-    def __init__(self, mp):
-        self.sizes = []
-        original = linalg._full_eig
-
-        def counted(sym):
-            self.sizes.append(sym.shape[0])
-            return original(sym)
-
-        mp.setattr(linalg, "_full_eig", counted)
-
-
 class TestRangeSolve:
     """subspace_basis through the range solve against the full solve."""
 
@@ -182,7 +169,7 @@ class TestRangeSolve:
         m = helpers.random_psd(np.random.default_rng(50), 64, 3)
         for budget in (3, 5):
             with pytest.MonkeyPatch.context() as mp:
-                full = CountFullSolves(mp)
+                full = helpers.CountFullSolves(mp)
                 basis = subspace_basis(m, budget)
             assert full.sizes == []
             assert basis.shape == (64, 3)
@@ -190,7 +177,7 @@ class TestRangeSolve:
     def test_a_full_rank_factor_gets_the_full_solve_basis(self):
         m = helpers.random_psd(np.random.default_rng(51), 64)
         with pytest.MonkeyPatch.context() as mp:
-            full = CountFullSolves(mp)
+            full = helpers.CountFullSolves(mp)
             basis = subspace_basis(m, 3)
         assert full.sizes == [64]
         want = linalg.hermitian_eig(m).vectors[:, :3]
@@ -204,7 +191,7 @@ class TestRangeSolve:
         m = factor_with_values(np.random.default_rng(52), 64,
                                [3.0] + [2.0] * (k - 1))
         with pytest.MonkeyPatch.context() as mp:
-            full = CountFullSolves(mp)
+            full = helpers.CountFullSolves(mp)
             basis = subspace_basis(m, budget)
         assert full.sizes == [64]
         assert np.array_equal(basis, linalg.hermitian_eig(m).vectors[:, :2])
@@ -212,14 +199,14 @@ class TestRangeSolve:
     def test_small_factors_go_straight_to_the_full_solve(self):
         m = helpers.random_psd(np.random.default_rng(53), 16, 1)
         with pytest.MonkeyPatch.context() as mp:
-            full = CountFullSolves(mp)
+            full = helpers.CountFullSolves(mp)
             subspace_basis(m, 1)
         assert full.sizes == [16]
 
     def test_a_negated_low_rank_factor_is_a_data_error(self):
         m = helpers.random_psd(np.random.default_rng(54), 128, 4)
         with pytest.MonkeyPatch.context() as mp:
-            full = CountFullSolves(mp)
+            full = helpers.CountFullSolves(mp)
             with pytest.raises(DataError, match="positive semidefinite"):
                 subspace_basis(-m, 4)
         assert full.sizes == []
@@ -229,7 +216,7 @@ class TestRangeSolve:
         m = helpers.random_psd(np.random.default_rng(57), 64, 3)
         m[0, 1] = m[1, 0] = 8e307
         with pytest.MonkeyPatch.context() as mp:
-            full = CountFullSolves(mp)
+            full = helpers.CountFullSolves(mp)
             with pytest.raises(DataError, match="positive semidefinite"):
                 subspace_basis(m, 3)
         assert full.sizes == [64]
@@ -249,6 +236,19 @@ class TestRangeSolve:
         assert np.max(np.abs(vectors[:, :4] - full.vectors[:, :4])) < 1e-12
 
 
+    def test_the_range_solve_forms_no_square_temporary(self):
+        n = 768
+        m = helpers.random_psd(np.random.default_rng(58), n, 4)
+        tracemalloc.start()
+        try:
+            values, _ = linalg._top_eigenpairs(m, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.size == 4 + linalg._RANGE_OVERSAMPLE
+        assert peak < n * n * 16 / 4
+
+
 class TestCheckedFactors:
     """Factors read from a KES file are checked there, and only there."""
 
@@ -257,9 +257,9 @@ class TestCheckedFactors:
         names = []
         original = linalg._hermitian_part
 
-        def counted(m, name):
+        def counted(m, name, **kwargs):
             names.append(name)
-            return original(m, name)
+            return original(m, name, **kwargs)
 
         monkeypatch.setattr(linalg, "_hermitian_part", counted)
         # filters and formats hold their own references to the check
@@ -345,6 +345,31 @@ class TestProjectionFilters:
             once = filt.apply_matrix(x)
             twice = filt.apply_matrix(once)
             assert np.allclose(twice, once, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), q=st.integers(1, 24), data=st.data())
+    def test_projectors_are_idempotent_and_annihilate_their_subspaces(
+            self, p, q, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        u_a = orthonormal_columns(rng, p, data.draw(st.integers(1, p)))
+        u_b = orthonormal_columns(rng, q, data.draw(st.integers(1, q)))
+        x = helpers.complex_gauss(rng, (3, p, q))
+        y = helpers.complex_gauss(rng, (p, q))
+        scale = np.linalg.norm(x)
+        for kind in ("classical", "kron"):
+            filt = projection_filter(kind, u_a, u_b, p, q)
+            once = filt.apply_matrix(x)
+            twice = filt.apply_matrix(once)
+            assert np.linalg.norm(twice - once) <= 1e-12 * scale
+            # classical removes the joint subspace span{u_a_i (x) u_b_j};
+            # kron removes u_a_i (x) anything and anything (x) u_b_j
+            joint = u_a @ helpers.complex_gauss(rng, (u_a.shape[1],
+                                                      u_b.shape[1])) @ u_b.T
+            subspaces = [joint] if kind == "classical" else \
+                [joint, u_a @ (u_a.conj().T @ y), y @ u_b.conj() @ u_b.T]
+            for v in subspaces:
+                out = filt.apply_matrix(v)
+                assert np.linalg.norm(out) <= 1e-12 * np.linalg.norm(v)
 
     def test_spatial_only_ignores_the_temporal_basis(self):
         rng = np.random.default_rng(19)

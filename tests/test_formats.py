@@ -30,6 +30,7 @@ from kronstap.lrkron import KronCovEstimate
 from kronstap.simulate import (
     PhaseHistory,
     SceneConfig,
+    TargetTruth,
     gen_clutter,
     inject_target,
 )
@@ -205,6 +206,37 @@ class TestEstimateFile:
         with pytest.raises(DataError, match=f"{factor} factor"):
             read_estimate(path)
 
+    def test_an_asymmetry_past_the_overflow_is_rejected(self, tmp_path):
+        rng = np.random.default_rng(46)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 6), 1, 2, 1, [0.5], True)
+        est.temporal[0, 1] = 1e156
+        est.temporal[1, 0] = 0.0
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        with pytest.raises(DataError, match="temporal factor"):
+            read_estimate(path)
+
+    def test_read_and_write_hold_the_factors_once(self, tmp_path):
+        rng = np.random.default_rng(47)
+        est = KronCovEstimate(helpers.random_psd(rng, 8, 1),
+                              helpers.random_psd(rng, 768, 4), 1, 4, 3,
+                              [0.5], True)
+        factor_bytes = est.spatial.nbytes + est.temporal.nbytes
+        path = tmp_path / "fit.kes"
+        tracemalloc.start()
+        try:
+            write_estimate(path, est)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_estimate(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 0.25 * factor_bytes
+        assert read_peak < 1.25 * factor_bytes
+        assert np.array_equal(back.temporal, est.temporal)
+
     def test_rank_budget_at_the_factor_dims_is_accepted(self, tmp_path):
         rng = np.random.default_rng(43)
         est = KronCovEstimate(helpers.random_psd(rng, 3),
@@ -278,6 +310,65 @@ class TestEstimateFileProperties:
         for factor in (back.spatial, back.temporal):
             assert np.isfinite(factor).all()
             assert np.array_equal(factor, factor.conj().T)
+
+
+def kph_blob(history):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.kph")
+        write_phase_history(path, history)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def read_kph_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.kph")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return read_phase_history(path)
+
+
+@st.composite
+def phase_histories(draw):
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    k, n_bins = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    data = scale * helpers.complex_gauss(rng, (k, n_bins, p, q))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    truth = [TargetTruth(draw(st.integers(0, n_bins - 1)), draw(floats),
+                         complex(draw(floats), draw(floats)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return PhaseHistory(p, q, k, data, truth)
+
+
+class TestPhaseHistoryFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(history=phase_histories())
+    def test_round_trip_is_exact(self, history):
+        back = read_kph_blob(kph_blob(history))
+        assert (back.p, back.q, back.n_passes) == \
+            (history.p, history.q, history.n_passes)
+        assert back.data.tobytes() == history.data.tobytes()
+        assert back.truth == history.truth
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_and_bit_flipped_files_raise_only_package_errors(
+            self, data):
+        history = minimal_history()
+        history.truth.append(TargetTruth(3, 0.25, 1.0 + 0.5j))
+        blob = kph_blob(history)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(KronStapError):
+            read_kph_blob(blob[:cut])
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read_kph_blob(bytes(flipped))
+        except KronStapError:
+            pass
 
 
 class TestCsvFiles:

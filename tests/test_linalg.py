@@ -4,6 +4,7 @@ import pytest
 import helpers
 from kronstap.errors import DataError, DimensionError
 from kronstap.linalg import (
+    _hermitian_part,
     as_matrix,
     eig_truncate,
     hermitian_eig,
@@ -140,3 +141,48 @@ def test_eig_truncate_rank_bounds():
         eig_truncate(m, 0)
     with pytest.raises(DimensionError):
         eig_truncate(m, 4)
+
+
+def hermitian_cases(n):
+    """Near-Hermitian, exactly Hermitian and sparse PSD matrices of size n."""
+    rng = np.random.default_rng(n)
+    g = helpers.complex_gauss(rng, (n, n))
+    exact = (g + g.conj().T) / 2.0
+    sparse = g @ g.conj().T
+    sparse[::3] = 0.0
+    sparse[:, ::3] = 0.0
+    return [exact + 1e-12 * g, exact, sparse, 1e-310 * exact.real]
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200, 768])
+def test_hermitian_part_in_place_gives_the_same_bits(n):
+    for m in hermitian_cases(n):
+        want = _hermitian_part(m, "matrix")
+        work = m.astype(np.complex128)
+        got = _hermitian_part(work, "matrix", overwrite=True)
+        assert got is work
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, got.conj().T)
+
+
+def overflowing_asymmetry():
+    m = helpers.random_psd(np.random.default_rng(70), 6)
+    m[0, 1] = 1e156
+    m[1, 0] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_an_asymmetry_past_the_overflow_is_rejected(overwrite):
+    with pytest.raises(DataError, match="Hermitian"):
+        _hermitian_part(overflowing_asymmetry(), "matrix", overwrite=overwrite)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("peak", [1e200, 1.5e308])
+def test_hermitian_entries_near_the_float_limit_pass(overwrite, peak):
+    m = helpers.random_psd(np.random.default_rng(71), 70)
+    m *= peak / np.abs(m).max()
+    want = m.copy()
+    got = _hermitian_part(m, "matrix", overwrite=overwrite)
+    assert np.array_equal(got, want)

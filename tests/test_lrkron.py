@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import helpers
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
+from kronstap.layout import cube_to_snapshots
+from kronstap.linalg import _hermitian_part, eig_truncate
 from kronstap.lrkron import (
     SampleCovariance,
     lr_kron_estimate,
@@ -14,6 +16,7 @@ from kronstap.lrkron import (
 )
 from kronstap.parallel import WorkerPool
 from kronstap.rearrange import rearrange, unrearrange
+from kronstap.simulate import SceneConfig, gen_clutter
 
 
 def _exact_cov(s, p, q):
@@ -359,3 +362,95 @@ def test_keep_iterates_records_history():
     assert spatial.shape == (p, p)
     assert temporal.shape == (q, q)
     assert np.array_equal(spatial, est.spatial)
+
+
+class TestTemporalTruncation:
+    """The final temporal truncation on the span of the snapshot rows."""
+
+    @staticmethod
+    def fit(snaps, p, q, rank_spatial, rank_temporal, max_iter=4):
+        return lr_kron_estimate(sample_covariance(snaps, p, q), rank_spatial,
+                                rank_temporal, tol=-1.0, max_iter=max_iter,
+                                keep_iterates=True)
+
+    @staticmethod
+    def rows_span(snaps, p, q):
+        n = snaps.shape[0]
+        return snaps.reshape(n, p, q).transpose(1, 0, 2).reshape(p * n, q).T
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), q=st.integers(2, 256),
+           in_band=st.booleans(), data=st.data())
+    def test_matches_the_full_truncation_of_the_same_b(self, p, q, in_band,
+                                                       data):
+        # in_band keeps 4*p*n <= q, where the span solve is tried
+        n_max = max(1, q // (4 * p)) if in_band else min(p * q - 1, 48)
+        n = data.draw(st.integers(1, n_max), label="n")
+        rank_spatial = data.draw(st.integers(1, p), label="rank_spatial")
+        rank_temporal = data.draw(st.integers(1, q), label="rank_temporal")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        snaps = helpers.complex_gauss(rng, (n, p * q))
+        est = self.fit(snaps, p, q, rank_spatial, rank_temporal,
+                       data.draw(st.integers(1, 4), label="max_iter"))
+        b_mat = est.iterates[-1][1]
+        want = eig_truncate(b_mat, rank_temporal)
+        assert helpers.relative_error(est.temporal, want) <= 1e-12
+        # a B that is not Hermitian gets the same verdict on both paths
+        skewed = b_mat.copy()
+        skewed[0, -1] += 1e-3 * np.abs(b_mat).max() + 1e-300
+        outcomes = []
+        for span in (None, self.rows_span(snaps, p, q)):
+            try:
+                outcomes.append(eig_truncate(skewed, rank_temporal, span))
+            except DataError:
+                outcomes.append(DataError)
+        if outcomes[0] is DataError or outcomes[1] is DataError:
+            assert outcomes[0] is outcomes[1]
+        else:
+            assert helpers.relative_error(*outcomes[::-1]) <= 1e-12
+
+    def wide_q_snapshots(self):
+        config = SceneConfig(p=8, q=768, n_bins=24, rank_temporal=4, seed=7)
+        return cube_to_snapshots(gen_clutter(config).data[0])
+
+    def test_a_wide_q_fit_never_runs_the_q_by_q_solve(self, monkeypatch):
+        full = helpers.CountFullSolves(monkeypatch)
+        snaps = self.wide_q_snapshots()
+        est = lr_kron_estimate(sample_covariance(snaps, 8, 768), 1, 4)
+        assert full.sizes and set(full.sizes) == {8}   # the spatial solves
+        assert est.temporal.shape == (768, 768)
+
+    @pytest.mark.parametrize("p, q, n, rank_temporal", [
+        (2, 64, 9, 3),       # 4 * p * n > q
+        (2, 128, 8, 16),     # rank_temporal == p * n
+        (2, 128, 8, 20),     # rank_temporal > p * n
+    ])
+    def test_the_full_solve_runs_outside_the_span_rules(self, monkeypatch, p,
+                                                        q, n, rank_temporal):
+        snaps = helpers.complex_gauss(np.random.default_rng(72), (n, p * q))
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps, p, q, 1, rank_temporal)
+        assert full.sizes.count(q) == 1
+        want = eig_truncate(est.iterates[-1][1], rank_temporal)
+        assert np.array_equal(est.temporal, want)
+
+    def test_a_tie_across_the_cut_runs_the_full_solve(self, monkeypatch):
+        # p = 1 and orthonormal snapshot rows: B is a multiple of a
+        # projector, one five-fold tie, cut at 2
+        q, n = 64, 5
+        basis, _ = np.linalg.qr(
+            helpers.complex_gauss(np.random.default_rng(73), (q, n)))
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(np.ascontiguousarray(basis.T), 1, q, 1, 2)
+        assert full.sizes.count(q) == 1
+        want = eig_truncate(est.iterates[-1][1], 2)
+        assert np.array_equal(est.temporal, want)
+
+    def test_a_full_budget_is_the_symmetrized_b(self, monkeypatch):
+        p, q, n = 2, 128, 8
+        snaps = helpers.complex_gauss(np.random.default_rng(74), (n, p * q))
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps, p, q, 1, q)
+        assert q not in full.sizes
+        want = _hermitian_part(est.iterates[-1][1], "matrix")
+        assert est.temporal.tobytes() == want.tobytes()
