@@ -44,7 +44,6 @@ from .multipass import (
 from .parallel import WorkerPool
 from .rearrange import (
     RearrangedMatrix,
-    lr_kron_init,
     rearrange,
     unrearrange,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "KronCovEstimate", "SampleCovariance", "lr_kron_estimate",
     "sample_covariance", "StackedHistory", "change_detect",
     "multipass_estimate", "pass_images", "stack_passes",
-    "WorkerPool", "RearrangedMatrix", "lr_kron_init", "rearrange",
+    "WorkerPool", "RearrangedMatrix", "rearrange",
     "unrearrange", "PhaseHistory", "SceneConfig", "SceneModel",
     "TargetTruth", "gen_clutter", "gen_multipass", "inject_target",
     "scene_model",

@@ -23,7 +23,6 @@ from . import formats
 from .errors import ConfigError, DataError, KronStapError
 from .filters import bin_blocks, build_filter, detection_image, \
     make_doppler_grid, make_spatial_grid
-from .layout import cube_to_snapshots
 from .lrkron import lr_kron_estimate, sample_covariance
 from .multipass import change_detect, pass_images, stack_passes
 from .parallel import WorkerPool
@@ -140,19 +139,12 @@ def cmd_simulate(args):
     return 0
 
 
-def _load_snapshots(history):
-    """Snapshots for estimation; multipass cubes are stacked first."""
-    if history.n_passes == 1:
-        return cube_to_snapshots(history.data[0]), history.p, history.q
-    stacked = stack_passes(history)
-    snapshots = np.ascontiguousarray(stacked.data).reshape(stacked.n_bins, -1)
-    return snapshots, stacked.stacked_channels, stacked.q
-
-
 def cmd_estimate(args):
     history = formats.read_phase_history(args.input)
-    snapshots, sdim, q = _load_snapshots(history)
-    scm = sample_covariance(snapshots, sdim, q)
+    k, n_bins, p, q = history.data.shape
+    # pass k's rows are column block k of the pass-stacked snapshots, so
+    # the covariance reads the cube as is, with K * p stacked channels
+    scm = sample_covariance(history.data.reshape(k, n_bins, p * q), k * p, q)
     with WorkerPool(args.threads) as pool:
         est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
                                max_iter=args.max_iter, pool=pool)
@@ -193,12 +185,14 @@ def cmd_filter(args):
     history = formats.read_phase_history(args.input)
     filt, stacked = _projection_filter_for(history, args)
     k, n_bins, p, q = history.data.shape
-    # bin-major source: a stacked bin's K*p rows are K pass blocks of p
-    source = stack_passes(history).data if stacked \
-        else history.data.swapaxes(0, 1)
     out = np.empty_like(history.data)
     for m0, m1 in bin_blocks(n_bins):
-        filtered = filt.apply_matrix(source[m0:m1])
+        # bin-major block; a stacked bin's K*p rows are K pass blocks of
+        # p, gathered for this block alone
+        block = history.data[:, m0:m1].swapaxes(0, 1)
+        if stacked:
+            block = block.reshape(m1 - m0, k * p, q)
+        filtered = filt.apply_matrix(block)
         out[:, m0:m1] = filtered.reshape(m1 - m0, k, p, q).swapaxes(0, 1)
     formats.write_phase_history(
         args.output,

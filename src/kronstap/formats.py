@@ -22,6 +22,7 @@ place. CSV outputs always carry a header row, with floats printed at
 full precision so they read back exactly.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -317,6 +318,11 @@ def parse_scene_config(text):
                 amplitude = complex(float(parts[2]), float(parts[3]))
             except ValueError:
                 raise ConfigError(lineno, f"bad target fields {value!r}") from None
+            if not all(map(math.isfinite,
+                           (doppler, amplitude.real, amplitude.imag))):
+                raise ConfigError(
+                    lineno, f"target doppler and amplitude must be finite, "
+                            f"got {value!r}")
             targets.append((bin_index, doppler, amplitude))
             continue
         if key in _INT_KEYS:
@@ -329,6 +335,8 @@ def parse_scene_config(text):
                 values[key] = float(value)
             except ValueError:
                 raise ConfigError(lineno, f"{key} expects a number, got {value!r}") from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(lineno, f"{key} must be finite, got {value!r}")
         elif key in _BOOL_KEYS:
             values[key] = _parse_bool(value, lineno)
         elif key == "texture":

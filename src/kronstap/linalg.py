@@ -70,21 +70,6 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-def vec(m):
-    """Stack columns of m into a single vector (column-major)."""
-    return as_matrix(m).ravel(order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of vec for a rows x cols target shape."""
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    if v.size != rows * cols:
-        raise DimensionError(
-            f"cannot reshape length {v.size} into {rows}x{cols}"
-        )
-    return v.reshape((rows, cols), order="F")
-
-
 def kron(a, b):
     """Kronecker product of two matrices."""
     return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))

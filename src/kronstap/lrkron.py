@@ -11,12 +11,18 @@ shape alone:
   With S = (1/n) sum x_m x_m^H, ||S||_F comes from the n x n Gram
   matrix, the block-sum start from per-channel row sums, and each
   sweep is a sum over snapshots computed as two GEMMs;
-- built from n >= p*q snapshots, or constructed from a matrix, it
-  holds the dense matrix, which is validated and symmetrized once;
-  each sweep is then one einsum over its (p, q, p, q) block view.
+- built by `sample_covariance` from n >= p*q snapshots, it holds the
+  dense matrix, formed exactly Hermitian from the upper tile pairs
+  of _COV_TILE columns and read straight from a K-pass cube without
+  stacking it; the estimator then checks only its shape, its
+  diagonal and that its entries are finite;
+- constructed from a user's matrix, it holds that matrix, which the
+  estimator checks in full and symmetrizes once.
 
-Only the snapshot sweeps split their GEMMs over a WorkerPool; the
-dense path, like the sample covariance, runs on the calling thread.
+On either dense path each sweep is one einsum over the (p, q, p, q)
+block view. Only the snapshot sweeps split their GEMMs over a
+WorkerPool; the dense path, like the sample covariance, runs on the
+calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
 iteration, by the full p x p eigensolve, and the temporal factor once
@@ -44,15 +50,29 @@ from .linalg import _HERMITIAN_RTOL, _hermitian_part, eig_truncate
 from .parallel import chunk_spans, get_pool
 
 
+# Widest column tile of the dense sample covariance. On 4000 x 1024
+# snapshots (2-CPU host, OpenBLAS 0.3.31) the upper tile pairs took
+# 240-270 ms at 128 or 256 columns and 290 ms at 512, against 380 ms
+# for the one full GEMM; at 256 columns or fewer it is a single tile.
+_COV_TILE = 256
+# Tiles start on multiples of this, the row block of OpenBLAS's complex
+# GEMM kernels, so an entry meets the same kernel code as in one product.
+_COV_ALIGN = 4
+
+
 class SampleCovariance:
     """Mean of snapshot outer products, tagged with the bin shape.
 
     `sample_covariance` keeps only the read-only (n, p, q) `snapshots`
     stack when n < p*q; `matrix` is then formed on first access, with
     the same arithmetic as the dense path, and the estimator never asks
-    for it. From n >= p*q snapshots, or when constructed directly from
-    a pq x pq matrix, the dense `matrix` is held and `snapshots` is
-    None.
+    for it. From n >= p*q snapshots it holds the dense `matrix`, built
+    exactly Hermitian and read-only, and `snapshots` is None. Either
+    way it is marked as built here, so the estimator checks the dense
+    matrix only for its shape, a non-negative diagonal and finite
+    entries. Constructed directly from a pq x pq matrix, it holds that
+    matrix, which the estimator checks in full: finite, square and
+    Hermitian within tolerance, then symmetrized.
     """
 
     def __init__(self, matrix, n_samples, p, q):
@@ -61,19 +81,31 @@ class SampleCovariance:
         self.p = p
         self.q = q
         self.snapshots = None
+        # set by sample_covariance: the dense matrix is (or will be)
+        # built exactly Hermitian here, so its Hermitian check is skipped
+        self._built = False
 
     @classmethod
     def _from_snapshots(cls, x, p, q):
         scm = cls(None, x.shape[0], p, q)
         scm.snapshots = x.reshape(x.shape[0], p, q)
         scm.snapshots.flags.writeable = False
+        scm._built = True
+        return scm
+
+    @classmethod
+    def _from_matrix(cls, matrix, n, p, q):
+        scm = cls(matrix, n, p, q)
+        matrix.flags.writeable = False
+        scm._built = True
         return scm
 
     @property
     def matrix(self):
         if self._matrix is None and self.snapshots is not None:
             self._matrix = _outer_average(
-                self.snapshots.reshape(self.n_samples, -1))
+                self.snapshots.reshape(1, self.n_samples, -1))
+            self._matrix.flags.writeable = False
         return self._matrix
 
 
@@ -94,20 +126,31 @@ class KronCovEstimate:
 
 
 def sample_covariance(snapshots, p, q):
-    """Average of x x^H over snapshot rows, symmetrized.
+    """Average of x x^H over snapshots, exactly Hermitian.
 
     No mean is subtracted; the clutter model is zero mean. Snapshots
-    are length p*q vectors in the channel-major layout. Fewer than p*q
-    of them are checked for finite entries and kept as a snapshot stack
-    (see SampleCovariance); otherwise the dense matrix is formed here
-    and the estimator validates it.
+    are length p*q vectors in the channel-major layout, given either as
+    the rows of an (n, p*q) matrix or as a (K, n, p*q / K) pass cube,
+    whose pass k holds column block k of every snapshot: a K-pass
+    cube's (K, n_bins, p_pass*q) view is its pass-stacked snapshots,
+    with p = K * p_pass channels, without the stacking copy.
+
+    Fewer than p*q snapshots are checked for finite entries and kept as
+    a snapshot stack (see SampleCovariance); a pass cube is stacked for
+    that. Otherwise the dense matrix is formed here from the upper tile
+    pairs and mirrored, which makes it exactly Hermitian, and the
+    estimator checks its entries for finiteness.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim != 2:
-        raise DimensionError(f"snapshots must be 2-D, got shape {x.shape}")
-    n, d = x.shape
+    if x.ndim == 2:
+        x = x[None]
+    elif x.ndim != 3:
+        raise DimensionError(
+            f"snapshots must be 2-D or a 3-D pass cube, got shape {x.shape}")
+    k, n, d_pass = x.shape
     if n < 1:
         raise DimensionError("need at least one snapshot")
+    d = k * d_pass
     if d != p * q:
         raise DimensionError(f"snapshot length {d} does not match p*q = {p * q}")
     if n < d:
@@ -115,22 +158,67 @@ def sample_covariance(snapshots, p, q):
         # PSD by construction, and no validated matrix is ever formed
         if not np.isfinite(x).all():
             raise DataError("snapshots contain non-finite entries")
-        return SampleCovariance._from_snapshots(np.array(x), p, q)
-    return SampleCovariance(_outer_average(np.ascontiguousarray(x)), n, p, q)
+        stack = np.array(x.swapaxes(0, 1), order="C").reshape(n, d)
+        return SampleCovariance._from_snapshots(stack, p, q)
+    return SampleCovariance._from_matrix(
+        _outer_average(np.ascontiguousarray(x)), n, p, q)
 
 
 def _outer_average(x):
-    """Dense (1/n) sum of x_m x_m^H over the rows of x, symmetrized."""
-    out = x.T @ np.conj(x)
-    out /= x.shape[0]
-    return (out + out.conj().T) / 2.0
+    """Dense (1/n) sum of x_m x_m^H over the snapshots of a pass cube.
+
+    x is (K, n, d_pass); snapshot m is x[0, m], ..., x[K-1, m] back to
+    back, so pass k's rows are column block k of the snapshot matrix X
+    and S = X^T conj(X) / n. Each pass is cut into the fewest tiles of
+    at most _COV_TILE columns, of equal width rounded up to _COV_ALIGN,
+    and only the tile pairs on and above the diagonal are multiplied.
+    Each tile above the diagonal is mirrored below it and each diagonal
+    tile t becomes (t + t^H) / 2, so S is exactly Hermitian with a real
+    diagonal.
+
+    S equals (G + G^H) / 2 of the one product G = X^T conj(X), bit for
+    bit, when the BLAS computes every entry of a tile as it does in G
+    and G is Hermitian. OpenBLAS 0.3.31 (x86-64, Haswell kernels) does
+    when d_pass and the tiles are multiples of 4 and each tile's GEMM
+    takes the same threaded or serial path as G, as on the benchmark
+    workloads; otherwise entries can move by rounding.
+    """
+    k, n, d_pass = x.shape
+    out = np.empty((k * d_pass, k * d_pass), dtype=np.complex128)
+    n_tiles = -(-d_pass // _COV_TILE)
+    step = -(-d_pass // n_tiles)
+    step += -step % _COV_ALIGN
+    # (pass, first and last column within the pass, first column in S)
+    tiles = [(l, c0, min(c0 + step, d_pass), l * d_pass + c0)
+             for l in range(k) for c0 in range(0, d_pass, step)]
+    conj_buf = np.empty((n, step), dtype=np.complex128)
+    for j, (l, b0, b1, j0) in enumerate(tiles):
+        cols = slice(j0, j0 + b1 - b0)
+        conj_b = np.conjugate(x[l, :, b0:b1], out=conj_buf[:, :b1 - b0])
+        for l_a, a0, a1, i0 in tiles[:j + 1]:
+            rows = slice(i0, i0 + a1 - a0)
+            t = np.matmul(x[l_a, :, a0:a1].T, conj_b, out=out[rows, cols])
+            t /= n
+            if i0 == j0:
+                t += t.conj().T
+                t /= 2.0
+            else:
+                np.conjugate(t.T, out=out[cols, rows])
+    return out
 
 
 def _validate_covariance(scm):
     if not isinstance(scm, SampleCovariance):
         raise DimensionError("estimator expects a SampleCovariance")
     p, q = scm.p, scm.q
-    s = _hermitian_part(scm.matrix, "covariance")
+    if scm._built:
+        # exactly Hermitian by construction; it is finite only if the
+        # snapshots were
+        s = scm.matrix
+        if not np.isfinite(s).all():
+            raise DataError("covariance contains non-finite entries")
+    else:
+        s = _hermitian_part(scm.matrix, "covariance")
     if s.shape != (p * q, p * q):
         raise DimensionError(
             f"covariance shape {s.shape} does not match p*q = {p * q}"

@@ -3,9 +3,13 @@
 K registered passes of a p-channel system stack into Kp-channel
 snapshots, channel blocks ordered by pass. A background common to the
 passes keeps the stacked spatial factor rank K, so the joint estimate
-uses a spatial rank budget of K. Change detection subtracts the pixel
-magnitudes of two per-pass detection images formed from the same
-filtered stacked data.
+uses a spatial rank budget of K. The joint covariance needs no stacked
+copy: pass k's rows are column block k of the stacked snapshots, so
+`sample_covariance` reads a (K, n_bins, p*q) pass cube as is (the CLI
+does so) and stacks only on its snapshot path, with fewer bins than
+Kpq. The CLI's filter gathers the passes of one block of bins at a
+time. Change detection subtracts the pixel magnitudes of two per-pass
+detection images formed from the same filtered stacked data.
 """
 
 from dataclasses import dataclass, field
@@ -62,8 +66,8 @@ def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
     """
     if not isinstance(stacked, StackedHistory):
         raise DimensionError("multipass_estimate expects a StackedHistory")
-    snapshots = np.ascontiguousarray(stacked.data).reshape(stacked.n_bins, -1)
-    scm = sample_covariance(snapshots, stacked.stacked_channels, stacked.q)
+    scm = sample_covariance(stacked.data.reshape(stacked.n_bins, -1),
+                            stacked.stacked_channels, stacked.q)
     return lr_kron_estimate(scm, stacked.n_passes, rank_temporal,
                             tol=tol, max_iter=max_iter, pool=pool)
 

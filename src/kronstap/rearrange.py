@@ -65,18 +65,3 @@ def unrearrange(r):
         )
     return data.reshape(p, p, q, q).transpose(1, 3, 0, 2).reshape(p * q, p * q)
 
-
-def lr_kron_init(r):
-    """Spatial factor initialization: block sums over the rearrangement.
-
-    Averages the rearranged columns, which amounts to compressing each
-    q x q block of the source to its entry sum. Returns a length p^2
-    vector; its p x p unvec is Hermitian PSD whenever the source is,
-    and for a Kronecker product input it is already proportional to
-    the vec of the spatial factor.
-    """
-    if not isinstance(r, RearrangedMatrix):
-        raise DimensionError("lr_kron_init expects a RearrangedMatrix")
-    q = r.q
-    data = as_matrix(r.data, "rearranged data")
-    return data.sum(axis=1) / float(q * q)

@@ -56,6 +56,13 @@ class SceneConfig:
     def validate(self):
         if self.p < 1 or self.q < 1 or self.n_bins < 1:
             raise DataError("scene dimensions must be positive")
+        for name in ("noise_power", "texture_shape", "calibration_phase",
+                     "kappa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.rank_temporal <= self.q:
             raise DataError(
                 f"temporal rank must be in [1, {self.q}], got {self.rank_temporal}"
@@ -193,6 +200,19 @@ def _cmul(a, b, out):
     return out
 
 
+def _empty_cube(n_passes, n_bins, p, q):
+    """The (n_passes, n_bins, p, q) complex cube, or a DataError with its
+    size when numpy cannot allocate it (numpy refuses that at once)."""
+    shape = (n_passes, n_bins, p, q)
+    try:
+        return np.empty(shape, dtype=np.complex128)
+    except (MemoryError, ValueError):
+        raise DataError(
+            f"a {n_passes} x {n_bins} x {p} x {q} cube needs "
+            f"{math.prod(shape) * 16:,} bytes, more than can be allocated"
+        ) from None
+
+
 def _generate(model, n_passes, change_fraction, shared_calibration,
               unit_gains, gain_spread):
     config = model.config
@@ -206,6 +226,7 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     else:
         calibrations = [model.pass_calibration(k) for k in range(n_passes)]
 
+    data = _empty_cube(n_passes, n_bins, p, q)
     n_changed = int(round(change_fraction * n_bins))
     changed = np.zeros(n_bins, dtype=bool)
     if n_changed > 0:
@@ -213,7 +234,6 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                                         replace=False)
         changed[picks] = True
 
-    data = np.empty((n_passes, n_bins, p, q), dtype=np.complex128)
     for b, m0 in enumerate(range(0, n_bins, BLOCK_BINS)):
         m1 = min(m0 + BLOCK_BINS, n_bins)
         nb = m1 - m0
@@ -297,6 +317,12 @@ def _add_target(history, bin_index, doppler, amplitude, pass_index=0,
                        0.5 if kappa is None else kappa)
     signature = np.outer(sv.spatial, sv.temporal)
     signature /= np.linalg.norm(sv.spatial) * np.linalg.norm(sv.temporal)
-    history.data[pass_index, bin_index] += amplitude * signature
+    # a finite but huge Doppler or amplitude can still overflow here
+    updated = history.data[pass_index, bin_index] + amplitude * signature
+    if not np.isfinite(updated).all():
+        raise DataError(
+            f"target at bin {bin_index} (doppler {doppler!r}, amplitude "
+            f"{amplitude!r}) makes the bin non-finite")
+    history.data[pass_index, bin_index] = updated
     history.truth.append(
         TargetTruth(int(bin_index), float(doppler), complex(amplitude)))

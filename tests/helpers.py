@@ -15,6 +15,7 @@ from kronstap.errors import DataError, DimensionError
 from kronstap.filters import SteeringVector
 from kronstap.layout import from_snapshot, to_snapshot
 from kronstap.multipass import StackedHistory
+from kronstap.rearrange import RearrangedMatrix
 from kronstap.simulate import PhaseHistory
 
 
@@ -56,6 +57,36 @@ def vec_loops(m):
         for r in range(rows):
             out[c * rows + r] = m[r, c]
     return out
+
+
+def vec(m):
+    """Stack the columns of a finite matrix into one vector (column-major)."""
+    return linalg.as_matrix(m).ravel(order="F")
+
+
+def unvec(v, rows, cols):
+    """Inverse of vec for a rows x cols target shape."""
+    v = np.asarray(v, dtype=np.complex128).ravel()
+    if v.size != rows * cols:
+        raise DimensionError(
+            f"cannot reshape length {v.size} into {rows}x{cols}"
+        )
+    return v.reshape((rows, cols), order="F")
+
+
+def lr_kron_init(r):
+    """Block sums over the rearrangement, as a length p^2 vector.
+
+    Averages the rearranged columns, which compresses each q x q block
+    of the source to its entry sum / q^2. Its p x p unvec is Hermitian
+    PSD whenever the source is, and for a Kronecker product input it is
+    proportional to the vec of the spatial factor. The estimator starts
+    from the same block sums, read off the covariance directly.
+    """
+    if not isinstance(r, RearrangedMatrix):
+        raise DimensionError("lr_kron_init expects a RearrangedMatrix")
+    return linalg.as_matrix(r.data, "rearranged data").sum(axis=1) \
+        / float(r.q * r.q)
 
 
 def block_rearrange(s, p, q):
@@ -122,6 +153,18 @@ def random_kron_cov(rng, p, q, rank_spatial, rank_temporal):
     a = random_psd(rng, p, rank_spatial)
     b = random_psd(rng, q, rank_temporal)
     return a, b, np.kron(a, b)
+
+
+def outer_average_gemm(x):
+    """The dense sample covariance as one GEMM, then symmetrized.
+
+    Declared oracle for lrkron's tiled builder: x is (n, d) snapshot
+    rows, and the result is (G + G^H) / 2 of G = x^T conj(x) / n.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    out = x.T @ np.conj(x)
+    out /= x.shape[0]
+    return (out + out.conj().T) / 2.0
 
 
 def relative_error(approx, exact):

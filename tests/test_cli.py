@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from kronstap import lrkron
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
 from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter
@@ -136,6 +137,57 @@ class TestSimulate:
         code = run("simulate", "--config", config,
                    "--output", tmp_path / "x.kph")
         assert code == DATA_ERROR
+
+    @pytest.mark.parametrize("line, key", [
+        ("sigma2 = nan", "sigma2"), ("kappa = inf", "kappa"),
+        ("sigma2 = 1e400", "sigma2"), ("seed = -4", "seed"),
+        ("texture = inverse_gamma\ntexture_shape = nan", "texture_shape"),
+        ("target = 1 nan 1 0", "target"),
+        ("n_bins = 1000000000000000", "384,000,000,000,000,000 bytes"),
+    ])
+    def test_bad_scene_values_exit_2_naming_the_key(self, tmp_path, capsys,
+                                                    line, key):
+        text = "p = 3\nq = 8\nr_b = 2\n" + line + "\n"
+        if "n_bins" not in line:
+            text += "n_bins = 5\n"
+        out = tmp_path / "x.kph"
+        code = run("simulate", "--config", write_config(tmp_path, text),
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, CLUTTER_CONFIG)
+        code = run("simulate", "--config", config,
+                   "--output", tmp_path / "x.kph", "--seed", -4)
+        assert code == DATA_ERROR
+        assert "seed" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        "sigma2": st.floats(allow_nan=True, allow_infinity=True),
+        "kappa": st.floats(allow_nan=True, allow_infinity=True),
+        "texture_shape": st.floats(allow_nan=True, allow_infinity=True),
+        "seed": st.integers(-3, 3),
+        "n_bins": st.integers(-1, 6),
+        "target": st.tuples(st.integers(-1, 6), st.floats(), st.floats(),
+                            st.floats()),
+    }), texture=st.sampled_from(["constant", "inverse_gamma"]))
+    def test_generated_configs_exit_0_with_a_finite_cube_or_2(
+            self, tmp_path_factory, values, texture):
+        tmp = tmp_path_factory.mktemp("scene")
+        target = " ".join(repr(v) for v in values.pop("target"))
+        text = "p = 2\nq = 4\nr_b = 2\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in values.items())
+        text += f"texture = {texture}\ntarget = {target}\n"
+        out = tmp / "x.kph"
+        with np.errstate(all="ignore"):
+            code = run("simulate", "--config", write_config(tmp, text),
+                       "--output", out)
+        assert code in (0, DATA_ERROR)
+        if code == 0:
+            assert np.isfinite(read_phase_history(out).data).all()
 
 
 class TestEstimate:
@@ -544,6 +596,68 @@ class TestMultipassCli:
                     expected[pass_index, m] = filt.apply_matrix(
                         history.data[pass_index, m])
         assert np.array_equal(read_phase_history(out).data, expected)
+
+
+class TestDenseMultipassEstimate:
+    """More bins than K*p*q: the covariance is built from the pass cube."""
+
+    @pytest.fixture()
+    def cube(self, tmp_path):
+        config = write_config(tmp_path, MANY_BIN_TWO_PASS_CONFIG)
+        cube = tmp_path / "passes.kph"
+        assert run("simulate", "--config", config, "--output", cube) == 0
+        return cube
+
+    @staticmethod
+    def estimate(cube, fit, *extra):
+        return run("estimate", "--input", cube, "--output", fit,
+                   "--ra", 2, "--rb", 2, *extra)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cube_is_a_data_error(self, tmp_path, cube, bad):
+        history = read_phase_history(cube)
+        history.data[1, 123, 1, 5] = bad
+        broken = tmp_path / "broken.kph"
+        write_phase_history(broken, history)
+        fit = tmp_path / "fit.kes"
+        with np.errstate(invalid="ignore"):
+            assert self.estimate(broken, fit) == DATA_ERROR
+        assert not fit.exists()
+
+    def test_thread_count_never_changes_the_bytes(self, tmp_path, cube):
+        fits = []
+        for threads in (1, 2):
+            fit = tmp_path / f"fit{threads}.kes"
+            assert self.estimate(cube, fit, "--threads", threads) == 0
+            fits.append(fit.read_bytes())
+        assert fits[0] == fits[1]
+
+    def test_narrower_tiles_give_the_same_bytes(self, tmp_path, cube,
+                                                monkeypatch):
+        # p*q = 16 per pass: one tile per pass, or two of 8 columns
+        whole, tiled = tmp_path / "whole.kes", tmp_path / "tiled.kes"
+        assert self.estimate(cube, whole) == 0
+        monkeypatch.setattr(lrkron, "_COV_TILE", 8)
+        assert self.estimate(cube, tiled) == 0
+        assert tiled.read_bytes() == whole.read_bytes()
+
+    def test_estimate_makes_no_cube_sized_copy(self, tmp_path):
+        # 1024 bins of 2 passes x 2 x 64. Besides the cube, estimate
+        # holds one conjugated tile of columns (half the cube here) and
+        # the 256 x 256 matrix, a peak of 1.9 cubes; a stacked or a
+        # conjugated copy of the whole cube would take it past 2.25
+        config = write_config(tmp_path, "p = 2\nq = 64\nn_bins = 1024\n"
+                              "r_b = 2\nseed = 23\nK = 2\n")
+        cube = tmp_path / "passes.kph"
+        assert run("simulate", "--config", config, "--output", cube) == 0
+        cube_bytes = 2 * 1024 * 2 * 64 * 16
+        tracemalloc.start()
+        try:
+            assert self.estimate(cube, tmp_path / "fit.kes") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * cube_bytes
 
 
 class TestBenchCli:

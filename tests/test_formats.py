@@ -508,6 +508,20 @@ class TestSceneConfigParsing:
             assert excinfo.value.line == lineno
             assert f"line {lineno}:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("line", [
+        "sigma2 = nan", "sigma2 = 1e400", "kappa = inf", "kappa = -inf",
+        "texture_shape = nan", "change_fraction = nan",
+        "pass_gain_spread = inf",
+        "target = 1 nan 1 0", "target = 1 0.25 inf 0",
+        "target = 1 0.25 1 nan",
+    ])
+    def test_non_finite_numbers_are_rejected_by_key(self, line):
+        text = "p = 2\nq = 8\nn_bins = 16\nr_b = 2\n" + line + "\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scene_config(text)
+        assert excinfo.value.line == 5
+        assert line.split()[0] in str(excinfo.value)
+
     def test_missing_required_keys_are_reported(self):
         with pytest.raises(DataError, match="r_b"):
             parse_scene_config("p = 2\nq = 8\nn_bins = 16\n")
@@ -518,5 +532,7 @@ class TestSceneConfigParsing:
             parse_scene_config(base + "K = 0\n")
         with pytest.raises(DataError):
             parse_scene_config(base + "target = 99 0.1 1 0\n")
+        with pytest.raises(DataError, match="seed"):
+            parse_scene_config(base + "seed = -4\n")
         with pytest.raises(DataError):
             parse_scene_config("p = 2\nq = 8\nn_bins = 16\nr_b = 9\n")

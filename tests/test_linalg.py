@@ -9,8 +9,6 @@ from kronstap.linalg import (
     eig_truncate,
     hermitian_eig,
     kron,
-    unvec,
-    vec,
 )
 
 
@@ -30,11 +28,11 @@ def test_vec_unvec_roundtrip_and_order():
     for _ in range(10):
         rows, cols = rng.integers(1, 7, size=2)
         m = helpers.complex_gauss(rng, (rows, cols))
-        v = vec(m)
+        v = helpers.vec(m)
         assert np.array_equal(v, helpers.vec_loops(m))
-        assert np.array_equal(unvec(v, rows, cols), m)
+        assert np.array_equal(helpers.unvec(v, rows, cols), m)
     with pytest.raises(DimensionError):
-        unvec(np.zeros(5), 2, 3)
+        helpers.unvec(np.zeros(5), 2, 3)
 
 
 def test_kron_against_definition():

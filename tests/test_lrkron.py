@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from kronstap import lrkron
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
 from kronstap.layout import cube_to_snapshots
 from kronstap.linalg import _hermitian_part, eig_truncate
@@ -101,6 +102,117 @@ def test_snapshot_stack_is_a_private_copy():
     want = sample_covariance(snaps.copy(), 2, 3).matrix
     snaps[:] = 0.0
     assert np.array_equal(scm.matrix, want)
+
+
+def _pass_cube(seed, k, n, d_pass):
+    """A (k, n, d_pass) pass cube and its (n, k*d_pass) stacked rows."""
+    cube = helpers.complex_gauss(np.random.default_rng(seed), (k, n, d_pass))
+    return cube, np.ascontiguousarray(cube.swapaxes(0, 1)).reshape(n, -1)
+
+
+# Pass widths are multiples of 4 and no tile width divides them; tile
+# None keeps the package's widest tile. The narrowest tile GEMM is large
+# enough to take the threaded BLAS path when the full product does, and
+# with tile 8 the snapshot count is one BLAS block long, so OpenBLAS
+# sums every entry over the same blocks in the tiles as in one GEMM.
+@pytest.mark.parametrize("k, d_pass, tile", [
+    (1, 300, None), (2, 260, None), (3, 268, None),
+    (1, 20, 8), (2, 36, 8), (3, 12, 8),
+])
+def test_dense_covariance_is_bitwise_the_one_gemm(monkeypatch, k, d_pass,
+                                                  tile):
+    if tile is not None:
+        monkeypatch.setattr(lrkron, "_COV_TILE", tile)
+    n = k * d_pass + 5
+    cube, rows = _pass_cube(60 + k, k, n, d_pass)
+    want = helpers.outer_average_gemm(rows).tobytes()
+    p, q = k * d_pass // 4, 4
+    from_cube = sample_covariance(cube, p, q)
+    from_rows = sample_covariance(rows, p, q)
+    assert from_cube.snapshots is None and from_rows.snapshots is None
+    assert from_cube.matrix.tobytes() == want
+    assert from_rows.matrix.tobytes() == want
+
+
+@pytest.mark.parametrize("k, d_pass", [(1, 21), (3, 7), (2, 30)])
+def test_dense_covariance_is_exactly_hermitian_at_any_width(monkeypatch, k,
+                                                            d_pass):
+    # at widths that are not multiples of 4 the BLAS may round an entry
+    # and its mirror differently, so only rounding-level agreement holds
+    monkeypatch.setattr(lrkron, "_COV_TILE", 8)
+    n = k * d_pass + 3
+    cube, rows = _pass_cube(70 + k, k, n, d_pass)
+    s = sample_covariance(cube, k * d_pass, 1).matrix
+    assert np.array_equal(s, s.conj().T)
+    assert not s.diagonal().imag.any()
+    want = helpers.outer_average_gemm(rows)
+    assert np.max(np.abs(s - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_pass_cube_snapshot_path_stacks_the_passes():
+    # fewer snapshots than p*q: the cube is stacked into a private stack
+    cube, rows = _pass_cube(80, 2, 5, 6)
+    scm = sample_covariance(cube, 4, 3)
+    assert np.array_equal(scm.snapshots, rows.reshape(5, 4, 3))
+    cube[:] = 0.0
+    assert np.array_equal(scm.matrix,
+                          sample_covariance(rows, 4, 3).matrix)
+    with pytest.raises(DimensionError):
+        sample_covariance(np.zeros((2, 1, 5, 6)), 4, 3)
+    with pytest.raises(DimensionError):
+        sample_covariance(np.zeros((2, 5, 7)), 4, 3)
+
+
+class _CountHermitianChecks:
+    def __init__(self, mp):
+        self.calls = 0
+        original = lrkron._hermitian_part
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        mp.setattr(lrkron, "_hermitian_part", counted)
+
+
+def test_built_covariance_skips_only_the_hermitian_check(monkeypatch):
+    checks = _CountHermitianChecks(monkeypatch)
+    rows = helpers.complex_gauss(np.random.default_rng(81), (40, 12))
+    built = sample_covariance(rows, 3, 4)
+    assert not built.matrix.flags.writeable
+    user = SampleCovariance(built.matrix.copy(), 40, 3, 4)
+    fit_built = lr_kron_estimate(built, 1, 2)
+    assert checks.calls == 0
+    fit_user = lr_kron_estimate(user, 1, 2)
+    assert checks.calls == 1
+    # the matrix is exactly Hermitian, so symmetrizing it changes nothing
+    assert np.array_equal(fit_built.spatial, fit_user.spatial)
+    assert np.array_equal(fit_built.temporal, fit_user.temporal)
+
+
+@pytest.mark.parametrize("damage", ["asymmetry", "nan", "negative"])
+def test_user_covariance_is_still_checked_in_full(damage):
+    rows = helpers.complex_gauss(np.random.default_rng(82), (40, 12))
+    s = sample_covariance(rows, 3, 4).matrix.copy()
+    if damage == "asymmetry":
+        s[0, 5] += 0.5
+    elif damage == "nan":
+        s[3, 3] = np.nan
+    else:
+        s[7, 7] = -s[7, 7]
+    with pytest.raises(DataError):
+        lr_kron_estimate(SampleCovariance(s, 40, 3, 4), 1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_pass_cube_fails_the_built_check(bad):
+    cube, _ = _pass_cube(83, 2, 30, 6)
+    cube[1, 17, 4] = bad
+    with np.errstate(invalid="ignore"):
+        scm = sample_covariance(cube, 4, 3)
+    assert scm.snapshots is None
+    with pytest.raises(DataError, match="non-finite"):
+        lr_kron_estimate(scm, 2, 2)
 
 
 def test_estimator_input_validation():

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import lr_kron_init, unvec, vec
 from kronstap.errors import DimensionError
-from kronstap.linalg import unvec, vec
 from kronstap.rearrange import (
     RearrangedMatrix,
-    lr_kron_init,
     rearrange,
     unrearrange,
 )

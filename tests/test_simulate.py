@@ -37,6 +37,24 @@ class TestSceneConfig:
             with pytest.raises(DataError):
                 small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_power", float("nan")), ("noise_power", float("inf")),
+        ("kappa", float("inf")), ("kappa", float("nan")),
+        ("texture_shape", float("nan")), ("calibration_phase", float("inf")),
+        ("seed", -4),
+    ])
+    def test_validation_names_a_non_finite_or_negative_field(self, field,
+                                                             value):
+        with pytest.raises(DataError, match=field):
+            small_config(**{field: value}).validate()
+        with pytest.raises(DataError, match=field):
+            gen_clutter(small_config(**{field: value}))
+
+    def test_a_cube_too_large_to_allocate_is_a_data_error(self):
+        # numpy refuses the 384 PB allocation at once, touching no memory
+        with pytest.raises(DataError, match="384,000,000,000,000,000 bytes"):
+            gen_clutter(small_config(p=3, q=8, n_bins=10**15))
+
     def test_valid_config_passes(self):
         small_config().validate()
         small_config(texture="inverse_gamma", texture_shape=2.5).validate()
@@ -206,6 +224,22 @@ class TestInjectTarget:
             inject_target(history, 99, 0.1, 1.0)
         with pytest.raises(DimensionError):
             inject_target(history, 0, 0.1, 1.0, pass_index=1)
+
+    @pytest.mark.parametrize("doppler, amplitude", [
+        (float("nan"), 1.0), (1e308, 1.0), (0.1, float("inf")),
+    ])
+    def test_a_target_that_makes_the_bin_non_finite_is_rejected(
+            self, doppler, amplitude):
+        history = gen_clutter(small_config())
+        with np.errstate(all="ignore"), pytest.raises(DataError):
+            inject_target(history, 2, doppler, amplitude)
+
+    def test_targets_that_overflow_together_are_rejected(self):
+        # one channel, one pulse: the signature is 1
+        single = small_config(p=1, q=1, rank_temporal=1)
+        history = inject_target(gen_clutter(single), 2, 0.0, 1.5e308)
+        with np.errstate(all="ignore"), pytest.raises(DataError):
+            inject_target(history, 2, 0.0, 1.5e308)
 
 
 class TestGenMultipass:
