@@ -9,6 +9,12 @@ count never changes numerical output. It sizes the one WorkerPool,
 which estimate opens for the snapshot-path sweeps (fewer snapshots
 than p*q); every other stage runs on the calling thread. bench takes
 no --threads: its pool widths are the sweep rows' threads column.
+
+filter writes each filtered block back into the cube it read and
+writes that cube out, so it holds one cube. detect never forms a
+filtered cube: detection_image and, with --multipass, pass_images scan
+the raw cube with the filter folded into the detection operators (see
+filters), and a multipass scan gathers each block's passes itself.
 """
 
 import argparse
@@ -24,11 +30,14 @@ from .errors import ConfigError, DataError, KronStapError
 from .filters import bin_blocks, build_filter, detection_image, \
     make_doppler_grid, make_spatial_grid
 from .lrkron import lr_kron_estimate, sample_covariance
-from .multipass import change_detect, pass_images, stack_passes
+# stack_passes stays importable from here: perfbench's span tracer wraps
+# cli.stack_passes by name, while detect --multipass scans the pass cube
+from .multipass import change_detect, pass_images, \
+    stack_passes  # noqa: F401
 from .parallel import WorkerPool
 # inject_target stays importable from here: perfbench's span tracer wraps
 # cli.inject_target by name, while cmd_simulate adds targets in place
-from .simulate import PhaseHistory, _add_target, gen_clutter, gen_multipass, \
+from .simulate import _add_target, gen_clutter, gen_multipass, \
     inject_target  # noqa: F401
 
 USAGE_ERROR = 1
@@ -185,20 +194,18 @@ def cmd_filter(args):
     history = formats.read_phase_history(args.input)
     filt, stacked = _projection_filter_for(history, args)
     k, n_bins, p, q = history.data.shape
-    out = np.empty_like(history.data)
     for m0, m1 in bin_blocks(n_bins):
         # bin-major block; a stacked bin's K*p rows are K pass blocks of
         # p, gathered for this block alone
         block = history.data[:, m0:m1].swapaxes(0, 1)
         if stacked:
             block = block.reshape(m1 - m0, k * p, q)
+        # apply_matrix returns a fresh array, so the block's bins can go
+        # back into the cube they came from
         filtered = filt.apply_matrix(block)
-        out[:, m0:m1] = filtered.reshape(m1 - m0, k, p, q).swapaxes(0, 1)
-    formats.write_phase_history(
-        args.output,
-        PhaseHistory(history.p, history.q, history.n_passes, out,
-                     list(history.truth)),
-    )
+        history.data[:, m0:m1] = filtered.reshape(m1 - m0, k, p, q) \
+            .swapaxes(0, 1)
+    formats.write_phase_history(args.output, history)
     print(f"wrote {args.output}: filtered with {args.kind}")
     return 0
 
@@ -214,8 +221,7 @@ def cmd_detect(args):
         filt, stacked = _projection_filter_for(history, args)
         if not stacked:
             raise DataError("change detection needs a stacked estimate")
-        st = stack_passes(history)
-        images = pass_images(filt, st, dopplers, args.grid_spatial)
+        images = pass_images(filt, history, dopplers, args.grid_spatial)
         image = change_detect(images[0], images[1], signed=args.signed)
         label = "change map"
     else:

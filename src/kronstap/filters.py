@@ -20,10 +20,22 @@ Projection filters are kept factored; applying one works on the p x q
 bin matrix through two-sided products, so the pq x pq operator is never
 materialized. StapFilter.apply_matrix takes one bin or a whole
 (..., p, q) stack, and gives every bin of a stack the same bits as a
-call on that bin alone. detection_image, and the CLI's filter stage,
-walk a cube in blocks of BLOCK_BINS bins, one batched call per block,
-on the calling thread. No worker pool is used: spreading the same
-blocks over a 2-thread pool measured slower than the serial loop.
+call on that bin alone. The CLI's filter stage walks a cube in blocks
+of BLOCK_BINS bins, one batched call per block.
+
+Detection never forms a filtered cube. A kron filter is P_a x P_b, so
+a map's responses conj(G) P_a x P_b conj(T) fold the projectors into
+the two detection operators, formed once per scan: the Doppler side
+M = P_b conj(T) (q x D) and the spatial side G' = conj(G) P_a (S x p).
+The classical filter subtracts its joint-subspace part from x conj(T)
+through the rank-sized core U_a^H x conj(U_b). _scan_maps walks the raw
+bins in blocks of BLOCK_BINS, checks each block for finite entries,
+and costs one (m*p, q) @ M GEMM and one broadcast G' product per block;
+a pass cube's block gathers its passes' rows, and every spatial grid
+(one per pass) reads the same product. detection_image and
+multipass.pass_images both scan through it, on the calling thread.
+No worker pool is used: spreading the same blocks over a 2-thread pool
+measured slower than the serial loop.
 """
 
 from dataclasses import dataclass
@@ -177,6 +189,31 @@ class StapFilter:
         inner = u_a.conj().T @ x @ u_b.conj()
         return x - u_a @ inner @ u_b.T
 
+    def _detection_operators(self, temporal_conj, grid_conj):
+        """(right, left, joint): the detection operators of this filter.
+
+        A kron filter, or a spatial-only classical one, gives a map's
+        responses as left @ (x @ right), with the temporal projector
+        folded into right = P_b conj(T) and the spatial one into
+        left = conj(G) P_a; joint is None. A classical filter with both
+        bases keeps right = conj(T) and left = conj(G), and joint =
+        (U_a, conj(U_b), U_b^T conj(T)) for the subtracted part
+        U_a (U_a^H x conj(U_b)) (U_b^T conj(T)).
+        """
+        u_a = self.spatial_basis
+        u_b = None if self.spatial_only else self.temporal_basis
+        if self.kind == "classical" and not self.spatial_only:
+            if u_a is None or u_b is None:
+                return temporal_conj, grid_conj, None
+            return (temporal_conj, grid_conj,
+                    (u_a, u_b.conj(), u_b.T @ temporal_conj))
+        right, left = temporal_conj, grid_conj
+        if u_b is not None:
+            right = right - u_b.conj() @ (u_b.T @ right)
+        if u_a is not None:
+            left = left - (left @ u_a) @ u_a.conj().T
+        return right, left, None
+
     def apply(self, x):
         """Filter one channel-major snapshot vector."""
         return to_snapshot(self.apply_matrix(from_snapshot(x, self.p, self.q)))
@@ -285,17 +322,55 @@ class DetectionMap:
     spatial_grid: np.ndarray
 
 
+def _scan_maps(filt, passes, dopplers, grids):
+    """Detection magnitudes of a (K, n_bins, p, q) pass cube, one per grid.
+
+    The filter acts on each bin's K*p pass-stacked rows (pass-major, so
+    K = 1 is the bin itself), and every grid is an (S, K*p) block of
+    spatial candidates. Returns one (n_bins, D) array per grid: the
+    largest response magnitude over the grid's candidates, per bin and
+    Doppler. The cube goes through in blocks of BLOCK_BINS bins, each
+    checked for finite entries and never filtered: the filter lives in
+    the operators of StapFilter._detection_operators. Every bin's row
+    is bitwise equal to scanning that bin's block alone.
+    """
+    k, n_bins, p, q = passes.shape
+    rows = k * p
+    temporal = np.exp(2j * np.pi * np.outer(np.arange(q), dopplers))
+    temporal /= np.sqrt(q)
+    right, left, joint = filt._detection_operators(
+        temporal.conj(), np.concatenate(grids).conj())
+    edges = np.cumsum([0] + [len(grid) for grid in grids])
+    maps = [np.empty((n_bins, dopplers.size), dtype=np.float64)
+            for _ in grids]
+    for m0, m1 in bin_blocks(n_bins):
+        # bin-major block; a bin's K*p rows are its K pass blocks of p,
+        # gathered for this block alone
+        block = passes[0, m0:m1] if k == 1 else \
+            passes[:, m0:m1].swapaxes(0, 1).reshape(m1 - m0, rows, q)
+        if not np.isfinite(block).all():
+            raise DataError("bin matrix contains non-finite entries")
+        x = _as_rows(block, rows, q)
+        y = (x @ right).reshape(m1 - m0, rows, -1)
+        if joint is not None:
+            u_a, u_b_conj, tail = joint
+            core = u_a.conj().T @ (x @ u_b_conj).reshape(m1 - m0, rows, -1)
+            y -= u_a @ (core @ tail)
+        magnitudes = np.abs(left @ y)
+        for out, s0, s1 in zip(maps, edges[:-1], edges[1:]):
+            out[m0:m1] = magnitudes[:, s0:s1].max(axis=1)
+    return maps
+
+
 def detection_image(filt, cube, dopplers, spatial_grid):
     """Max matched-filter magnitude over spatial candidates, per bin and Doppler.
 
-    cube is (n_bins, p, q) with p matching the filter. The cube goes
-    through in blocks of BLOCK_BINS bins on the calling thread, with no
-    worker pool: each block is filtered by one apply_matrix call, its
-    Doppler responses come from one (m*p, q) GEMM, and the spatial
-    candidates broadcast over the block. Every bin's row is bitwise
-    equal to scanning that bin alone.
+    cube is (n_bins, p, q) with p matching the filter. It is scanned by
+    _scan_maps, which folds the filter into the detection operators and
+    never forms a filtered copy of the cube; a non-finite bin is a
+    DataError.
     """
-    cube = np.asarray(cube)
+    cube = np.asarray(cube, dtype=np.complex128)
     if cube.ndim != 3 or cube.shape[1:] != (filt.p, filt.q):
         raise DimensionError(
             f"cube shape {cube.shape} does not match filter ({filt.p}, {filt.q})"
@@ -306,16 +381,5 @@ def detection_image(filt, cube, dopplers, spatial_grid):
         raise DimensionError(
             f"spatial grid shape {spatial_grid.shape} does not match p = {filt.p}"
         )
-    n_bins = cube.shape[0]
-    temporal = np.exp(2j * np.pi * np.outer(np.arange(filt.q), dopplers))
-    temporal /= np.sqrt(filt.q)
-    temporal_conj = temporal.conj()
-    spatial_conj = spatial_grid.conj()
-    values = np.empty((n_bins, dopplers.size), dtype=np.float64)
-    for m0, m1 in bin_blocks(n_bins):
-        filtered = filt.apply_matrix(cube[m0:m1])
-        rows = _as_rows(filtered, filt.p, filt.q)
-        per_doppler = (rows @ temporal_conj).reshape(m1 - m0, filt.p, -1)
-        responses = spatial_conj @ per_doppler
-        values[m0:m1] = np.abs(responses).max(axis=1)
+    values, = _scan_maps(filt, cube[None], dopplers, [spatial_grid])
     return DetectionMap(values, dopplers, spatial_grid)

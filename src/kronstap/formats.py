@@ -202,9 +202,11 @@ def write_detection_csv(path, image):
         # plain-float reprs round-trip exactly and stay parseable
         header = ",".join(f"f={float(f)!r}" for f in image.dopplers)
         fh.write(f"bin,{header}\n")
-        for m, row in enumerate(image.values):
-            cells = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{m},{cells}\n")
+        # tolist per row: a whole-map list would hold every value as a
+        # Python float at once
+        values = np.asarray(image.values, dtype=np.float64)
+        for m, row in enumerate(values):
+            fh.write(f"{m},{','.join(map(repr, row.tolist()))}\n")
 
 
 def read_detection_csv(path):

@@ -7,9 +7,13 @@ uses a spatial rank budget of K. The joint covariance needs no stacked
 copy: pass k's rows are column block k of the stacked snapshots, so
 `sample_covariance` reads a (K, n_bins, p*q) pass cube as is (the CLI
 does so) and stacks only on its snapshot path, with fewer bins than
-Kpq. The CLI's filter gathers the passes of one block of bins at a
-time. Change detection subtracts the pixel magnitudes of two per-pass
-detection images formed from the same filtered stacked data.
+Kpq. Neither does detection: pass_images scans the (K, n_bins, p, q)
+pass cube as read, and gathers the passes of one block of bins at a
+time, as the CLI's filter does. The joint filter folds into the
+detection operators (see filters), so one product per block serves the
+detection images of every pass, and no filtered cube is formed. Change
+detection subtracts the pixel magnitudes of two per-pass detection
+images formed from the same jointly filtered bins.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .filters import DetectionMap, detection_image, make_stacked_spatial_grid
+# detection_image stays importable from here: perfbench's span tracer
+# wraps multipass.detection_image by name, while pass_images scans the
+# pass cube through filters._scan_maps
+from .filters import DetectionMap, _scan_maps, detection_image, \
+    make_stacked_spatial_grid  # noqa: F401
 from .lrkron import lr_kron_estimate, sample_covariance
 from .simulate import PhaseHistory
 
@@ -72,27 +80,32 @@ def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
                             tol=tol, max_iter=max_iter, pool=pool)
 
 
-def pass_images(filt, stacked, dopplers, spatial_count=16):
-    """One detection image per pass from jointly filtered stacked bins.
+def pass_images(filt, history, dopplers, spatial_count=16):
+    """One detection image per pass from jointly filtered pass-stacked bins.
 
-    The spatial candidates for pass k are the single-pass grid embedded
-    in pass k's channel block with zeros elsewhere, so each image reads
-    out one pass of the filtered stack. Each image is one
-    detection_image call, which walks the bins in batched blocks.
+    history is a PhaseHistory of K passes and filt the joint filter of
+    their K*p stacked channels. The spatial candidates for pass k are
+    the single-pass grid embedded in pass k's channel block with zeros
+    elsewhere, so each image reads out one pass of the jointly filtered
+    bins. One scan of the pass cube forms all K images: each block of
+    bins gathers its passes and takes one product for every pass.
     """
-    if filt.p != stacked.stacked_channels or filt.q != stacked.q:
+    if not isinstance(history, PhaseHistory):
+        raise DimensionError("pass_images expects a PhaseHistory")
+    k, p, q = history.n_passes, history.p, history.q
+    if filt.p != k * p or filt.q != q:
         raise DimensionError(
             f"filter ({filt.p}, {filt.q}) does not match stacked shape "
-            f"({stacked.stacked_channels}, {stacked.q})"
+            f"({k * p}, {q})"
         )
-    grid = make_stacked_spatial_grid(stacked.p, stacked.n_passes, spatial_count)
-    images = []
-    for k in range(stacked.n_passes):
-        block = grid[k * spatial_count:(k + 1) * spatial_count]
-        images.append(
-            detection_image(filt, stacked.data, dopplers, block)
-        )
-    return images
+    dopplers = np.asarray(dopplers, dtype=np.float64).ravel()
+    grid = make_stacked_spatial_grid(p, k, spatial_count)
+    grids = [grid[i * spatial_count:(i + 1) * spatial_count]
+             for i in range(k)]
+    maps = _scan_maps(filt, np.asarray(history.data, dtype=np.complex128),
+                      dopplers, grids)
+    return [DetectionMap(values, dopplers, block)
+            for values, block in zip(maps, grids)]
 
 
 def change_detect(image_a, image_b, signed=False):

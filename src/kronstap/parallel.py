@@ -12,8 +12,6 @@ numerical result is therefore bitwise identical for any thread count,
 including the serial pool.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import DimensionError
 
 # Upper bound on spans per loop; keeps dispatch overhead bounded while
@@ -46,7 +44,14 @@ class WorkerPool:
         if threads < 1:
             raise DimensionError(f"thread count must be >= 1, got {threads}")
         self.threads = int(threads)
-        self._executor = ThreadPoolExecutor(self.threads) if self.threads > 1 else None
+        self._executor = None
+        if self.threads > 1:
+            # imported here: the serial pool, which every stage but the
+            # snapshot sweeps uses, keeps concurrent.futures out of the
+            # import of the package
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self.threads)
 
     def run(self, fn, spans):
         """Apply fn(start, stop) to every span, results in span order."""

@@ -37,6 +37,11 @@ _TEXTURES = ("constant", "inverse_gamma")
 # filters.BLOCK_BINS, which only sets how many bins one batched call takes.
 BLOCK_BINS = 256
 
+# A block whose clutter entries are bounded below this needs no scan for
+# overflow: the noise it adds stays below sqrt(max float) ~ 1.3e154
+# times a few standard deviations, so the sum is finite.
+_SAFE_MAGNITUDE = 1e300
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -200,6 +205,12 @@ def _cmul(a, b, out):
     return out
 
 
+def _part_max(a):
+    """Largest |real| or |imaginary| part in an array (nan if one is)."""
+    return float(np.abs(a.view(np.float64) if a.dtype.kind == "c"
+                        else a).max())
+
+
 def _empty_cube(n_passes, n_bins, p, q):
     """The (n_passes, n_bins, p, q) complex cube, or a DataError with its
     size when numpy cannot allocate it (numpy refuses that at once)."""
@@ -241,17 +252,19 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                            basis)
         tau = _texture_draws(_stream(seed, 1, b, 1), config, nb)
         block_changed = changed[m0:m1]
+        speckle_max = _part_max(speckle)
         for k in range(n_passes):
             if unit_gains:
                 coef = tau
             else:
                 zeta = _complex_normal(_stream(seed, 2, b, k, 0), (nb,))
                 coef = tau * (1.0 + gain_spread * zeta)
-            speckle_k = speckle
+            speckle_k, speckle_k_max = speckle, speckle_max
             if block_changed.any():
                 fresh = _complex_normal(_stream(seed, 2, b, k, 1), (nb, r))
                 speckle_k = np.where(block_changed[:, None],
                                      _speckle(fresh, basis), speckle)
+                speckle_k_max = _part_max(speckle_k)
             channel = _cmul(coef[:, None], calibrations[k],
                             np.empty((nb, p), dtype=np.complex128))
             out = _cmul(channel[:, :, None], speckle_k[:, None, :],
@@ -259,6 +272,16 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
             if noise_amp > 0:
                 out += _complex_normal(_stream(seed, 2, b, k, 2),
                                        (nb, p, q), noise_amp)
+            # each part of a product of two complex factors is at most
+            # twice the product of their largest parts; only a block whose
+            # bound is not comfortably finite (or is nan) gets scanned
+            bound = 4.0 * _part_max(coef) * _part_max(calibrations[k]) \
+                * speckle_k_max
+            if not bound < _SAFE_MAGNITUDE and not np.isfinite(out).all():
+                raise DataError(
+                    f"pass {k} overflows in bins {m0}..{m1 - 1}: its "
+                    f"clutter gain (pass_gain_spread {gain_spread!r}, "
+                    f"texture {config.texture}) is too large")
     return PhaseHistory(p, q, n_passes, data)
 
 

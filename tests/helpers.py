@@ -220,6 +220,40 @@ def unstack_passes(stacked):
     return PhaseHistory(p, stacked.q, k, data, list(stacked.truth))
 
 
+def per_bin_maps(filt, passes, dopplers, grids):
+    """Detection maps of a (K, n_bins, p, q) pass cube, one bin at a time.
+
+    Declared oracle for the folded detection scan: each bin's K*p
+    pass-stacked rows are filtered with apply_matrix first, then matched
+    against every grid's candidates and the Doppler steering.
+    """
+    k, n_bins, p, q = passes.shape
+    temporal = np.exp(2j * np.pi * np.outer(np.arange(q), dopplers))
+    temporal /= np.sqrt(q)
+    maps = [np.empty((n_bins, len(dopplers))) for _ in grids]
+    for m in range(n_bins):
+        filtered = filt.apply_matrix(passes[:, m].reshape(k * p, q))
+        per_doppler = filtered @ temporal.conj()
+        for out, grid in zip(maps, grids):
+            out[m] = np.abs(grid.conj() @ per_doppler).max(axis=0)
+    return maps
+
+
+def assert_map_matches(actual, expected, scale):
+    """actual is within 1e-12 of expected's peak, with the same argmax.
+
+    A map the filter annihilates (peak below 1e-12 * scale, the input's
+    largest magnitude) is rounding noise in both: then each map only
+    has to stay below that bound.
+    """
+    peak = expected.max()
+    if peak <= 1e-12 * scale:
+        assert actual.max() <= 1e-12 * scale
+        return
+    assert np.abs(actual - expected).max() <= 1e-12 * peak
+    assert np.argmax(actual) == np.argmax(expected)
+
+
 class CountFullSolves:
     """Records the size of every linalg._full_eig call while installed."""
 

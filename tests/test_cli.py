@@ -144,6 +144,7 @@ class TestSimulate:
         ("texture = inverse_gamma\ntexture_shape = nan", "texture_shape"),
         ("target = 1 nan 1 0", "target"),
         ("n_bins = 1000000000000000", "384,000,000,000,000,000 bytes"),
+        ("K = 2\npass_gain_spread = 1e308", "pass_gain_spread"),
     ])
     def test_bad_scene_values_exit_2_naming_the_key(self, tmp_path, capsys,
                                                     line, key):
@@ -151,8 +152,9 @@ class TestSimulate:
         if "n_bins" not in line:
             text += "n_bins = 5\n"
         out = tmp_path / "x.kph"
-        code = run("simulate", "--config", write_config(tmp_path, text),
-                   "--output", out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("simulate", "--config", write_config(tmp_path, text),
+                       "--output", out)
         assert code == DATA_ERROR
         assert key in capsys.readouterr().err
         assert not out.exists()
@@ -171,6 +173,8 @@ class TestSimulate:
         "texture_shape": st.floats(allow_nan=True, allow_infinity=True),
         "seed": st.integers(-3, 3),
         "n_bins": st.integers(-1, 6),
+        "K": st.integers(1, 2),
+        "pass_gain_spread": st.floats(allow_nan=True, allow_infinity=True),
         "target": st.tuples(st.integers(-1, 6), st.floats(), st.floats(),
                             st.floats()),
     }), texture=st.sampled_from(["constant", "inverse_gamma"]))
@@ -545,6 +549,20 @@ class TestMultipassCli:
         # denormal-scale residue
         assert change.values.max() <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cube_is_a_data_error(self, tmp_path, stacked_scene,
+                                             bad):
+        cube, fit = stacked_scene
+        history = read_phase_history(cube)
+        history.data[1, 20, 2, 5] = bad
+        broken = tmp_path / "broken.kph"
+        write_phase_history(broken, history)
+        out = tmp_path / "change.csv"
+        code = run("detect", "--input", broken, "--estimate", fit,
+                   "--output", out, "--multipass")
+        assert code == DATA_ERROR
+        assert not out.exists()
+
     def test_multipass_flag_is_required_for_stacks(self, tmp_path,
                                                    stacked_scene):
         cube, fit = stacked_scene
@@ -640,6 +658,26 @@ class TestDenseMultipassEstimate:
         monkeypatch.setattr(lrkron, "_COV_TILE", 8)
         assert self.estimate(cube, tiled) == 0
         assert tiled.read_bytes() == whole.read_bytes()
+
+    def test_filter_works_in_place(self, tmp_path):
+        # 4096 bins of 2 passes x 2 x 64. The filter reads the cube,
+        # writes each filtered block back into it and writes it out: a
+        # peak of one cube plus a few 1 MB block temporaries, 1.3 cubes
+        # here; a second cube for the output would take it past 2
+        config = write_config(tmp_path, "p = 2\nq = 64\nn_bins = 4096\n"
+                              "r_b = 2\nseed = 25\nK = 2\n")
+        cube, fit = tmp_path / "passes.kph", tmp_path / "fit.kes"
+        assert run("simulate", "--config", config, "--output", cube) == 0
+        assert self.estimate(cube, fit) == 0
+        cube_bytes = 2 * 4096 * 2 * 64 * 16
+        tracemalloc.start()
+        try:
+            assert run("filter", "--input", cube, "--estimate", fit,
+                       "--output", tmp_path / "filtered.kph") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cube_bytes
 
     def test_estimate_makes_no_cube_sized_copy(self, tmp_path):
         # 1024 bins of 2 passes x 2 x 64. Besides the cube, estimate

@@ -24,6 +24,8 @@ from kronstap.filters import (
 )
 from kronstap.formats import read_estimate, write_estimate
 from kronstap.lrkron import KronCovEstimate
+from kronstap.multipass import pass_images
+from kronstap.simulate import PhaseHistory
 
 
 def orthonormal_columns(rng, n, r):
@@ -632,23 +634,94 @@ class TestDetectionImage:
         rng = np.random.default_rng(31)
         q, n_bins = 8, 2 * BLOCK_BINS + 13      # two full blocks and a tail
         dopplers = make_doppler_grid(16)
-        temporal = np.exp(2j * np.pi * np.outer(np.arange(q), dopplers))
-        temporal /= np.sqrt(q)
         for p in (1, 2, 3):
             cube = helpers.complex_gauss(rng, (n_bins, p, q))
             filt = projection_filter("kron", orthonormal_columns(rng, p, 1),
                                      orthonormal_columns(rng, q, 2), p, q)
             grid = make_spatial_grid(p, 8)
             image = detection_image(filt, cube, dopplers, grid)
-            expected = np.empty((n_bins, dopplers.size))
-            for m in range(n_bins):
-                filtered = filt.apply_matrix(cube[m])
-                responses = grid.conj() @ (filtered @ temporal.conj())
-                expected[m] = np.abs(responses).max(axis=0)
-            assert np.array_equal(image.values, expected)
+            expected, = helpers.per_bin_maps(filt, cube[None], dopplers,
+                                             [grid])
+            # the filter folds into the detection operators, which rounds
+            # differently from filtering each bin first; at p = 1 the
+            # spatial projector removes everything
+            helpers.assert_map_matches(image.values, expected,
+                                       np.abs(cube).max())
 
     def test_cube_shape_is_validated(self):
         filt = projection_filter("kron", None, None, 2, 4)
         with pytest.raises(DimensionError):
             detection_image(filt, np.zeros((3, 4, 2), dtype=np.complex128),
                             make_doppler_grid(4), make_spatial_grid(2, 4))
+
+
+def _scan_filter(rng, kind, bases, rows, q):
+    """A projection filter on rows x q bins with the named bases kept."""
+    u_a = orthonormal_columns(rng, rows, 1) if bases != "temporal" else None
+    u_b = orthonormal_columns(rng, q, 2) if bases != "spatial" else None
+    return projection_filter(kind, u_a, u_b, rows, q,
+                             spatial_only=bases == "spatial-only")
+
+
+def _scan(filt, passes, dopplers, count):
+    """The maps of a (K, n_bins, p, q) cube through the public entries."""
+    k, _, p, q = passes.shape
+    if k == 1:
+        grid = make_spatial_grid(p, count)
+        return [detection_image(filt, passes[0], dopplers, grid).values], \
+            [grid]
+    images = pass_images(filt, PhaseHistory(p, q, k, passes), dopplers,
+                         spatial_count=count)
+    return [image.values for image in images], \
+        [image.spatial_grid for image in images]
+
+
+class TestFoldedScan:
+    """detection_image and pass_images against a filter-first oracle."""
+
+    @pytest.mark.parametrize("n_passes", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("bases", ["both", "spatial-only", "spatial",
+                                       "temporal"])
+    @pytest.mark.parametrize("kind", ["kron", "classical"])
+    def test_maps_match_a_per_bin_reference(self, kind, bases, p, n_passes):
+        rng = np.random.default_rng([32, p, n_passes])
+        q, n_bins = 8, 2 * BLOCK_BINS + 13      # two full blocks and a tail
+        passes = helpers.complex_gauss(rng, (n_passes, n_bins, p, q))
+        filt = _scan_filter(rng, kind, bases, n_passes * p, q)
+        dopplers = make_doppler_grid(16)
+        maps, grids = _scan(filt, passes, dopplers, 4)
+        expected = helpers.per_bin_maps(filt, passes, dopplers, grids)
+        assert len(maps) == n_passes
+        for values, reference in zip(maps, expected):
+            helpers.assert_map_matches(values, reference,
+                                       np.abs(passes).max())
+
+    @pytest.mark.parametrize("n_passes", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["kron", "classical"])
+    def test_a_block_scans_like_its_bins_alone(self, kind, p, n_passes):
+        rng = np.random.default_rng([33, p, n_passes])
+        q, n_bins = 8, 2 * BLOCK_BINS + 13
+        passes = helpers.complex_gauss(rng, (n_passes, n_bins, p, q))
+        filt = _scan_filter(rng, kind, "both", n_passes * p, q)
+        dopplers = make_doppler_grid(16)
+        whole, _ = _scan(filt, passes, dopplers, 4)
+        for m0, m1 in [(BLOCK_BINS, 2 * BLOCK_BINS),
+                       (2 * BLOCK_BINS, n_bins), (5, 6)]:
+            alone, _ = _scan(filt, np.ascontiguousarray(passes[:, m0:m1]),
+                             dopplers, 4)
+            for values, part in zip(whole, alone):
+                assert np.array_equal(values[m0:m1], part)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_bin_is_a_data_error(self, bad):
+        rng = np.random.default_rng(34)
+        passes = helpers.complex_gauss(rng, (2, BLOCK_BINS + 3, 2, 8))
+        passes[1, BLOCK_BINS + 1, 0, 3] = bad
+        filt = _scan_filter(rng, "kron", "both", 4, 8)
+        with pytest.raises(DataError):
+            _scan(filt, passes, make_doppler_grid(8), 4)
+        with pytest.raises(DataError):
+            _scan(_scan_filter(rng, "kron", "both", 2, 8), passes[1:],
+                  make_doppler_grid(8), 4)

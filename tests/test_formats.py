@@ -423,6 +423,46 @@ class TestCsvFiles:
         assert float(fields[7]) == 0.125
 
 
+class TestCsvFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(residuals=st.lists(st.floats(allow_nan=False), max_size=20))
+    def test_residuals_round_trip_exactly(self, residuals):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "residuals.csv")
+            write_residuals_csv(path, residuals)
+            back = read_residuals_csv(path)
+        # repr tells -0.0 from 0.0, which == does not
+        assert list(map(repr, back)) == list(map(repr, residuals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_detection_round_trips_exactly_in_the_documented_bytes(self,
+                                                                    data):
+        n_bins, count = data.draw(st.integers(1, 6)), data.draw(
+            st.integers(1, 6))
+        cells = st.floats(width=64)
+        values = np.array(data.draw(st.lists(
+            st.lists(cells, min_size=count, max_size=count),
+            min_size=n_bins, max_size=n_bins)), dtype=np.float64)
+        dopplers = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False), min_size=count, max_size=count)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "map.csv")
+            write_detection_csv(path, DetectionMap(values, dopplers, None))
+            with open(path) as fh:
+                text = fh.read()
+            back = read_detection_csv(path)
+        # repr tells -0.0 from 0.0 and reads every NaN as the one 'nan'
+        assert list(map(repr, back.values.ravel().tolist())) == \
+            list(map(repr, values.ravel().tolist()))
+        assert back.dopplers.tobytes() == dopplers.tobytes()
+        # one repr per cell: the bytes the writer has always produced
+        header = ",".join(f"f={float(f)!r}" for f in dopplers)
+        rows = [f"{m}," + ",".join(repr(float(v)) for v in row)
+                for m, row in enumerate(values)]
+        assert text == "\n".join([f"bin,{header}"] + rows) + "\n"
+
+
 class TestPgm:
     def test_header_and_peak_scaling(self, tmp_path):
         values = np.array([[0.0, 1.0], [2.0, 4.0]])

@@ -317,6 +317,17 @@ class TestGenMultipass:
         with pytest.raises(DataError):
             gen_multipass(config, 2, change_fraction=1.5)
 
+    def test_an_overflowing_gain_spread_is_a_data_error(self):
+        config = small_config(p=3, q=8, n_bins=BLOCK_BINS + 5, seed=11)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="pass_gain_spread"):
+            gen_multipass(config, 2, gain_spread=1e308)
+
+    def test_a_huge_but_finite_gain_spread_still_simulates(self):
+        config = small_config(p=3, q=8, n_bins=BLOCK_BINS + 5, seed=11)
+        history = gen_multipass(config, 2, gain_spread=1e150)
+        assert np.isfinite(history.data).all()
+
     def test_single_pass_matches_gen_clutter_layout(self):
         config = small_config(seed=10)
         single = gen_multipass(config, 1, shared_calibration=True,
