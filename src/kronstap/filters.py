@@ -147,7 +147,6 @@ class StapFilter:
     q: int
     spatial_basis: np.ndarray = None
     temporal_basis: np.ndarray = None
-    spatial_only: bool = False
 
     def apply_matrix(self, x):
         """Filter one (p, q) bin matrix, or a (..., p, q) stack of them.
@@ -168,7 +167,7 @@ class StapFilter:
         if not np.isfinite(x).all():
             raise DataError("bin matrix contains non-finite entries")
         u_a = self.spatial_basis
-        u_b = None if self.spatial_only else self.temporal_basis
+        u_b = self.temporal_basis
         if self.kind == "kron":
             out = x
             if u_b is not None:
@@ -179,30 +178,24 @@ class StapFilter:
                 out = out - u_a @ (u_a.conj().T @ out)
             return np.array(out) if out is x else out
         # classical: subtract the joint-subspace component
-        if u_a is None:
+        if u_a is None or u_b is None:
             return np.array(x)
-        if self.spatial_only:
-            return x - u_a @ (u_a.conj().T @ x)
-        if self.temporal_basis is None:
-            return np.array(x)
-        u_b = self.temporal_basis
         inner = u_a.conj().T @ x @ u_b.conj()
         return x - u_a @ inner @ u_b.T
 
     def _detection_operators(self, temporal_conj, grid_conj):
         """(right, left, joint): the detection operators of this filter.
 
-        A kron filter, or a spatial-only classical one, gives a map's
-        responses as left @ (x @ right), with the temporal projector
-        folded into right = P_b conj(T) and the spatial one into
-        left = conj(G) P_a; joint is None. A classical filter with both
-        bases keeps right = conj(T) and left = conj(G), and joint =
-        (U_a, conj(U_b), U_b^T conj(T)) for the subtracted part
-        U_a (U_a^H x conj(U_b)) (U_b^T conj(T)).
+        A kron filter gives a map's responses as left @ (x @ right),
+        with the temporal projector folded into right = P_b conj(T) and
+        the spatial one into left = conj(G) P_a; joint is None. A
+        classical filter with both bases keeps right = conj(T) and
+        left = conj(G), and joint = (U_a, conj(U_b), U_b^T conj(T)) for
+        the subtracted part U_a (U_a^H x conj(U_b)) (U_b^T conj(T)).
         """
         u_a = self.spatial_basis
-        u_b = None if self.spatial_only else self.temporal_basis
-        if self.kind == "classical" and not self.spatial_only:
+        u_b = self.temporal_basis
+        if self.kind == "classical":
             if u_a is None or u_b is None:
                 return temporal_conj, grid_conj, None
             return (temporal_conj, grid_conj,
@@ -221,7 +214,11 @@ class StapFilter:
 
 def projection_filter(kind, spatial_basis, temporal_basis, p, q,
                       spatial_only=False):
-    """Build a classical or kron filter from explicit subspace bases."""
+    """Build a classical or kron filter from explicit subspace bases.
+
+    spatial_only drops the temporal basis: for either kind that is
+    (I - P_a) x I, the kron filter with no temporal basis.
+    """
     if kind not in ("classical", "kron"):
         raise DimensionError(f"unknown projection filter kind {kind!r}")
     for name, basis, dim in (("spatial", spatial_basis, p),
@@ -230,7 +227,9 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q,
             raise DimensionError(
                 f"{name} basis has {basis.shape[0]} rows, expected {dim}"
             )
-    return StapFilter(kind, p, q, spatial_basis, temporal_basis, spatial_only)
+    if spatial_only:
+        return StapFilter("kron", p, q, spatial_basis, None)
+    return StapFilter(kind, p, q, spatial_basis, temporal_basis)
 
 
 def _factor_basis(estimate, name, rank, tol):
@@ -254,14 +253,9 @@ def build_filter(kind, estimate, drop_temporal=False, rank_tol=1e-9):
         raise DimensionError(f"{kind} filter needs a covariance estimate")
     u_a = _factor_basis(estimate, "spatial", estimate.rank_spatial, rank_tol)
     u_b = _factor_basis(estimate, "temporal", estimate.rank_temporal, rank_tol)
-    return StapFilter(
-        kind,
-        estimate.spatial.shape[0],
-        estimate.temporal.shape[0],
-        u_a,
-        u_b,
-        spatial_only=drop_temporal,
-    )
+    return projection_filter(kind, u_a, u_b, estimate.spatial.shape[0],
+                             estimate.temporal.shape[0],
+                             spatial_only=drop_temporal)
 
 
 def sinr(weights, steering, amplitude, sigma):

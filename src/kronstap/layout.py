@@ -7,8 +7,8 @@ spatial factor of a Kronecker-structured covariance acts across the
 p channel blocks and the temporal factor within each block, and a
 spatial-by-temporal steering product kron(a, b) lines up with the data.
 
-All conversions between cubes and snapshot vectors go through here so
-the convention lives in exactly one place.
+Conversions between bin matrices and snapshot vectors go through here
+so the convention lives in exactly one place.
 """
 
 import numpy as np
@@ -31,11 +31,3 @@ def from_snapshot(v, p, q):
         raise DimensionError(f"snapshot length {v.size} does not match {p}x{q}")
     return v.reshape(p, q)
 
-
-def cube_to_snapshots(cube):
-    """Flatten an (n_bins, p, q) stack into (n_bins, p*q) snapshots."""
-    cube = np.asarray(cube)
-    if cube.ndim != 3:
-        raise DimensionError(f"cube must be 3-D, got shape {cube.shape}")
-    n_bins, p, q = cube.shape
-    return np.ascontiguousarray(cube).reshape(n_bins, p * q)

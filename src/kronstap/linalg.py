@@ -16,12 +16,13 @@ straddles the rank cut. It has two callers:
 
 - the filter, for a factor's subspace, on the range of the factor
   times a fixed random n x (rank + _RANGE_OVERSAMPLE) test matrix;
-- `eig_truncate` given a `span`, which is the estimator's final
+- a truncation given a `span`, which is the estimator's final
   temporal truncation on the snapshot path, on the span of the
   snapshot rows, which holds the temporal iterate's range.
 
-`eig_truncate` without a span, as in the estimator's spatial
-truncation and on its dense path, runs `hermitian_eig`.
+Without a span, as in the estimator's spatial truncation and on its
+dense path, a truncation runs the full solve. The estimator calls
+`_truncate`, `eig_truncate` without its input check.
 """
 
 import math
@@ -249,26 +250,32 @@ def _top_eigenpairs(sym, rank, span=None):
 def eig_truncate(m, rank, span=None):
     """Best Hermitian approximation keeping the top `rank` eigenpairs.
 
-    Negative eigenvalues within rounding distance of zero are clamped
-    before truncation, so a PSD input yields a PSD result. rank equal to
-    the full dimension short-circuits to the symmetrized input.
+    m is checked once, by `_hermitian_part`: finite, square and
+    Hermitian within tolerance, then symmetrized. Negative eigenvalues
+    within rounding distance of zero are clamped before truncation, so
+    a PSD input yields a PSD result. rank equal to the full dimension
+    short-circuits to the symmetrized input.
 
     span, an n x k matrix whose columns span a range that holds m's,
     lets the eigenpairs come from the checked Rayleigh-Ritz solve of
     `_top_eigenpairs` on that range; the full solve still runs whenever
     that solve is declined. Without it the full solve always runs.
     """
-    m = as_matrix(m, "matrix")
-    n = m.shape[0]
+    sym = _hermitian_part(m, "matrix")
+    n = sym.shape[0]
     if not 1 <= rank <= n:
         raise DimensionError(f"rank must be in [1, {n}], got {rank}")
-    if rank == n:
-        return _hermitian_part(m, "matrix")
+    return _truncate(sym, rank, span)
+
+
+def _truncate(sym, rank, span=None):
+    """eig_truncate of a finite Hermitian sym, 1 <= rank <= n: no check."""
+    if rank == sym.shape[0]:
+        return sym
     if span is None:
-        values, vectors = hermitian_eig(m)
+        values, vectors = _full_eig(sym)
     else:
-        values, vectors = _top_eigenpairs(_hermitian_part(m, "matrix"),
-                                          rank, span)
+        values, vectors = _top_eigenpairs(sym, rank, span)
     top = max(abs(values[0]), abs(values[-1]))   # values sorted descending
     lam = values[:rank]
     lam = np.where((lam < 0) & (np.abs(lam) <= _CLAMP_RTOL * top), 0.0, lam)

@@ -14,10 +14,10 @@ shape alone:
 - built by `sample_covariance` from n >= p*q snapshots, it holds the
   dense matrix, formed exactly Hermitian from the upper tile pairs
   of _COV_TILE columns and read straight from a K-pass cube without
-  stacking it; the estimator then checks only its shape, its
-  diagonal and that its entries are finite;
-- constructed from a user's matrix, it holds that matrix, which the
-  estimator checks in full and symmetrizes once.
+  stacking it, and checked there for finite entries;
+- constructed from a user's matrix, it holds that matrix, checked in
+  full and symmetrized once by the constructor; the estimator never
+  checks a covariance again.
 
 On either dense path each sweep is one einsum over the (p, q, p, q)
 block view. Only the snapshot sweeps split their GEMMs over a
@@ -26,13 +26,15 @@ calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
 iteration, by the full p x p eigensolve, and the temporal factor once
-at the end. On the snapshot path the temporal iterate B's columns lie
-in the span of the p*n snapshot rows, so that truncation is a checked
-Rayleigh-Ritz solve on that span (`eig_truncate` with a span): a
-q x p*n QR and products and a p*n x p*n eigh instead of the q x q
-eigh. It takes the full solve when the check declines, when
-rank_temporal >= p*n, or when p*n is more than q / 4 (see linalg);
-rank_temporal == q short-circuits to the symmetrized B on either path.
+at the end. Each of these iterates is symmetrized in place and tested
+once for finite entries, not checked again. On the snapshot path the
+temporal iterate B's columns lie in the span of the p*n snapshot
+rows, so that truncation is a checked Rayleigh-Ritz solve on that
+span (`_truncate` with a span): a q x p*n QR and products and a
+p*n x p*n eigh instead of the q x q eigh. It takes the full solve
+when the check declines, when rank_temporal >= p*n, or when p*n is
+more than q / 4 (see linalg); rank_temporal == q short-circuits to
+the symmetrized B on either path.
 
 Residuals are the relative Frobenius misfit of the rank-one model,
 recorded after the spatial truncation, and iteration stops when the
@@ -46,7 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .linalg import _HERMITIAN_RTOL, _hermitian_part, eig_truncate
+from .linalg import _HERMITIAN_RTOL, _hermitian_part, _truncate
+# perfbench's span tracer wraps lrkron.eig_truncate by name
+from .linalg import eig_truncate  # noqa: F401
 from .parallel import chunk_spans, get_pool
 
 
@@ -63,46 +67,47 @@ _COV_ALIGN = 4
 class SampleCovariance:
     """Mean of snapshot outer products, tagged with the bin shape.
 
-    `sample_covariance` keeps only the read-only (n, p, q) `snapshots`
-    stack when n < p*q; `matrix` is then formed on first access, with
-    the same arithmetic as the dense path, and the estimator never asks
-    for it. From n >= p*q snapshots it holds the dense `matrix`, built
-    exactly Hermitian and read-only, and `snapshots` is None. Either
-    way it is marked as built here, so the estimator checks the dense
-    matrix only for its shape, a non-negative diagonal and finite
-    entries. Constructed directly from a pq x pq matrix, it holds that
-    matrix, which the estimator checks in full: finite, square and
-    Hermitian within tolerance, then symmetrized.
+    Constructed from a pq x pq matrix, it checks it in full, once:
+    finite, Hermitian within tolerance, with a non-negative diagonal;
+    it keeps a read-only symmetrized copy. `sample_covariance` checks
+    its own input and skips this: it keeps only the read-only (n, p, q)
+    `snapshots` stack when n < p*q, and `matrix` is then formed on
+    first access, with the same arithmetic as the dense path, and the
+    estimator never asks for it. From n >= p*q snapshots it holds the
+    dense `matrix`, built exactly Hermitian and read-only, and
+    `snapshots` is None.
     """
 
     def __init__(self, matrix, n_samples, p, q):
+        s = _hermitian_part(matrix, "covariance")
+        if s.shape != (p * q, p * q):
+            raise DimensionError(
+                f"covariance shape {s.shape} does not match p*q = {p * q}")
+        diag = s.diagonal().real
+        if diag.min(initial=0.0) < -_HERMITIAN_RTOL * diag.max(initial=0.0):
+            raise DataError("covariance has a negative diagonal, not PSD")
+        self._fill(s, None, n_samples, p, q)
+
+    def _fill(self, matrix, snapshots, n_samples, p, q):
+        for arr in (matrix, snapshots):
+            if arr is not None:
+                arr.flags.writeable = False
         self._matrix = matrix
+        self.snapshots = snapshots
         self.n_samples = n_samples
         self.p = p
         self.q = q
-        self.snapshots = None
-        # set by sample_covariance: the dense matrix is (or will be)
-        # built exactly Hermitian here, so its Hermitian check is skipped
-        self._built = False
 
     @classmethod
-    def _from_snapshots(cls, x, p, q):
-        scm = cls(None, x.shape[0], p, q)
-        scm.snapshots = x.reshape(x.shape[0], p, q)
-        scm.snapshots.flags.writeable = False
-        scm._built = True
-        return scm
-
-    @classmethod
-    def _from_matrix(cls, matrix, n, p, q):
-        scm = cls(matrix, n, p, q)
-        matrix.flags.writeable = False
-        scm._built = True
+    def _from_checked(cls, matrix, snapshots, n, p, q):
+        """One that sample_covariance built and checked: no check here."""
+        scm = cls.__new__(cls)
+        scm._fill(matrix, snapshots, n, p, q)
         return scm
 
     @property
     def matrix(self):
-        if self._matrix is None and self.snapshots is not None:
+        if self._matrix is None:
             self._matrix = _outer_average(
                 self.snapshots.reshape(1, self.n_samples, -1))
             self._matrix.flags.writeable = False
@@ -138,8 +143,9 @@ def sample_covariance(snapshots, p, q):
     Fewer than p*q snapshots are checked for finite entries and kept as
     a snapshot stack (see SampleCovariance); a pass cube is stacked for
     that. Otherwise the dense matrix is formed here from the upper tile
-    pairs and mirrored, which makes it exactly Hermitian, and the
-    estimator checks its entries for finiteness.
+    pairs and mirrored, which makes it exactly Hermitian with a
+    non-negative diagonal, and checked here for finite entries. Either
+    way this is the one check the estimator's input gets.
     """
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim == 2:
@@ -158,10 +164,13 @@ def sample_covariance(snapshots, p, q):
         # PSD by construction, and no validated matrix is ever formed
         if not np.isfinite(x).all():
             raise DataError("snapshots contain non-finite entries")
-        stack = np.array(x.swapaxes(0, 1), order="C").reshape(n, d)
-        return SampleCovariance._from_snapshots(stack, p, q)
-    return SampleCovariance._from_matrix(
-        _outer_average(np.ascontiguousarray(x)), n, p, q)
+        stack = np.array(x.swapaxes(0, 1), order="C").reshape(n, p, q)
+        return SampleCovariance._from_checked(None, stack, n, p, q)
+    s = _outer_average(np.ascontiguousarray(x))
+    # finite only if the snapshots were and their products did not overflow
+    if not np.isfinite(s).all():
+        raise DataError("covariance contains non-finite entries")
+    return SampleCovariance._from_checked(s, None, n, p, q)
 
 
 def _outer_average(x):
@@ -205,28 +214,6 @@ def _outer_average(x):
             else:
                 np.conjugate(t.T, out=out[cols, rows])
     return out
-
-
-def _validate_covariance(scm):
-    if not isinstance(scm, SampleCovariance):
-        raise DimensionError("estimator expects a SampleCovariance")
-    p, q = scm.p, scm.q
-    if scm._built:
-        # exactly Hermitian by construction; it is finite only if the
-        # snapshots were
-        s = scm.matrix
-        if not np.isfinite(s).all():
-            raise DataError("covariance contains non-finite entries")
-    else:
-        s = _hermitian_part(scm.matrix, "covariance")
-    if s.shape != (p * q, p * q):
-        raise DimensionError(
-            f"covariance shape {s.shape} does not match p*q = {p * q}"
-        )
-    diag = s.diagonal().real
-    if diag.size and np.min(diag) < -_HERMITIAN_RTOL * max(np.max(diag), 0.0):
-        raise DataError("covariance has a negative diagonal, not PSD")
-    return s, p, q
 
 
 # The four kernels one ALS fit needs from its covariance: its Frobenius
@@ -293,6 +280,20 @@ def _snapshot_sweeps(x, pool):
                    start, b_sweep, v_sweep, rows.T)
 
 
+def _symmetrize_iterate(m, name):
+    """Overwrite an iterate of the fit with (m + m^H) / 2; check it finite.
+
+    The iterate is Hermitian up to rounding by construction. The bits
+    are _hermitian_part's whenever ||m||_F^2 is finite, and an overflow
+    raises DataError here, before any eigensolve.
+    """
+    m += m.conj().T
+    m /= 2
+    if not np.isfinite(m).all():
+        raise DataError(f"{name} iterate contains non-finite entries")
+    return m
+
+
 def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
                      max_iter=100, pool=None, keep_iterates=False):
     """Alternating Kronecker-factor fit to a sample covariance.
@@ -300,9 +301,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     Parameters
     ----------
     scm : SampleCovariance
-        Hermitian PSD covariance of p*q snapshots. A snapshot stack is
-        used as is; a dense matrix is validated and the fit runs on its
-        Hermitian part (m + m^H) / 2.
+        Hermitian PSD covariance of p*q snapshots, already checked where
+        it was made (see SampleCovariance); it is not checked again.
     rank_spatial, rank_temporal : int
         Eigen-rank budgets for the p x p and q x q factors.
     tol : float
@@ -321,18 +321,19 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         Record the per-iteration factor matrices on the estimate as
         an `iterates` attribute (testing hook).
     """
-    if isinstance(scm, SampleCovariance) and scm.snapshots is not None:
-        p, q = scm.p, scm.q
-        sweeps = _snapshot_sweeps(scm.snapshots, get_pool(pool))
-    else:
-        s, p, q = _validate_covariance(scm)
-        sweeps = _dense_sweeps(s, p, q)
+    if not isinstance(scm, SampleCovariance):
+        raise DimensionError("estimator expects a SampleCovariance")
+    p, q = scm.p, scm.q
     if not 1 <= rank_spatial <= p:
         raise DimensionError(f"spatial rank must be in [1, {p}], got {rank_spatial}")
     if not 1 <= rank_temporal <= q:
         raise DimensionError(f"temporal rank must be in [1, {q}], got {rank_temporal}")
     if max_iter < 1:
         raise DimensionError(f"max_iter must be >= 1, got {max_iter}")
+    if scm.snapshots is not None:
+        sweeps = _snapshot_sweeps(scm.snapshots, get_pool(pool))
+    else:
+        sweeps = _dense_sweeps(scm.matrix, p, q)
 
     fro = sweeps.fro
     if fro == 0.0:
@@ -367,7 +368,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
             raise DegenerateInputError("temporal iterate collapsed to zero")
         v_mat = sweeps.v_sweep(np.conj(b_mat))
 
-        spatial = eig_truncate(v_mat / norm_b2, rank_spatial)
+        spatial = _truncate(
+            _symmetrize_iterate(v_mat / norm_b2, "spatial"), rank_spatial)
         a_mat = spatial
 
         # || R - a b^T ||^2 expanded; v_mat already holds R conj(b)
@@ -383,7 +385,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
             break
         eta_prev = eta
 
-    temporal = eig_truncate(b_mat, rank_temporal, sweeps.span)
+    temporal = _truncate(_symmetrize_iterate(b_mat, "temporal"),
+                         rank_temporal, sweeps.span)
     est = KronCovEstimate(
         spatial, temporal, rank_spatial, rank_temporal,
         iterations, residuals, converged,

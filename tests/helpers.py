@@ -59,6 +59,15 @@ def vec_loops(m):
     return out
 
 
+def cube_to_snapshots(cube):
+    """Flatten an (n_bins, p, q) stack into (n_bins, p*q) snapshots."""
+    cube = np.asarray(cube)
+    if cube.ndim != 3:
+        raise DimensionError(f"cube must be 3-D, got shape {cube.shape}")
+    n_bins, p, q = cube.shape
+    return np.ascontiguousarray(cube).reshape(n_bins, p * q)
+
+
 def vec(m):
     """Stack the columns of a finite matrix into one vector (column-major)."""
     return linalg.as_matrix(m).ravel(order="F")

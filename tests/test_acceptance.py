@@ -28,7 +28,6 @@ from kronstap.filters import (
     projection_filter,
     sinr,
 )
-from kronstap.layout import cube_to_snapshots
 from kronstap.lrkron import SampleCovariance, lr_kron_estimate, sample_covariance
 from kronstap.multipass import change_detect, multipass_estimate, stack_passes
 from kronstap.rearrange import RearrangedMatrix, rearrange, unrearrange
@@ -187,7 +186,7 @@ def test_criterion_06_small_sample_advantage_over_classical():
                              noise_power=sigma2, seed=1000 + t)
         cov = scene_model(config).total_covariance()
         cube = gen_clutter(config).data[0]
-        scm = sample_covariance(cube_to_snapshots(cube), p, q)
+        scm = sample_covariance(helpers.cube_to_snapshots(cube), p, q)
         est = lr_kron_estimate(scm, 1, rank)
         for kind, acc in (("kron", kron_sinr),
                           ("classical", classical_sinr)):
@@ -223,7 +222,7 @@ def test_criterion_07_robustness_to_corrupted_training():
                                   3.0 * np.sqrt(p * q) * phase)
         out = {}
         for tag, history in (("clean", clean), ("dirty", dirty)):
-            scm = sample_covariance(cube_to_snapshots(history.data[0]), p, q)
+            scm = sample_covariance(helpers.cube_to_snapshots(history.data[0]), p, q)
             est = lr_kron_estimate(scm, 1, rank)
             for kind in ("kron", "classical"):
                 filt = build_filter(kind, estimate=est)
@@ -262,7 +261,7 @@ def test_criterion_08_multipass_rank_gain_and_cancellation():
         e_multi = sum(np.linalg.norm(joint.apply_matrix(stacked.data[m])) ** 2
                       for m in range(stacked.n_bins))
         # baseline: fit the reference pass alone, filter every pass with it
-        scm = sample_covariance(cube_to_snapshots(history.data[0]),
+        scm = sample_covariance(helpers.cube_to_snapshots(history.data[0]),
                                 config.p, config.q)
         single = build_filter("kron", estimate=lr_kron_estimate(scm, 1, 4))
         e_single = sum(
@@ -278,7 +277,7 @@ def test_criterion_08_multipass_rank_gain_and_cancellation():
                          noise_power=0.0, seed=11)
     history = gen_multipass(config, 2, shared_calibration=True,
                             unit_gains=True)
-    scm = sample_covariance(cube_to_snapshots(history.data[0]), 2, 8)
+    scm = sample_covariance(helpers.cube_to_snapshots(history.data[0]), 2, 8)
     filt = build_filter("kron", estimate=lr_kron_estimate(scm, 1, 2))
     dopplers = make_doppler_grid(32)
     grid = make_spatial_grid(2, 8)

@@ -374,14 +374,20 @@ class TestProjectionFilters:
                 assert np.linalg.norm(out) <= 1e-12 * np.linalg.norm(v)
 
     def test_spatial_only_ignores_the_temporal_basis(self):
+        # (I - P_a) x I for either kind: the kron filter with no
+        # temporal basis, bit for bit
         rng = np.random.default_rng(19)
         u_a = orthonormal_columns(rng, 3, 1)
         u_b = orthonormal_columns(rng, 6, 2)
         x = helpers.complex_gauss(rng, (3, 6))
-        dropped = projection_filter("kron", u_a, u_b, 3, 6, spatial_only=True)
         spatial_only = projection_filter("kron", u_a, None, 3, 6)
-        assert np.allclose(dropped.apply_matrix(x),
-                           spatial_only.apply_matrix(x), atol=1e-14)
+        want = x - u_a @ (u_a.conj().T @ x)
+        assert np.array_equal(spatial_only.apply_matrix(x), want)
+        for kind in ("kron", "classical"):
+            dropped = projection_filter(kind, u_a, u_b, 3, 6,
+                                        spatial_only=True)
+            assert dropped == spatial_only
+            assert np.array_equal(dropped.apply_matrix(x), want)
 
     def test_kind_and_shape_validation(self):
         u_a = np.eye(3)[:, :1]

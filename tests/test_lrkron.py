@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap import lrkron
+from kronstap import linalg, lrkron
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
-from kronstap.layout import cube_to_snapshots
 from kronstap.linalg import _hermitian_part, eig_truncate
 from kronstap.lrkron import (
     SampleCovariance,
@@ -78,7 +77,7 @@ def test_sample_covariance_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_snapshots_raise_data_error(n, bad):
     # n = 3 < pq is rejected when the stack is kept; n = 12 >= pq forms
-    # the matrix, which the estimator's validation rejects
+    # the matrix, which sample_covariance then rejects
     snaps = helpers.complex_gauss(np.random.default_rng(44), (n, 6))
     snaps[1, 2] = bad
     with np.errstate(invalid="ignore"), pytest.raises(DataError):
@@ -163,28 +162,43 @@ def test_pass_cube_snapshot_path_stacks_the_passes():
         sample_covariance(np.zeros((2, 5, 7)), 4, 3)
 
 
-class _CountHermitianChecks:
+class _CountChecks:
+    """Counts the checks the estimator's input can get, in every module
+    that looks them up."""
+
     def __init__(self, mp):
-        self.calls = 0
-        original = lrkron._hermitian_part
+        self.calls = {"_hermitian_part": 0, "as_matrix": 0}
+        for module in (lrkron, linalg):
+            for name in self.calls:
+                if hasattr(module, name):
+                    mp.setattr(module, name,
+                               self._counted(name, getattr(module, name)))
 
+    def _counted(self, name, original):
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.calls[name] += 1
             return original(*args, **kwargs)
-
-        mp.setattr(lrkron, "_hermitian_part", counted)
+        return counted
 
 
 def test_built_covariance_skips_only_the_hermitian_check(monkeypatch):
-    checks = _CountHermitianChecks(monkeypatch)
-    rows = helpers.complex_gauss(np.random.default_rng(81), (40, 12))
-    built = sample_covariance(rows, 3, 4)
-    assert not built.matrix.flags.writeable
-    user = SampleCovariance(built.matrix.copy(), 40, 3, 4)
-    fit_built = lr_kron_estimate(built, 1, 2)
-    assert checks.calls == 0
-    fit_user = lr_kron_estimate(user, 1, 2)
-    assert checks.calls == 1
+    checks = _CountChecks(monkeypatch)
+    none, once = ({"_hermitian_part": k, "as_matrix": k} for k in (0, 1))
+    # n = 5 < pq keeps the snapshot stack, n = 40 the dense matrix
+    for n in (5, 40):
+        checks.calls.update(none)
+        rows = helpers.complex_gauss(np.random.default_rng(81), (n, 12))
+        built = sample_covariance(rows, 3, 4)
+        assert not built.matrix.flags.writeable
+        assert checks.calls == none
+        # a caller's matrix is checked in full once, where it enters
+        user = SampleCovariance(built.matrix.copy(), n, 3, 4)
+        assert checks.calls == once
+        assert not user.matrix.flags.writeable
+        fit_built = lr_kron_estimate(built, 1, 2)
+        fit_user = lr_kron_estimate(user, 1, 2)
+        # nothing between the estimator's entry and its return checks
+        assert checks.calls == once
     # the matrix is exactly Hermitian, so symmetrizing it changes nothing
     assert np.array_equal(fit_built.spatial, fit_user.spatial)
     assert np.array_equal(fit_built.temporal, fit_user.temporal)
@@ -208,11 +222,41 @@ def test_user_covariance_is_still_checked_in_full(damage):
 def test_non_finite_pass_cube_fails_the_built_check(bad):
     cube, _ = _pass_cube(83, 2, 30, 6)
     cube[1, 17, 4] = bad
-    with np.errstate(invalid="ignore"):
-        scm = sample_covariance(cube, 4, 3)
-    assert scm.snapshots is None
-    with pytest.raises(DataError, match="non-finite"):
-        lr_kron_estimate(scm, 2, 2)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DataError, match="non-finite"):
+        sample_covariance(cube, 4, 3)
+
+
+def test_overflowing_iterates_raise_data_error():
+    # every entry is finite, but ||S||_F and the sweeps overflow: the
+    # loop's one finiteness test rejects the iterate before any eigh
+    rows = helpers.complex_gauss(np.random.default_rng(84), (40, 12))
+    s = sample_covariance(rows, 3, 4).matrix * 1e200
+    assert np.isfinite(s).all()
+    scm = SampleCovariance(s, 40, 3, 4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DataError, match="iterate contains non-finite"):
+        lr_kron_estimate(scm, 1, 2)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 7, 63, 64, 65, 127, 128, 129, 130]),
+       seed=st.integers(0, 2**32 - 1), scale=_finite,
+       skew_scale=st.floats(0.0, 1e-12))
+def test_iterate_symmetrization_matches_the_checked_one_bitwise(
+        n, seed, scale, skew_scale):
+    # the loop's (m + m^H) / 2 must give _hermitian_part's bits, across
+    # more than one _SYM_TILE, on iterates with rounding-level asymmetry
+    rng = np.random.default_rng(seed)
+    m = helpers.complex_gauss(rng, (n, n))
+    m = (m + m.conj().T) * scale
+    m += helpers.complex_gauss(rng, (n, n)) * (skew_scale * abs(scale))
+    want = _hermitian_part(m, "test")
+    got = lrkron._symmetrize_iterate(m, "test")
+    assert got.tobytes() == want.tobytes()
 
 
 def test_estimator_input_validation():
@@ -227,14 +271,19 @@ def test_estimator_input_validation():
         lr_kron_estimate(good, 1, 4)
     with pytest.raises(DimensionError):
         lr_kron_estimate(good, 1, 1, max_iter=0)
+    # a caller's matrix is rejected where it enters, by the constructor
     skew = s.copy()
     skew[0, 1] += 1.0
     with pytest.raises(DataError):
-        lr_kron_estimate(_exact_cov(skew, 2, 3), 1, 1)
+        _exact_cov(skew, 2, 3)
     neg = np.eye(6, dtype=np.complex128)
     neg[5, 5] = -1.0
     with pytest.raises(DataError):
-        lr_kron_estimate(_exact_cov(neg, 2, 3), 1, 1)
+        _exact_cov(neg, 2, 3)
+    with pytest.raises(DimensionError):
+        _exact_cov(s, 3, 3)
+    with pytest.raises(DimensionError):
+        _exact_cov(s[:, :5], 2, 3)
 
 
 def test_near_hermitian_covariance_fits_as_its_symmetrization():
@@ -523,7 +572,7 @@ class TestTemporalTruncation:
 
     def wide_q_snapshots(self):
         config = SceneConfig(p=8, q=768, n_bins=24, rank_temporal=4, seed=7)
-        return cube_to_snapshots(gen_clutter(config).data[0])
+        return helpers.cube_to_snapshots(gen_clutter(config).data[0])
 
     def test_a_wide_q_fit_never_runs_the_q_by_q_solve(self, monkeypatch):
         full = helpers.CountFullSolves(monkeypatch)
