@@ -10,6 +10,8 @@ which estimate opens for the snapshot-path sweeps (fewer snapshots
 than p*q); every other stage runs on the calling thread. bench takes
 no --threads: its pool widths are the sweep rows' threads column.
 
+estimate fits a K-pass cube as one K*p-channel system through
+multipass.joint_snapshots, so its fit is bitwise multipass_estimate's.
 filter writes each filtered block back into the cube it read and
 writes that cube out, so it holds one cube. detect never forms a
 filtered cube: detection_image and, with --multipass, pass_images scan
@@ -32,7 +34,7 @@ from .filters import bin_blocks, build_filter, detection_image, \
 from .lrkron import lr_kron_estimate, sample_covariance
 # stack_passes stays importable from here: perfbench's span tracer wraps
 # cli.stack_passes by name, while detect --multipass scans the pass cube
-from .multipass import change_detect, pass_images, \
+from .multipass import change_detect, joint_snapshots, pass_images, \
     stack_passes  # noqa: F401
 from .parallel import WorkerPool
 # inject_target stays importable from here: perfbench's span tracer wraps
@@ -150,10 +152,7 @@ def cmd_simulate(args):
 
 def cmd_estimate(args):
     history = formats.read_phase_history(args.input)
-    k, n_bins, p, q = history.data.shape
-    # pass k's rows are column block k of the pass-stacked snapshots, so
-    # the covariance reads the cube as is, with K * p stacked channels
-    scm = sample_covariance(history.data.reshape(k, n_bins, p * q), k * p, q)
+    scm = sample_covariance(*joint_snapshots(history))
     with WorkerPool(args.threads) as pool:
         est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
                                max_iter=args.max_iter, pool=pool)

@@ -1,5 +1,11 @@
 """Steering vectors, clutter-cancelation filters and detection maps.
 
+A range bin is a p x q (channels x pulses) matrix, and its snapshot
+lists the channel blocks back to back: element i * q + j is channel i,
+pulse j. So the spatial factor of a Kronecker covariance acts across
+the channel blocks, the temporal factor within each, and a steering
+product kron(a, b) lines up with the data.
+
 Two filter kinds are supported. "classical" projects out the joint
 subspace spanned by the Kronecker product of the spatial and temporal
 bases. "kron" applies the complementary projector in each factor
@@ -43,13 +49,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .layout import from_snapshot, to_snapshot
 # hermitian_eig stays importable from here: perfbench's span tracer wraps
 # filters.hermitian_eig by name, while subspace_basis runs _top_eigenpairs
 from .linalg import _CLAMP_RTOL, _hermitian_part, _top_eigenpairs, \
     as_matrix, hermitian_eig  # noqa: F401
 
 FILTER_KINDS = ("classical", "kron")
+
+# build_filter drops a factor's eigendirections below this fraction of
+# its largest eigenvalue (see subspace_basis).
+RANK_TOL = 1e-9
 
 # Bins per batched call when a cube is filtered or scanned: enough to
 # amortize numpy's per-call cost, few enough that each block's
@@ -208,16 +217,19 @@ class StapFilter:
         return right, left, None
 
     def apply(self, x):
-        """Filter one channel-major snapshot vector."""
-        return to_snapshot(self.apply_matrix(from_snapshot(x, self.p, self.q)))
+        """Filter one channel-major snapshot vector of length p*q."""
+        v = np.asarray(x).ravel()
+        if v.size != self.p * self.q:
+            raise DimensionError(
+                f"snapshot length {v.size} does not match {self.p}x{self.q}")
+        return self.apply_matrix(v.reshape(self.p, self.q)).reshape(-1)
 
 
-def projection_filter(kind, spatial_basis, temporal_basis, p, q,
-                      spatial_only=False):
+def projection_filter(kind, spatial_basis, temporal_basis, p, q):
     """Build a classical or kron filter from explicit subspace bases.
 
-    spatial_only drops the temporal basis: for either kind that is
-    (I - P_a) x I, the kron filter with no temporal basis.
+    A basis of None is an empty subspace. Spatial-only cancelation,
+    (I - P_a) x I, is the kron filter with no temporal basis.
     """
     if kind not in ("classical", "kron"):
         raise DimensionError(f"unknown projection filter kind {kind!r}")
@@ -227,35 +239,39 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q,
             raise DimensionError(
                 f"{name} basis has {basis.shape[0]} rows, expected {dim}"
             )
-    if spatial_only:
-        return StapFilter("kron", p, q, spatial_basis, None)
     return StapFilter(kind, p, q, spatial_basis, temporal_basis)
 
 
-def _factor_basis(estimate, name, rank, tol):
-    """Subspace basis of one factor, checked unless read_estimate did."""
+def _factor_basis(estimate, name):
+    """Subspace basis of one factor within its rank budget, which must
+    lie in [1, dim]; the factor is checked unless read_estimate did."""
     factor = getattr(estimate, name)
     if not any(factor is checked for checked in estimate._checked):
         factor = _hermitian_part(factor, f"{name} factor")
-    return _checked_basis(factor, rank, tol)
+    rank, dim = getattr(estimate, f"rank_{name}"), factor.shape[0]
+    if not 1 <= rank <= dim:
+        raise DimensionError(f"{name} rank budget {rank} outside [1, {dim}]")
+    return _checked_basis(factor, rank, RANK_TOL)
 
 
-def build_filter(kind, estimate, drop_temporal=False, rank_tol=1e-9):
+def build_filter(kind, estimate, drop_temporal=False):
     """Construct a projection StapFilter from a KronCovEstimate.
 
     The bases come from the factor eigendecompositions (see
     subspace_basis), honoring the estimate's rank budgets. drop_temporal
-    skips the temporal projection, leaving spatial-only cancelation.
+    checks the temporal factor but leaves its basis out: spatial-only
+    cancelation, the kron filter with no temporal basis, for any kind.
     """
     if kind not in FILTER_KINDS:
         raise DimensionError(f"unknown filter kind {kind!r}")
     if estimate is None:
         raise DimensionError(f"{kind} filter needs a covariance estimate")
-    u_a = _factor_basis(estimate, "spatial", estimate.rank_spatial, rank_tol)
-    u_b = _factor_basis(estimate, "temporal", estimate.rank_temporal, rank_tol)
-    return projection_filter(kind, u_a, u_b, estimate.spatial.shape[0],
-                             estimate.temporal.shape[0],
-                             spatial_only=drop_temporal)
+    u_a = _factor_basis(estimate, "spatial")
+    u_b = _factor_basis(estimate, "temporal")
+    p, q = estimate.spatial.shape[0], estimate.temporal.shape[0]
+    if drop_temporal:
+        return projection_filter("kron", u_a, None, p, q)
+    return projection_filter(kind, u_a, u_b, p, q)
 
 
 def sinr(weights, steering, amplitude, sigma):

@@ -188,14 +188,6 @@ def write_residuals_csv(path, residuals):
             fh.write(f"{i},{float(eta)!r}\n")
 
 
-def read_residuals_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "iteration,residual":
-        raise DataError("missing residual CSV header")
-    return [float(line.split(",")[1]) for line in lines[1:]]
-
-
 def write_detection_csv(path, image):
     """Detection map as CSV: one row per bin, one column per Doppler."""
     with open(path, "w") as fh:
@@ -207,28 +199,6 @@ def write_detection_csv(path, image):
         values = np.asarray(image.values, dtype=np.float64)
         for m, row in enumerate(values):
             fh.write(f"{m},{','.join(map(repr, row.tolist()))}\n")
-
-
-def read_detection_csv(path):
-    from .filters import DetectionMap
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("bin,"):
-        raise DataError("missing detection CSV header")
-    dopplers = []
-    for cell in lines[0].split(",")[1:]:
-        if not cell.startswith("f="):
-            raise DataError(f"bad Doppler column label {cell!r}")
-        dopplers.append(float(cell[2:]))
-    values = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        values.append([float(c) for c in cells[1:]])
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(dopplers):
-        raise DataError("detection CSV rows do not match header")
-    return DetectionMap(values, np.asarray(dopplers), None)
 
 
 def write_bench_csv(path, rows):

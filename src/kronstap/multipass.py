@@ -5,15 +5,16 @@ snapshots, channel blocks ordered by pass. A background common to the
 passes keeps the stacked spatial factor rank K, so the joint estimate
 uses a spatial rank budget of K. The joint covariance needs no stacked
 copy: pass k's rows are column block k of the stacked snapshots, so
-`sample_covariance` reads a (K, n_bins, p*q) pass cube as is (the CLI
-does so) and stacks only on its snapshot path, with fewer bins than
-Kpq. Neither does detection: pass_images scans the (K, n_bins, p, q)
-pass cube as read, and gathers the passes of one block of bins at a
-time, as the CLI's filter does. The joint filter folds into the
-detection operators (see filters), so one product per block serves the
-detection images of every pass, and no filtered cube is formed. Change
-detection subtracts the pixel magnitudes of two per-pass detection
-images formed from the same jointly filtered bins.
+`sample_covariance` reads a (K, n_bins, p*q) pass cube as is (from
+joint_snapshots, for multipass_estimate and the CLI alike) and stacks
+only on its snapshot path, with fewer bins than Kpq. Neither does
+detection: pass_images scans the (K, n_bins, p, q) pass cube as read,
+and gathers the passes of one block of bins at a time, as the CLI's
+filter does. The joint filter folds into the detection operators (see
+filters), so one product per block serves the detection images of
+every pass, and no filtered cube is formed. Change detection subtracts
+the pixel magnitudes of two per-pass detection images formed from the
+same jointly filtered bins.
 """
 
 from dataclasses import dataclass, field
@@ -44,10 +45,6 @@ class StackedHistory:
     def n_bins(self):
         return self.data.shape[0]
 
-    @property
-    def stacked_channels(self):
-        return self.n_passes * self.p
-
 
 def stack_passes(history):
     """Stack the passes of a PhaseHistory along the channel axis.
@@ -64,19 +61,26 @@ def stack_passes(history):
     return StackedHistory(p, q, k, stacked, list(history.truth))
 
 
-def multipass_estimate(stacked, rank_temporal, tol=1e-4, max_iter=100,
-                       pool=None):
-    """Joint Kronecker covariance fit of the stacked snapshots.
+def joint_snapshots(history):
+    """sample_covariance's (snapshots, K*p, q) for a PhaseHistory's joint
+    fit: the snapshots are the (K, n_bins, p*q) view of its pass cube."""
+    if not isinstance(history, PhaseHistory):
+        raise DimensionError("joint_snapshots expects a PhaseHistory")
+    k, n_bins, p, q = history.data.shape
+    return history.data.reshape(k, n_bins, p * q), k * p, q
 
-    The spatial rank budget is the pass count: each stacked clutter
-    snapshot lies in the span of the per-pass calibration directions.
-    K = 1 is exactly the single-pass estimate.
+
+def multipass_estimate(history, rank_temporal, tol=1e-4, max_iter=100,
+                       pool=None):
+    """Joint Kronecker covariance fit of a PhaseHistory's K passes.
+
+    The covariance is the CLI estimate's (see joint_snapshots). The
+    spatial rank budget is the pass count: each stacked clutter snapshot
+    lies in the span of the per-pass calibration directions. K = 1 is
+    exactly the single-pass estimate.
     """
-    if not isinstance(stacked, StackedHistory):
-        raise DimensionError("multipass_estimate expects a StackedHistory")
-    scm = sample_covariance(stacked.data.reshape(stacked.n_bins, -1),
-                            stacked.stacked_channels, stacked.q)
-    return lr_kron_estimate(scm, stacked.n_passes, rank_temporal,
+    scm = sample_covariance(*joint_snapshots(history))
+    return lr_kron_estimate(scm, history.n_passes, rank_temporal,
                             tol=tol, max_iter=max_iter, pool=pool)
 
 

@@ -12,8 +12,7 @@ import numpy as np
 
 from kronstap import linalg
 from kronstap.errors import DataError, DimensionError
-from kronstap.filters import SteeringVector
-from kronstap.layout import from_snapshot, to_snapshot
+from kronstap.filters import DetectionMap, SteeringVector
 from kronstap.multipass import StackedHistory
 from kronstap.rearrange import RearrangedMatrix
 from kronstap.simulate import PhaseHistory
@@ -207,7 +206,8 @@ class WhiteningFilter:
         return np.linalg.solve(self.chol.conj().T, half).T.reshape(x.shape)
 
     def apply(self, x):
-        return to_snapshot(self.apply_matrix(from_snapshot(x, self.p, self.q)))
+        v = np.asarray(x).ravel()
+        return self.apply_matrix(v.reshape(self.p, self.q)).reshape(-1)
 
 
 def filter_output(filt, steering, x):
@@ -216,6 +216,45 @@ def filter_output(filt, steering, x):
         else np.asarray(steering)
     w = filt.apply(d)
     return complex(np.vdot(w, np.asarray(x).ravel()))
+
+
+def read_residuals_csv(path):
+    """The residuals formats.write_residuals_csv wrote, read back.
+
+    Declared oracle for the residual CSV round trip: the package writes
+    this file but never reads it.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != "iteration,residual":
+        raise DataError("missing residual CSV header")
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def read_detection_csv(path):
+    """The DetectionMap formats.write_detection_csv wrote, read back.
+
+    Declared oracle for the detection CSV round trip and the CLI's maps:
+    the package writes this file but never reads it. The spatial grid
+    is not in the file and comes back as None.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("bin,"):
+        raise DataError("missing detection CSV header")
+    dopplers = []
+    for cell in lines[0].split(",")[1:]:
+        if not cell.startswith("f="):
+            raise DataError(f"bad Doppler column label {cell!r}")
+        dopplers.append(float(cell[2:]))
+    values = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        values.append([float(c) for c in cells[1:]])
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != len(dopplers):
+        raise DataError("detection CSV rows do not match header")
+    return DetectionMap(values, np.asarray(dopplers), None)
 
 
 def unstack_passes(stacked):

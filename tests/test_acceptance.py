@@ -245,7 +245,7 @@ def test_criterion_08_multipass_rank_gain_and_cancellation():
     config = SceneConfig(p=3, q=8, n_bins=200, rank_temporal=2,
                          noise_power=0.0, seed=42)
     history = gen_multipass(config, 2, gain_spread=1.0)
-    est = multipass_estimate(stack_passes(history), 2)
+    est = multipass_estimate(history, 2)
     ev = np.linalg.eigvalsh(est.spatial)[::-1]
     ok_rank = ev[1] >= 1e-6 * ev[0] and ev[2] <= 1e-8 * ev[0]
 
@@ -257,7 +257,7 @@ def test_criterion_08_multipass_rank_gain_and_cancellation():
         history = gen_multipass(config, 2)
         stacked = stack_passes(history)
         joint = build_filter("kron",
-                             estimate=multipass_estimate(stacked, 4))
+                             estimate=multipass_estimate(history, 4))
         e_multi = sum(np.linalg.norm(joint.apply_matrix(stacked.data[m])) ** 2
                       for m in range(stacked.n_bins))
         # baseline: fit the reference pass alone, filter every pass with it

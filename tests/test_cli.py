@@ -15,7 +15,6 @@ from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter
 from kronstap.formats import (
     parse_scene_config,
-    read_detection_csv,
     read_estimate,
     read_phase_history,
     write_estimate,
@@ -277,7 +276,7 @@ class TestFilterAndDetect:
         out = tmp_path / "map.csv"
         assert run("detect", "--input", dirty, "--estimate", fit,
                    "--output", out) == 0
-        image = read_detection_csv(out)
+        image = helpers.read_detection_csv(out)
         flat = int(np.argmax(image.values))
         best_bin, best_doppler = np.unravel_index(flat, image.values.shape)
         assert best_bin == 11
@@ -295,8 +294,8 @@ class TestFilterAndDetect:
                    "--output", clean_map) == 0
         assert run("detect", "--input", dirty, "--estimate", fit,
                    "--output", dirty_map) == 0
-        floor = read_detection_csv(clean_map).values.max()
-        peak = read_detection_csv(dirty_map).values.max()
+        floor = helpers.read_detection_csv(clean_map).values.max()
+        peak = helpers.read_detection_csv(dirty_map).values.max()
         assert peak >= 10.0 * floor
 
     def test_pgm_sidecar_is_written(self, tmp_path, fitted_scene):
@@ -544,7 +543,7 @@ class TestMultipassCli:
         out = tmp_path / "change.csv"
         assert run("detect", "--input", cube, "--estimate", fit,
                    "--output", out, "--multipass") == 0
-        change = read_detection_csv(out)
+        change = helpers.read_detection_csv(out)
         # identical passes cancel; rounding of the joint filter can leave
         # denormal-scale residue
         assert change.values.max() <= 1e-12

@@ -374,20 +374,16 @@ class TestProjectionFilters:
                 assert np.linalg.norm(out) <= 1e-12 * np.linalg.norm(v)
 
     def test_spatial_only_ignores_the_temporal_basis(self):
-        # (I - P_a) x I for either kind: the kron filter with no
-        # temporal basis, bit for bit
+        # (I - P_a) x I: the kron filter with no temporal basis, bit for
+        # bit; a classical filter with no temporal basis cancels nothing
         rng = np.random.default_rng(19)
         u_a = orthonormal_columns(rng, 3, 1)
-        u_b = orthonormal_columns(rng, 6, 2)
         x = helpers.complex_gauss(rng, (3, 6))
         spatial_only = projection_filter("kron", u_a, None, 3, 6)
         want = x - u_a @ (u_a.conj().T @ x)
         assert np.array_equal(spatial_only.apply_matrix(x), want)
-        for kind in ("kron", "classical"):
-            dropped = projection_filter(kind, u_a, u_b, 3, 6,
-                                        spatial_only=True)
-            assert dropped == spatial_only
-            assert np.array_equal(dropped.apply_matrix(x), want)
+        classical = projection_filter("classical", u_a, None, 3, 6)
+        assert np.array_equal(classical.apply_matrix(x), x)
 
     def test_kind_and_shape_validation(self):
         u_a = np.eye(3)[:, :1]
@@ -421,8 +417,10 @@ class TestStackedApply:
         u_a = orthonormal_columns(rng, p, 1)
         u_b = orthonormal_columns(rng, q, 3)
         for bases in ((u_a, u_b), (None, u_b), (u_a, None), (None, None)):
-            filt = projection_filter(kind, *bases, p, q,
-                                     spatial_only=spatial_only)
+            # spatial-only cancelation: the kron filter with no temporal
+            # basis, whatever the kind
+            filt = projection_filter("kron", bases[0], None, p, q) \
+                if spatial_only else projection_filter(kind, *bases, p, q)
             for shape in ((7, p, q), (2, 5, p, q)):
                 stack = helpers.complex_gauss(rng, shape)
                 out = filt.apply_matrix(stack)
@@ -564,6 +562,36 @@ class TestBuildFilter:
         u_a = subspace_basis(spatial, 1)
         expected = x - u_a @ (u_a.conj().T @ x)
         assert np.allclose(filt.apply_matrix(x), expected, atol=1e-12)
+        # either kind: the kron filter with no temporal basis, bit for bit
+        for kind in ("kron", "classical"):
+            dropped = build_filter(kind, estimate=est, drop_temporal=True)
+            assert (dropped.kind, dropped.temporal_basis) == ("kron", None)
+            assert np.array_equal(dropped.spatial_basis, filt.spatial_basis)
+            assert np.array_equal(dropped.apply_matrix(x),
+                                  filt.apply_matrix(x))
+
+    @pytest.mark.parametrize("drop_temporal", [False, True])
+    @pytest.mark.parametrize("factor", ["spatial", "temporal"])
+    def test_rank_budgets_outside_one_to_dim_are_rejected(self, factor,
+                                                          drop_temporal):
+        # at 0 the factor would cancel nothing; above dim its basis
+        # would be full rank and the filter would annihilate every bin.
+        # drop_temporal still derives, and so checks, the temporal basis
+        rng = np.random.default_rng(28)
+        p, q = 3, 5
+        est = KronCovEstimate(helpers.random_psd(rng, p, rank=1),
+                              helpers.random_psd(rng, q, rank=2),
+                              1, 2, 2, [1.0], True)
+        dim = p if factor == "spatial" else q
+        for rank in (0, dim + 1):
+            bad = replace(est, **{f"rank_{factor}": rank})
+            for kind in ("kron", "classical"):
+                with pytest.raises(DimensionError, match=f"{factor} rank"):
+                    build_filter(kind, estimate=bad,
+                                 drop_temporal=drop_temporal)
+        for rank in (1, dim):
+            build_filter("kron", estimate=replace(
+                est, **{f"rank_{factor}": rank}), drop_temporal=drop_temporal)
 
 
 class TestGrids:
@@ -665,8 +693,9 @@ def _scan_filter(rng, kind, bases, rows, q):
     """A projection filter on rows x q bins with the named bases kept."""
     u_a = orthonormal_columns(rng, rows, 1) if bases != "temporal" else None
     u_b = orthonormal_columns(rng, q, 2) if bases != "spatial" else None
-    return projection_filter(kind, u_a, u_b, rows, q,
-                             spatial_only=bases == "spatial-only")
+    if bases == "spatial-only":
+        return projection_filter("kron", u_a, None, rows, q)
+    return projection_filter(kind, u_a, u_b, rows, q)
 
 
 def _scan(filt, passes, dopplers, count):

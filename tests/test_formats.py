@@ -15,10 +15,8 @@ from kronstap.errors import ConfigError, DataError, KronStapError
 from kronstap.filters import DetectionMap
 from kronstap.formats import (
     parse_scene_config,
-    read_detection_csv,
     read_estimate,
     read_phase_history,
-    read_residuals_csv,
     write_bench_csv,
     write_detection_csv,
     write_estimate,
@@ -379,13 +377,13 @@ class TestCsvFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,residual"
         assert lines[1].startswith("1,")
-        assert read_residuals_csv(path) == residuals
+        assert helpers.read_residuals_csv(path) == residuals
 
     def test_residuals_header_is_required(self, tmp_path):
         path = tmp_path / "residuals.csv"
         path.write_text("1,0.5\n")
         with pytest.raises(DataError):
-            read_residuals_csv(path)
+            helpers.read_residuals_csv(path)
 
     def test_detection_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -396,7 +394,7 @@ class TestCsvFiles:
         write_detection_csv(path, image)
         header = path.read_text().splitlines()[0]
         assert header.startswith("bin,f=")
-        back = read_detection_csv(path)
+        back = helpers.read_detection_csv(path)
         assert np.array_equal(back.values, values)
         assert np.array_equal(back.dopplers, dopplers)
 
@@ -404,10 +402,10 @@ class TestCsvFiles:
         path = tmp_path / "map.csv"
         path.write_text("0,1.0\n")
         with pytest.raises(DataError):
-            read_detection_csv(path)
+            helpers.read_detection_csv(path)
         path.write_text("bin,g=0.0\n0,1.0\n")
         with pytest.raises(DataError):
-            read_detection_csv(path)
+            helpers.read_detection_csv(path)
 
     def test_bench_rows_carry_the_documented_header(self, tmp_path):
         from kronstap.bench import BenchRow
@@ -430,7 +428,7 @@ class TestCsvFileProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "residuals.csv")
             write_residuals_csv(path, residuals)
-            back = read_residuals_csv(path)
+            back = helpers.read_residuals_csv(path)
         # repr tells -0.0 from 0.0, which == does not
         assert list(map(repr, back)) == list(map(repr, residuals))
 
@@ -451,7 +449,7 @@ class TestCsvFileProperties:
             write_detection_csv(path, DetectionMap(values, dopplers, None))
             with open(path) as fh:
                 text = fh.read()
-            back = read_detection_csv(path)
+            back = helpers.read_detection_csv(path)
         # repr tells -0.0 from 0.0 and reads every NaN as the one 'nan'
         assert list(map(repr, back.values.ravel().tolist())) == \
             list(map(repr, values.ravel().tolist()))

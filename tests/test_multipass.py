@@ -30,7 +30,7 @@ class TestStacking:
     def test_single_pass_stack_is_the_identity(self):
         history = gen_multipass(two_pass_config(), 1)
         stacked = stack_passes(history)
-        assert stacked.stacked_channels == history.p
+        assert stacked.data.shape == history.data[0].shape
         assert np.array_equal(stacked.data, history.data[0])
 
     def test_identical_passes_duplicate_the_channel_rows(self):
@@ -58,7 +58,7 @@ class TestStacking:
 class TestMultipassEstimate:
     def test_noiseless_two_pass_spatial_rank_is_two(self):
         history = gen_multipass(two_pass_config(n_bins=60), 2)
-        est = multipass_estimate(stack_passes(history), 2)
+        est = multipass_estimate(history, 2)
         values = np.linalg.eigvalsh(est.spatial)[::-1]
         assert values[1] > 1e-6 * values[0]
         assert values[2] <= 1e-8 * values[0]
@@ -66,15 +66,14 @@ class TestMultipassEstimate:
     def test_identical_passes_collapse_to_rank_one(self):
         history = gen_multipass(two_pass_config(n_bins=60), 2,
                                 shared_calibration=True, unit_gains=True)
-        est = multipass_estimate(stack_passes(history), 2)
+        est = multipass_estimate(history, 2)
         values = np.linalg.eigvalsh(est.spatial)[::-1]
         assert values[1] <= 1e-8 * values[0]
 
     def test_single_pass_reduces_to_the_plain_estimator(self):
         config = two_pass_config(noise_power=0.01)
         history = gen_multipass(config, 1)
-        stacked = stack_passes(history)
-        joint = multipass_estimate(stacked, config.rank_temporal)
+        joint = multipass_estimate(history, config.rank_temporal)
         snapshots = history.data[0].reshape(config.n_bins, -1)
         scm = sample_covariance(snapshots, config.p, config.q)
         single = lr_kron_estimate(scm, 1, config.rank_temporal)
@@ -82,16 +81,39 @@ class TestMultipassEstimate:
         assert np.array_equal(joint.temporal, single.temporal)
         assert joint.iterations == single.iterations
 
+    @pytest.mark.parametrize("shape", [(3, 50, 400), (3, 16, 24)],
+                             ids=["dense", "snapshots"])
+    def test_matches_the_cli_fit_bitwise(self, shape):
+        # the CLI's estimate stage: the pass cube read as K*p stacked
+        # channels, no stacked copy. (3, 50, 400) takes the dense path
+        # at a shape where a stacked copy's covariance tiles round
+        # differently; (3, 16, 24) takes the snapshot path
+        p, q, n_bins = shape
+        config = two_pass_config(p=p, q=q, n_bins=n_bins, rank_temporal=3,
+                                 noise_power=0.01, seed=5)
+        history = gen_multipass(config, 2)
+        joint = multipass_estimate(history, 3)
+        scm = sample_covariance(history.data.reshape(2, n_bins, p * q),
+                                2 * p, q)
+        cli_fit = lr_kron_estimate(scm, 2, 3)
+        assert np.array_equal(joint.spatial, cli_fit.spatial)
+        assert np.array_equal(joint.temporal, cli_fit.temporal)
+        assert joint.residuals == cli_fit.residuals
+
     def test_input_type_is_checked(self):
         with pytest.raises(DimensionError):
             multipass_estimate(np.zeros((4, 4)), 2)
+        # the fit reads the pass cube; a stacked copy is not one
+        stacked = stack_passes(gen_multipass(two_pass_config(), 2))
+        with pytest.raises(DimensionError):
+            multipass_estimate(stacked, 2)
 
 
 class TestPassImages:
     def test_one_image_per_pass(self):
         config = two_pass_config(n_bins=20)
         history = gen_multipass(config, 2)
-        est = multipass_estimate(stack_passes(history), config.rank_temporal)
+        est = multipass_estimate(history, config.rank_temporal)
         filt = build_filter("kron", estimate=est)
         dopplers = make_doppler_grid(16)
         images = pass_images(filt, history, dopplers, spatial_count=8)
@@ -103,7 +125,7 @@ class TestPassImages:
     def test_images_match_a_per_bin_reference(self):
         config = two_pass_config(n_bins=BLOCK_BINS + 30, noise_power=0.01)
         history = gen_multipass(config, 2, change_fraction=0.1)
-        est = multipass_estimate(stack_passes(history), config.rank_temporal)
+        est = multipass_estimate(history, config.rank_temporal)
         filt = build_filter("kron", estimate=est)
         dopplers = make_doppler_grid(16)
         images = pass_images(filt, history, dopplers, spatial_count=8)
@@ -129,10 +151,9 @@ class TestPassImages:
     def test_a_stacked_copy_is_rejected(self):
         config = two_pass_config(n_bins=10)
         history = gen_multipass(config, 2)
-        stacked = stack_passes(history)
-        filt = build_filter("kron", estimate=multipass_estimate(stacked, 2))
+        filt = build_filter("kron", estimate=multipass_estimate(history, 2))
         with pytest.raises(DimensionError):
-            pass_images(filt, stacked, make_doppler_grid(8))
+            pass_images(filt, stack_passes(history), make_doppler_grid(8))
 
 
 class TestChangeDetect:
@@ -140,7 +161,7 @@ class TestChangeDetect:
         config = two_pass_config(n_bins=24)
         history = gen_multipass(config, 2, shared_calibration=True,
                                 unit_gains=True)
-        est = multipass_estimate(stack_passes(history), config.rank_temporal)
+        est = multipass_estimate(history, config.rank_temporal)
         filt = build_filter("kron", estimate=est)
         images = pass_images(filt, history, make_doppler_grid(16))
         change = change_detect(images[0], images[1])
@@ -174,7 +195,7 @@ class TestChangeDetect:
         target_bin, doppler = 7, 0.25
         history = inject_target(history, target_bin, doppler, 5.0,
                                 pass_index=1)
-        est = multipass_estimate(stack_passes(history), config.rank_temporal)
+        est = multipass_estimate(history, config.rank_temporal)
         filt = build_filter("kron", estimate=est)
         dopplers = make_doppler_grid(64)
         images = pass_images(filt, history, dopplers)

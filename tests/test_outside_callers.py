@@ -1,0 +1,45 @@
+"""The package as code outside it uses it: README's library example and
+the names perfbench's span tracer looks up."""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(),
+                            flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue() == "(200, 64)\n"
+
+
+def _tracer_targets():
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans._TARGETS
+
+
+@pytest.mark.parametrize("module,attr", [
+    (module, attr) for module, attr, _ in _tracer_targets()])
+def test_tracer_target_is_where_the_tracer_looks(module, attr):
+    # a traced run swaps owner.__dict__[attr] and raises KeyError on a
+    # name that is missing there, even one no stage calls
+    owner = importlib.import_module(f"kronstap.{module}")
+    if "." in attr:
+        cls, attr = attr.split(".")
+        assert cls in vars(owner)
+        owner = vars(owner)[cls]
+    assert attr in vars(owner)
