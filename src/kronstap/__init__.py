@@ -27,7 +27,7 @@ from .filters import (
     sinr,
     subspace_basis,
 )
-from .linalg import EigenPairs, eig_truncate, hermitian_eig
+from .linalg import EigenPairs, Factor, eig_truncate, hermitian_eig
 from .lrkron import (
     KronCovEstimate,
     SampleCovariance,
@@ -65,7 +65,7 @@ __all__ = [
     "KronStapError", "DetectionMap", "StapFilter", "SteeringVector",
     "build_filter", "detection_image", "make_doppler_grid",
     "make_spatial_grid", "make_steering", "projection_filter", "sinr",
-    "subspace_basis", "EigenPairs", "eig_truncate", "hermitian_eig",
+    "subspace_basis", "EigenPairs", "Factor", "eig_truncate", "hermitian_eig",
     "KronCovEstimate", "SampleCovariance", "lr_kron_estimate",
     "sample_covariance", "StackedHistory", "change_detect",
     "multipass_estimate", "pass_images", "stack_passes",

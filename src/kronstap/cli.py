@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import formats
-from .errors import ConfigError, DataError, KronStapError
+from .errors import ConfigError, DataError, DimensionError, KronStapError
 from .filters import bin_blocks, build_filter, detection_image, \
     make_doppler_grid, make_spatial_grid
 from .lrkron import lr_kron_estimate, sample_covariance
@@ -106,7 +106,8 @@ def build_parser():
     p_det.add_argument("--multipass", action="store_true",
                        help="two-pass change map instead of a detection map")
     p_det.add_argument("--signed", action="store_true",
-                       help="keep the sign of the change map")
+                       help="keep the sign of the change map "
+                            "(needs --multipass)")
     p_det.add_argument("--no-temporal-projection", action="store_true")
     p_det.add_argument("--pgm", default=None, help="also write a PGM image")
     _add_common(p_det)
@@ -154,8 +155,13 @@ def cmd_estimate(args):
     history = formats.read_phase_history(args.input)
     scm = sample_covariance(*joint_snapshots(history))
     with WorkerPool(args.threads) as pool:
-        est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
-                               max_iter=args.max_iter, pool=pool)
+        try:
+            est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
+                                   max_iter=args.max_iter, pool=pool)
+        except DimensionError as exc:
+            raise DimensionError(
+                f"{exc} (from --ra {args.ra}, --rb {args.rb}, "
+                f"--eps {args.eps}, --max-iter {args.max_iter})") from None
     formats.write_estimate(args.output, est)
     formats.write_residuals_csv(args.output + ".residuals.csv", est.residuals)
     state = "converged" if est.converged else "hit max-iter"
@@ -172,16 +178,16 @@ def _projection_filter_for(history, args):
     free again for the pass over the cube that follows.
     """
     est = formats.read_estimate(args.estimate)
-    sdim = est.spatial.shape[0]
+    sdim = est.spatial_factor.dim
     stacked = sdim == history.n_passes * history.p and history.n_passes > 1
     if not stacked and sdim != history.p:
         raise DataError(
             f"estimate spatial dim {sdim} matches neither p={history.p} "
             f"nor stacked {history.n_passes * history.p}"
         )
-    if est.temporal.shape[0] != history.q:
+    if est.temporal_factor.dim != history.q:
         raise DataError(
-            f"estimate temporal dim {est.temporal.shape[0]} "
+            f"estimate temporal dim {est.temporal_factor.dim} "
             f"does not match q={history.q}"
         )
     filt = build_filter(args.kind, estimate=est,
@@ -210,6 +216,10 @@ def cmd_filter(args):
 
 
 def cmd_detect(args):
+    if args.signed and not args.multipass:
+        sys.stderr.write("kronstap detect: error: --signed applies only to "
+                         "the change map of --multipass\n")
+        return USAGE_ERROR
     history = formats.read_phase_history(args.input)
     dopplers = make_doppler_grid(args.grid_doppler)
     if args.multipass:

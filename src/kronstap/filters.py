@@ -12,15 +12,11 @@ bases. "kron" applies the complementary projector in each factor
 separately, which also removes every cross term between the two
 subspaces.
 
-A factor's subspace comes from linalg._top_eigenpairs: for a factor
-whose rank budget plus oversampling is small against its dimension
-(a temporal factor with q in the hundreds and a rank budget of a few),
-a checked Rayleigh-Ritz solve on a rank-sized range, and the full
-n x n eigensolve otherwise, or when that check fails (a full-rank
-factor, a tie across the rank cut). Both give the same kept count, PSD
-verdict and projector up to rounding.
-Factors that formats.read_estimate already checked at the file boundary
-are not checked again.
+A factor's subspace is read off its eigenpairs (linalg.Factor): for an
+estimate from the estimator or from formats.read_estimate, the pairs
+its truncation kept, so building a filter runs no eigensolve and forms
+no dim x dim array. A caller's dense factor or matrix is checked once
+and decomposed by the full eigensolve.
 
 Projection filters are kept factored; applying one works on the p x q
 bin matrix through two-sided products, so the pq x pq operator is never
@@ -50,9 +46,9 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 # hermitian_eig stays importable from here: perfbench's span tracer wraps
-# filters.hermitian_eig by name, while subspace_basis runs _top_eigenpairs
-from .linalg import _CLAMP_RTOL, _hermitian_part, _top_eigenpairs, \
-    as_matrix, hermitian_eig  # noqa: F401
+# filters.hermitian_eig by name, while subspace_basis decomposes through
+# linalg.Factor
+from .linalg import Factor, as_matrix, hermitian_eig  # noqa: F401
 
 FILTER_KINDS = ("classical", "kron")
 
@@ -117,31 +113,23 @@ def subspace_basis(matrix, rank, tol=1e-9):
 
     Keeps at most `rank` directions and drops eigenvalues below
     tol * largest. Returns None when nothing survives, which downstream
-    code treats as an empty subspace. A matrix that is not PSD up to
-    rounding (an eigenvalue below -_CLAMP_RTOL times the largest
-    magnitude) raises DataError: its top directions mean nothing. The
-    matrix must be finite and Hermitian within linalg's tolerance.
-    A tol below _CLAMP_RTOL can keep directions of rounding noise,
-    which no eigensolver determines.
+    code treats as an empty subspace. The matrix must be finite and
+    Hermitian within linalg's tolerance, and PSD up to rounding (no
+    eigenvalue below -linalg._CLAMP_RTOL times the largest magnitude), or
+    DataError is raised: the top directions of an indefinite matrix
+    mean nothing. A tol below _CLAMP_RTOL can keep directions of
+    rounding noise, which no eigensolver determines.
     """
-    return _checked_basis(_hermitian_part(matrix, "matrix"), rank, tol)
+    return _pairs_basis(Factor.checked(matrix, "matrix").pairs, rank, tol)
 
 
-def _checked_basis(sym, rank, tol):
-    """subspace_basis of a matrix already checked and symmetrized."""
-    values, vectors = _top_eigenpairs(sym, rank)
-    # sorted descending, so the largest magnitude sits at one end
-    scale = max(abs(values[0]), abs(values[-1])) if values.size else 0.0
-    if values.size and values[-1] < -_CLAMP_RTOL * scale:
-        raise DataError(
-            f"matrix is not positive semidefinite: eigenvalue "
-            f"{values[-1]:.3e} against largest magnitude {scale:.3e}"
-        )
+def _pairs_basis(pairs, rank, tol):
+    """subspace_basis of a factor's checked eigenpairs."""
+    values, vectors = pairs
     top = values[0] if values.size else 0.0
     if top <= 0.0:
         return None
-    keep = int(np.sum(values > tol * top))
-    keep = min(keep, rank)
+    keep = min(int(np.sum(values > tol * top)), rank)
     if keep == 0:
         return None
     return vectors[:, :keep]
@@ -243,23 +231,21 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q):
 
 
 def _factor_basis(estimate, name):
-    """Subspace basis of one factor within its rank budget, which must
-    lie in [1, dim]; the factor is checked unless read_estimate did."""
-    factor = getattr(estimate, name)
-    if not any(factor is checked for checked in estimate._checked):
-        factor = _hermitian_part(factor, f"{name} factor")
-    rank, dim = getattr(estimate, f"rank_{name}"), factor.shape[0]
+    """Subspace basis of one factor from its eigenpairs, within its rank
+    budget, which must lie in [1, dim]."""
+    factor = getattr(estimate, f"{name}_factor")
+    rank, dim = getattr(estimate, f"rank_{name}"), factor.dim
     if not 1 <= rank <= dim:
         raise DimensionError(f"{name} rank budget {rank} outside [1, {dim}]")
-    return _checked_basis(factor, rank, RANK_TOL)
+    return _pairs_basis(factor.pairs, rank, RANK_TOL)
 
 
 def build_filter(kind, estimate, drop_temporal=False):
     """Construct a projection StapFilter from a KronCovEstimate.
 
-    The bases come from the factor eigendecompositions (see
-    subspace_basis), honoring the estimate's rank budgets. drop_temporal
-    checks the temporal factor but leaves its basis out: spatial-only
+    The bases come from the factors' eigenpairs (see subspace_basis),
+    honoring the estimate's rank budgets. drop_temporal still derives,
+    and so checks, the temporal basis but leaves it out: spatial-only
     cancelation, the kron filter with no temporal basis, for any kind.
     """
     if kind not in FILTER_KINDS:
@@ -268,7 +254,7 @@ def build_filter(kind, estimate, drop_temporal=False):
         raise DimensionError(f"{kind} filter needs a covariance estimate")
     u_a = _factor_basis(estimate, "spatial")
     u_b = _factor_basis(estimate, "temporal")
-    p, q = estimate.spatial.shape[0], estimate.temporal.shape[0]
+    p, q = estimate.spatial_factor.dim, estimate.temporal_factor.dim
     if drop_temporal:
         return projection_filter("kron", u_a, None, p, q)
     return projection_filter(kind, u_a, u_b, p, q)

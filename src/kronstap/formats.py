@@ -12,14 +12,33 @@ Phase-history files ("KPH1") are little-endian throughout:
     n_targets  u32
     targets    (bin u32, doppler f64, amplitude_re f64, amplitude_im f64)
 
-Estimate files ("KES1") share the entry encoding and carry the two
-factor matrices back to back after a fixed header.
+Estimate files ("KES2") hold each factor as the eigenpairs its
+truncation kept, not as a dense matrix, and are little-endian too:
+
+    magic      4 bytes  b"KES2"
+    version    u16      currently 1
+    flags      u16      entry encoding, as for KPH1
+    sdim, q    u32 each     spatial and temporal factor dims
+    rank_spatial, rank_temporal
+               u32 each     rank budgets, each in [1, its dim]: the
+                            count of stored pairs
+    iterations u32
+    converged  u32      0 or 1
+    n_residuals u32
+    then, for the spatial and then the temporal factor:
+    values     rank float64, descending
+    vectors    dim x rank entries, row by row; column k belongs to value k
+    residuals  n_residuals float64, the fit's residual history
+
+The dense dim x dim factor is U diag(values) U^H, formed only when a
+caller asks for it (linalg.Factor). Estimate files of the older "KES1"
+layout, dense factors back to back, are refused with a message to
+re-run `estimate`: one reader, not two.
 
 Both binary formats are written from the arrays' memory and read
 straight into the arrays the reader returns, so a file is held in
-memory once either way; `read_estimate` symmetrizes each factor in
-place. CSV outputs always carry a header row, with floats printed at
-full precision so they read back exactly.
+memory once either way. CSV outputs always carry a header row, with
+floats printed at full precision so they read back exactly.
 """
 
 import math
@@ -29,19 +48,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .linalg import _hermitian_part
+from .errors import ConfigError, DataError, DimensionError
+from .linalg import Factor
 from .lrkron import KronCovEstimate
 from .simulate import PhaseHistory, SceneConfig, TargetTruth
 
 PH_MAGIC = b"KPH1"
-EST_MAGIC = b"KES1"
+EST_MAGIC = b"KES2"
+# the dense-factor layout this one replaced; read_estimate names it
+_OLD_EST_MAGIC = b"KES1"
 FORMAT_VERSION = 1
 FLAG_COMPLEX128 = 8
 
 _PH_HEADER = struct.Struct("<4sHHIIII")
 _TARGET_RECORD = struct.Struct("<Iddd")
-_EST_HEADER = struct.Struct("<4sHHIIIIII")
+_EST_HEADER = struct.Struct("<4sHHIIIIIII")
 
 
 def write_phase_history(path, history):
@@ -115,70 +136,98 @@ def read_phase_history(path):
 
 
 def write_estimate(path, estimate):
-    """Serialize the two factors of a KronCovEstimate.
+    """Serialize a KronCovEstimate as KES2: each factor's top
+    rank-budget eigenpairs, then the residual history.
 
-    The factors go to the file straight from their memory, with no
-    serialized copy.
+    A factor held as a dense matrix is decomposed here, once (see
+    linalg.Factor). The pairs go to the file straight from their memory
+    when they are contiguous little-endian, as the estimator's temporal
+    pairs are.
     """
-    spatial = np.ascontiguousarray(estimate.spatial, dtype="<c16")
-    temporal = np.ascontiguousarray(estimate.temporal, dtype="<c16")
-    sdim = spatial.shape[0]
-    q = temporal.shape[0]
+    payload = []
+    dims = []
+    for name in ("spatial", "temporal"):
+        values, vectors = getattr(estimate, f"{name}_pairs")
+        rank = getattr(estimate, f"rank_{name}")
+        if not 1 <= rank <= values.size:
+            raise DimensionError(
+                f"{name} rank budget {rank} outside [1, {values.size}], "
+                f"the eigenpairs held")
+        dims.append(vectors.shape[0])
+        payload += [np.ascontiguousarray(values[:rank], dtype="<f8"),
+                    np.ascontiguousarray(vectors[:, :rank], dtype="<c16")]
+    residuals = np.asarray(estimate.residuals, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_EST_HEADER.pack(EST_MAGIC, FORMAT_VERSION, FLAG_COMPLEX128,
-                                  sdim, q, estimate.rank_spatial,
+                                  *dims, estimate.rank_spatial,
                                   estimate.rank_temporal, estimate.iterations,
-                                  1 if estimate.converged else 0))
-        spatial.tofile(fh)
-        temporal.tofile(fh)
+                                  1 if estimate.converged else 0,
+                                  residuals.size))
+        for arr in payload:
+            arr.tofile(fh)
+        residuals.tofile(fh)
 
 
 def read_estimate(path):
-    """Read a KES1 file back into a KronCovEstimate.
+    """Read a KES2 file back into a KronCovEstimate; this is where an
+    estimate from outside is checked, once.
 
-    Both factors must be finite and Hermitian within linalg's tolerance,
-    or DataError is raised. The estimate holds their Hermitian parts
-    (m + m^H) / 2, which equal the stored factors when those are exactly
-    Hermitian, as the estimator writes them. Each factor is read
-    straight into its own array and symmetrized in place, so the file
-    is held in memory once. The arrays are read-only and marked as
-    checked, so build_filter does not check them again. Whether they
-    are PSD is left to the filter's eigensolve, which the factors go
-    through anyway.
+    Every size must match the header before anything is allocated, with
+    each rank budget in [1, its dim]. Each factor's pairs are read
+    straight into their own arrays and checked by
+    linalg.Factor.checked_pairs: finite, values descending and PSD up
+    to rounding, vectors orthonormal. The residuals must be finite and
+    non-negative. Any failure raises DataError; a KES1 file raises one
+    that says to re-run `estimate`. No dense factor is formed.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_EST_HEADER.size)
+        if header[:4] == _OLD_EST_MAGIC:
+            raise DataError(
+                f"{path} is a KES1 estimate (dense factors), a layout no "
+                f"longer read; re-run `kronstap estimate` to write KES2")
         if len(header) < _EST_HEADER.size:
             raise DataError("file too short for an estimate header")
         (magic, version, flags, sdim, q, rank_spatial, rank_temporal,
-         iterations, converged) = _EST_HEADER.unpack(header)
+         iterations, converged, n_residuals) = _EST_HEADER.unpack(header)
         if magic != EST_MAGIC:
             raise DataError(f"bad magic {magic!r}, expected {EST_MAGIC!r}")
         if version != FORMAT_VERSION:
             raise DataError(f"unsupported format version {version}")
         if flags != FLAG_COMPLEX128:
             raise DataError(f"unsupported entry encoding flags {flags}")
-        if size != _EST_HEADER.size + (sdim * sdim + q * q) * 16:
+        if converged not in (0, 1):
+            raise DataError(f"converged flag must be 0 or 1, got {converged}")
+        layout = (("spatial", sdim, rank_spatial),
+                  ("temporal", q, rank_temporal))
+        for name, dim, rank in layout:
+            if not 1 <= rank <= dim:
+                raise DataError(f"{name} rank {rank} outside [1, {dim}]")
+        expected = _EST_HEADER.size + 8 * n_residuals + sum(
+            rank * (8 + 16 * dim) for _, dim, rank in layout)
+        if size != expected:
             raise DataError("estimate payload size mismatch")
-        if not 1 <= rank_spatial <= sdim:
-            raise DataError(f"spatial rank {rank_spatial} outside [1, {sdim}]")
-        if not 1 <= rank_temporal <= q:
-            raise DataError(f"temporal rank {rank_temporal} outside [1, {q}]")
         factors = []
-        for name, dim in (("spatial factor", sdim), ("temporal factor", q)):
-            factor = np.empty((dim, dim), dtype="<c16")
-            if fh.readinto(factor) != factor.nbytes:
-                raise DataError("estimate payload size mismatch")
+        for name, dim, rank in layout:
+            values = _read_array(fh, rank, "<f8")
+            vectors = _read_array(fh, (dim, rank), "<c16")
             # astype only copies on a big-endian host
-            factor = _hermitian_part(factor.astype(np.complex128, copy=False),
-                                     name, overwrite=True)
-            factor.flags.writeable = False
-            factors.append(factor)
-    spatial, temporal = factors
-    return KronCovEstimate(spatial, temporal, rank_spatial, rank_temporal,
-                           iterations, [], bool(converged),
-                           _checked=(spatial, temporal))
+            factors.append(Factor.checked_pairs(
+                values.astype(np.float64, copy=False),
+                vectors.astype(np.complex128, copy=False), f"{name} factor"))
+        residuals = _read_array(fh, n_residuals, "<f8")
+    if not (np.isfinite(residuals).all() and (residuals >= 0).all()):
+        raise DataError("residual history must be finite and non-negative")
+    return KronCovEstimate(*factors, rank_spatial, rank_temporal, iterations,
+                           residuals.tolist(), bool(converged))
+
+
+def _read_array(fh, shape, dtype):
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(arr) != arr.nbytes:
+        raise DataError("estimate payload size mismatch")
+    return arr
 
 
 def write_residuals_csv(path, residuals):

@@ -1,28 +1,24 @@
-"""Dense complex matrix helpers.
+"""Dense complex matrix helpers and the eigenpair form of a factor.
 
 The carrier type throughout the package is a 2-D numpy array of
 complex128. Eigenwork delegates to LAPACK through numpy, with the
 ordering and phase conventions pinned down here so repeated runs give
 identical output.
 
-Two solves share those conventions. `hermitian_eig` always runs the
-full n x n eigh. `_top_eigenpairs` first tries a Rayleigh-Ritz solve
-on a k-column range (Halko, Martinsson & Tropp 2011) and keeps it only
-when the range is checked to hold the whole matrix up to rounding. It
-runs the full solve otherwise: when the rank budget is not below k,
-when k is more than n / _RANGE_MIN_RATIO, when the residual is too
-large (a full-rank or slowly decaying spectrum), or when a tie
-straddles the rank cut. It has two callers:
+Two solves share those conventions. `hermitian_eig` and `_full_eig`
+run the full n x n eigh. `_top_eigenpairs` runs a Rayleigh-Ritz solve
+on the span of a caller's matrix whose columns hold the matrix's range,
+and keeps it only when that is checked to hold the whole matrix up to
+rounding; it runs the full solve otherwise. Its one caller is the
+estimator's final temporal truncation on the snapshot path, on the span
+of the p*n snapshot rows, which holds the temporal iterate's range.
 
-- the filter, for a factor's subspace, on the range of the factor
-  times a fixed random n x (rank + _RANGE_OVERSAMPLE) test matrix;
-- a truncation given a `span`, which is the estimator's final
-  temporal truncation on the snapshot path, on the span of the
-  snapshot rows, which holds the temporal iterate's range.
-
-Without a span, as in the estimator's spatial truncation and on its
-dense path, a truncation runs the full solve. The estimator calls
-`_truncate`, `eig_truncate` without its input check.
+A Kronecker factor is a `Factor`: its kept eigenpairs, its dense
+matrix, or both, with the missing one formed on first use. A truncation
+(`_truncated`) keeps the pairs it computed and forms no matrix; the
+filter only needs the pairs. A caller's dense matrix enters through
+`Factor.checked`, which checks it once, and its pairs come from the full
+solve when first asked for.
 """
 
 import math
@@ -40,23 +36,21 @@ _HERMITIAN_RTOL = 1e-8
 # Relative magnitude below which a negative eigenvalue of a nominally
 # PSD matrix is treated as rounding noise.
 _CLAMP_RTOL = 1e-10
+# Largest entry of U^H U - I accepted for eigenvectors from outside:
+# eigh's vectors of random 64..1024-square PSD matrices left 2e-15 to
+# 4e-15, so this is some 10^4 times that.
+_ORTHO_TOL = 1e-10
 # Edge of the square tiles the Hermitian check and symmetrization walk.
 _SYM_TILE = 64
 # Relative spacing within which sorted eigenvalues count as tied.
 _TIE_RTOL = 1e-12
-# Range solve of _top_eigenpairs: extra test columns beyond the rank
-# budget, the least n / (rank + oversampling) worth trying it at, the
-# seed of its test matrix, and the accepted residual relative to the
-# largest Ritz magnitude. The residual bounds every eigenvalue the range
-# leaves out, so it sits far below the PSD clamp. From an in-process
-# sweep (n 10..768, rank 1..8, 2-CPU host): the solve's time grows with
-# its k columns, 2.2-3.1 ms at n = 768 with 4 extra against 120-134 ms
-# for eigh, and 4 extra columns still accept a factor up to 4 ranks
-# above its budget. At n = 4k it takes at most half the full solve's
-# time and a declined try adds at most a fifth; at n = 2k it can lose.
-_RANGE_OVERSAMPLE = 4
+# Span solve of _top_eigenpairs: the least n / (span columns) worth
+# trying it at, and the accepted residual relative to the largest Ritz
+# magnitude. The residual bounds every eigenvalue the span leaves out,
+# so it sits far below the PSD clamp. At n = 4k the solve took at most
+# half the full solve's time in an in-process sweep (2-CPU host), and a
+# declined try adds at most a fifth; at n = 2k it can lose.
 _RANGE_MIN_RATIO = 4
-_RANGE_SEED = 0x6B726F6E
 _RANGE_RTOL = 1e-2 * _CLAMP_RTOL
 
 
@@ -187,20 +181,18 @@ def hermitian_eig(m):
     return _full_eig(_hermitian_part(m, "matrix"))
 
 
-def _top_eigenpairs(sym, rank, span=None):
+def _top_eigenpairs(sym, rank, span):
     """Leading eigenpairs of a checked Hermitian matrix under a rank budget.
 
-    sym must already be Hermitian (a `_hermitian_part` result). The
-    result is either the k Ritz pairs of sym on an orthonormal basis Q
-    of a k-column range, or, when that solve is declined,
+    sym must already be Hermitian (a `_hermitian_part` result), and the
+    columns of span, an n x k matrix, must span a range that holds
+    sym's. The result is either the k Ritz pairs of sym on an
+    orthonormal basis Q of span, or, when that solve is declined,
     `_full_eig(sym)`. Both carry the same conventions, sorted
-    descending. The range is that of sym times a fixed Gaussian test
-    matrix of k = rank + _RANGE_OVERSAMPLE columns, or the columns of
-    span when the caller knows a matrix whose range holds sym's (k is
-    then span's column count). It is tried only when rank < k and
+    descending. The span solve is tried only when rank < k and
     _RANGE_MIN_RATIO * k <= n.
 
-    The range result is kept only when ||sym - Q (sym Q)^H||_F is at
+    The span result is kept only when ||sym - Q (sym Q)^H||_F is at
     most _RANGE_RTOL times the largest Ritz magnitude. Every eigenvalue
     of sym is then within sqrt(2) times that residual of a Ritz value or
     of zero, so the Ritz values carry the PSD verdict, the largest
@@ -214,15 +206,12 @@ def _top_eigenpairs(sym, rank, span=None):
     formed.
     """
     n = sym.shape[0]
-    k = rank + _RANGE_OVERSAMPLE if span is None else span.shape[1]
+    k = span.shape[1]
     if not 1 <= rank < k or _RANGE_MIN_RATIO * k > n:
         return _full_eig(sym)
     # entries near the float limit overflow in these products; the full
     # solve scales such a matrix, so non-finite results decline to it
     with np.errstate(over="ignore", invalid="ignore"):
-        if span is None:
-            rng = np.random.default_rng(_RANGE_SEED)
-            span = sym @ rng.standard_normal((n, 2 * k)).view(np.complex128)
         q, _ = np.linalg.qr(span)
         sq = sym @ q
         sq_h = sq.conj().T
@@ -247,6 +236,119 @@ def _top_eigenpairs(sym, rank, span=None):
     return _pin_conventions(values, q @ w[:, ::-1])
 
 
+def _check_psd(values, name):
+    """Raise DataError unless sorted eigenvalues are PSD up to rounding:
+    none below -_CLAMP_RTOL times the largest magnitude."""
+    # sorted descending, so the largest magnitude sits at one end
+    scale = max(abs(values[0]), abs(values[-1])) if values.size else 0.0
+    if values.size and values[-1] < -_CLAMP_RTOL * scale:
+        raise DataError(
+            f"{name} is not positive semidefinite: eigenvalue "
+            f"{values[-1]:.3e} against largest magnitude {scale:.3e}"
+        )
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class Factor:
+    """One Hermitian PSD Kronecker factor: eigenpairs, dense matrix or both.
+
+    Whichever of the two is missing is formed on first use and kept;
+    both are read-only.
+
+    - `pairs` of a factor held as a matrix are all n eigenpairs, from
+      one full solve, and a matrix that is not PSD up to rounding
+      raises DataError there (see `_check_psd`).
+    - `matrix` of a factor held as pairs is `_rebuild(pairs)`.
+
+    The constructor trusts what it is given: the estimator's own
+    results and pairs that formats.read_estimate checked. A caller's
+    matrix goes through `Factor.checked`.
+    """
+
+    __slots__ = ("_pairs", "_matrix", "name")
+
+    def __init__(self, pairs=None, matrix=None, name="factor"):
+        if pairs is not None:
+            pairs = EigenPairs(*map(_read_only, pairs))
+        self._pairs = pairs
+        self._matrix = None if matrix is None else _read_only(matrix)
+        self.name = name
+
+    @classmethod
+    def checked(cls, m, name):
+        """A caller's dense factor, checked once by `_hermitian_part`:
+        finite, square and Hermitian within tolerance; it keeps the
+        Hermitian part."""
+        return cls(matrix=_hermitian_part(m, name), name=name)
+
+    @classmethod
+    def checked_pairs(cls, values, vectors, name):
+        """Eigenpairs from outside, checked once: r real values and the
+        dim x r matrix of their vectors, 1 <= r <= dim.
+
+        Every entry must be finite; the values descending to within
+        _CLAMP_RTOL times the largest magnitude (which leaves room for
+        the tie order `_pin_conventions` sets) and PSD up to rounding
+        (see `_check_psd`); and the vectors orthonormal: no entry of
+        U^H U - I above _ORTHO_TOL in magnitude, an r x r check. The
+        arrays are kept, read-only, not copied.
+        """
+        if not np.isfinite(values).all():
+            raise DataError(f"{name} has non-finite eigenvalues")
+        top = max(abs(values[0]), abs(values[-1]))
+        if np.any(np.diff(values) > _CLAMP_RTOL * top):
+            raise DataError(f"{name} eigenvalues are not in descending order")
+        _check_psd(values, name)
+        # summed over row tiles, so no copy of the vectors is made;
+        # finite vectors can still overflow it, to inf or NaN
+        gram = np.zeros((values.size, values.size), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(0, vectors.shape[0], _SYM_TILE):
+                tile = vectors[r0:r0 + _SYM_TILE]
+                if not np.isfinite(tile).all():
+                    raise DataError(f"{name} has non-finite eigenvectors")
+                gram += tile.conj().T @ tile
+            gram[np.diag_indices_from(gram)] -= 1.0
+            err = np.abs(gram).max()
+        if not err <= _ORTHO_TOL:
+            raise DataError(
+                f"{name} eigenvectors are not orthonormal: |U^H U - I| "
+                f"reaches {err:.3e}, above {_ORTHO_TOL:.0e}")
+        return cls(EigenPairs(values, vectors), name=name)
+
+    def __repr__(self):
+        held = [kind for kind, arr in (("pairs", self._pairs),
+                                       ("matrix", self._matrix))
+                if arr is not None]
+        pairs = "" if self._pairs is None else \
+            f", pairs={self._pairs.values.size}"
+        return (f"Factor({self.name!r}, dim={self.dim}{pairs}, "
+                f"held={'+'.join(held)})")
+
+    @property
+    def dim(self):
+        held = self._matrix if self._matrix is not None else self._pairs.vectors
+        return held.shape[0]
+
+    @property
+    def pairs(self):
+        if self._pairs is None:
+            values, vectors = _full_eig(self._matrix)
+            _check_psd(values, self.name)
+            self._pairs = EigenPairs(_read_only(values), _read_only(vectors))
+        return self._pairs
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _read_only(_rebuild(self._pairs))
+        return self._matrix
+
+
 def eig_truncate(m, rank, span=None):
     """Best Hermitian approximation keeping the top `rank` eigenpairs.
 
@@ -254,7 +356,7 @@ def eig_truncate(m, rank, span=None):
     Hermitian within tolerance, then symmetrized. Negative eigenvalues
     within rounding distance of zero are clamped before truncation, so
     a PSD input yields a PSD result. rank equal to the full dimension
-    short-circuits to the symmetrized input.
+    short-circuits to the symmetrized input. The result is read-only.
 
     span, an n x k matrix whose columns span a range that holds m's,
     lets the eigenpairs come from the checked Rayleigh-Ritz solve of
@@ -265,13 +367,28 @@ def eig_truncate(m, rank, span=None):
     n = sym.shape[0]
     if not 1 <= rank <= n:
         raise DimensionError(f"rank must be in [1, {n}], got {rank}")
-    return _truncate(sym, rank, span)
+    return _truncated(sym, rank, span).matrix
 
 
-def _truncate(sym, rank, span=None):
-    """eig_truncate of a finite Hermitian sym, 1 <= rank <= n: no check."""
+def _truncated(sym, rank, span=None, name="factor"):
+    """eig_truncate of a finite Hermitian sym, 1 <= rank <= n, as a
+    Factor that holds the kept pairs and no matrix: no check.
+
+    rank equal to n holds sym itself, whose pairs wait for first use.
+    """
     if rank == sym.shape[0]:
-        return sym
+        return Factor(matrix=sym, name=name)
+    values, vectors = _kept_pairs(sym, rank, span)
+    return Factor(EigenPairs(values, np.ascontiguousarray(vectors)),
+                  name=name)
+
+
+def _kept_pairs(sym, rank, span=None):
+    """The top `rank` eigenpairs of a finite Hermitian sym, 1 <= rank < n,
+    negative values within rounding distance of zero clamped: no check.
+
+    The vectors are a column slice of the solve's result.
+    """
     if span is None:
         values, vectors = _full_eig(sym)
     else:
@@ -279,6 +396,11 @@ def _truncate(sym, rank, span=None):
     top = max(abs(values[0]), abs(values[-1]))   # values sorted descending
     lam = values[:rank]
     lam = np.where((lam < 0) & (np.abs(lam) <= _CLAMP_RTOL * top), 0.0, lam)
-    u = vectors[:, :rank]
+    return EigenPairs(lam, vectors[:, :rank])
+
+
+def _rebuild(pairs):
+    """The Hermitian matrix U lam U^H of eigenpairs, exactly Hermitian."""
+    lam, u = pairs
     out = (u * lam) @ u.conj().T
     return (out + out.conj().T) / 2.0

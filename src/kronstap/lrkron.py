@@ -25,16 +25,21 @@ WorkerPool; the dense path, like the sample covariance, runs on the
 calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
-iteration, by the full p x p eigensolve, and the temporal factor once
-at the end. Each of these iterates is symmetrized in place and tested
-once for finite entries, not checked again. On the snapshot path the
-temporal iterate B's columns lie in the span of the p*n snapshot
-rows, so that truncation is a checked Rayleigh-Ritz solve on that
-span (`_truncate` with a span): a q x p*n QR and products and a
-p*n x p*n eigh instead of the q x q eigh. It takes the full solve
-when the check declines, when rank_temporal >= p*n, or when p*n is
-more than q / 4 (see linalg); rank_temporal == q short-circuits to
-the symmetrized B on either path.
+iteration, by the full p x p eigensolve, and rebuilt as the dense A the
+next sweep needs; the temporal factor is truncated once at the end.
+Each of these iterates is symmetrized in place and tested once for
+finite entries, not checked again. On the snapshot path the temporal
+iterate B's columns lie in the span of the p*n snapshot rows, so that
+truncation is a checked Rayleigh-Ritz solve on that span (`_truncated`
+with a span): a q x p*n QR and products and a p*n x p*n eigh instead of
+the q x q eigh. It takes the full solve when the check declines, when
+rank_temporal >= p*n, or when p*n is more than q / 4 (see linalg).
+
+The estimate keeps each factor as a linalg.Factor: the kept eigenpairs
+of its truncation, which is all the filter needs, and the dense matrix
+only where the fit formed it anyway (the spatial A). rank_temporal == q
+keeps the symmetrized B itself, on either path, and its eigenpairs are
+formed on first use, outside the fit.
 
 Residuals are the relative Frobenius misfit of the rank-one model,
 recorded after the spatial truncation, and iteration stops when the
@@ -48,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .linalg import _HERMITIAN_RTOL, _hermitian_part, _truncate
+from .linalg import _HERMITIAN_RTOL, Factor, _hermitian_part, _kept_pairs, \
+    _rebuild, _truncated
 # perfbench's span tracer wraps lrkron.eig_truncate by name
 from .linalg import eig_truncate  # noqa: F401
 from .parallel import chunk_spans, get_pool
@@ -114,20 +120,48 @@ class SampleCovariance:
         return self._matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class KronCovEstimate:
-    """Kronecker-factored covariance estimate and its fit history."""
+    """Kronecker-factored covariance estimate and its fit history.
 
-    spatial: np.ndarray
-    temporal: np.ndarray
+    Each factor is a linalg.Factor. A caller may give a dense matrix
+    instead, which goes through `Factor.checked` once, here. `spatial`
+    and `temporal` are the factors' read-only dense matrices, formed on
+    first access from the kept eigenpairs; `spatial_pairs` and
+    `temporal_pairs` are the eigenpairs, formed by one full solve on
+    first access to a factor held as a matrix.
+    """
+
+    spatial_factor: Factor
+    temporal_factor: Factor
     rank_spatial: int
     rank_temporal: int
     iterations: int
     residuals: list = field(default_factory=list)
     converged: bool = True
-    # the factor arrays formats.read_estimate checked and symmetrized at
-    # the file boundary; build_filter does not check these again
-    _checked: tuple = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("spatial", "temporal"):
+            factor = getattr(self, f"{name}_factor")
+            if not isinstance(factor, Factor):
+                setattr(self, f"{name}_factor",
+                        Factor.checked(factor, f"{name} factor"))
+
+    @property
+    def spatial(self):
+        return self.spatial_factor.matrix
+
+    @property
+    def temporal(self):
+        return self.temporal_factor.matrix
+
+    @property
+    def spatial_pairs(self):
+        return self.spatial_factor.pairs
+
+    @property
+    def temporal_pairs(self):
+        return self.temporal_factor.pairs
 
 
 def sample_covariance(snapshots, p, q):
@@ -309,8 +343,10 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         Stop once the residual changes by no more than this between
         iterations. The residual is quadratically flat near the
         optimum, so a stall guarantees factor accuracy only to about
-        sqrt(machine epsilon); pass a negative tol to disable the
-        stall check and run exactly max_iter iterations instead.
+        sqrt(machine epsilon); pass a negative tol, -inf included, to
+        disable the stall check and run exactly max_iter iterations
+        instead. NaN and +inf raise DimensionError: one would never
+        stop and the other would stop after one iteration.
     max_iter : int
         Iteration cap. Hitting it flags the estimate as not converged
         but still returns the partial factors.
@@ -330,6 +366,10 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         raise DimensionError(f"temporal rank must be in [1, {q}], got {rank_temporal}")
     if max_iter < 1:
         raise DimensionError(f"max_iter must be >= 1, got {max_iter}")
+    if math.isnan(tol) or tol == math.inf:
+        raise DimensionError(
+            f"tol must not be NaN or +inf (a negative tol means no stall "
+            f"check), got {tol}")
     if scm.snapshots is not None:
         sweeps = _snapshot_sweeps(scm.snapshots, get_pool(pool))
     else:
@@ -338,8 +378,10 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     fro = sweeps.fro
     if fro == 0.0:
         est = KronCovEstimate(
-            np.zeros((p, p), dtype=np.complex128),
-            np.zeros((q, q), dtype=np.complex128),
+            Factor(matrix=np.zeros((p, p), dtype=np.complex128),
+                   name="spatial factor"),
+            Factor(matrix=np.zeros((q, q), dtype=np.complex128),
+                   name="temporal factor"),
             rank_spatial, rank_temporal, 0, [0.0], True,
         )
         if keep_iterates:
@@ -350,7 +392,6 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     b_mat = np.empty((q, q), dtype=np.complex128)
     residuals = []
     iterates = []
-    spatial = None
     eta_prev = math.inf
     converged = False
     iterations = 0
@@ -368,9 +409,10 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
             raise DegenerateInputError("temporal iterate collapsed to zero")
         v_mat = sweeps.v_sweep(np.conj(b_mat))
 
-        spatial = _truncate(
-            _symmetrize_iterate(v_mat / norm_b2, "spatial"), rank_spatial)
-        a_mat = spatial
+        # the truncation, as eig_truncate's: the sweeps need A dense
+        v_sym = _symmetrize_iterate(v_mat / norm_b2, "spatial")
+        kept = _kept_pairs(v_sym, rank_spatial) if rank_spatial < p else None
+        a_mat = v_sym if kept is None else _rebuild(kept)
 
         # || R - a b^T ||^2 expanded; v_mat already holds R conj(b)
         cross = np.vdot(a_mat, v_mat).real
@@ -378,15 +420,16 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         eta = math.sqrt(max(eta2, 0.0)) / fro
         residuals.append(eta)
         if keep_iterates:
-            iterates.append((spatial.copy(), b_mat.copy()))
+            iterates.append((a_mat.copy(), b_mat.copy()))
 
         if abs(eta_prev - eta) <= tol:
             converged = True
             break
         eta_prev = eta
 
-    temporal = _truncate(_symmetrize_iterate(b_mat, "temporal"),
-                         rank_temporal, sweeps.span)
+    spatial = Factor(kept, a_mat, name="spatial factor")
+    temporal = _truncated(_symmetrize_iterate(b_mat, "temporal"),
+                          rank_temporal, sweeps.span, name="temporal factor")
     est = KronCovEstimate(
         spatial, temporal, rank_spatial, rank_temporal,
         iterations, residuals, converged,

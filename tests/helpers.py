@@ -7,6 +7,7 @@ checked against.
 """
 
 import os
+import struct
 
 import numpy as np
 
@@ -255,6 +256,36 @@ def read_detection_csv(path):
     if values.ndim != 2 or values.shape[1] != len(dopplers):
         raise DataError("detection CSV rows do not match header")
     return DetectionMap(values, np.asarray(dopplers), None)
+
+
+def random_pairs(rng, dim, values):
+    """Eigenpairs with the given values and random orthonormal vectors:
+    (float64 values, dim x len(values) complex128 vectors)."""
+    vectors, _ = np.linalg.qr(complex_gauss(rng, (dim, len(values))))
+    return np.asarray(values, dtype=np.float64), vectors
+
+
+def kes2_bytes(spatial, temporal, rank_spatial=None, rank_temporal=None,
+               dims=None, iterations=1, converged=1, residuals=(0.5,),
+               magic=b"KES2"):
+    """A KES2 estimate file built by hand, byte by byte from its layout.
+
+    spatial and temporal are (values, vectors) pairs, written as given.
+    The header's rank budgets default to each pair count and its dims
+    to each vector row count, so either can be set to disagree with
+    the payload.
+    """
+    (sv, su), (tv, tu) = spatial, temporal
+    sdim, q = dims or (su.shape[0], tu.shape[0])
+    ra = len(sv) if rank_spatial is None else rank_spatial
+    rb = len(tv) if rank_temporal is None else rank_temporal
+    out = [struct.pack("<4sHHIIIIIII", magic, 1, 8, sdim, q, ra, rb,
+                       iterations, converged, len(residuals))]
+    for values, vectors in (spatial, temporal):
+        out.append(np.asarray(values, dtype="<f8").tobytes())
+        out.append(np.asarray(vectors, dtype="<c16").tobytes())
+    out.append(np.asarray(residuals, dtype="<f8").tobytes())
+    return b"".join(out)
 
 
 def unstack_passes(stacked):

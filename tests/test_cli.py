@@ -1,7 +1,6 @@
 """End-to-end CLI runs: pipelines, exit codes, thread handling."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from kronstap.formats import (
     parse_scene_config,
     read_estimate,
     read_phase_history,
-    write_estimate,
     write_phase_history,
 )
 from kronstap.multipass import stack_passes
@@ -246,6 +244,32 @@ class TestEstimate:
                    "--output", tmp_path / "fit.kes", "--ra", 1, "--rb", 2)
         assert code == DATA_ERROR
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_a_nan_or_infinite_eps_exits_2_naming_the_flag(
+            self, tmp_path, capsys, clutter_file, eps):
+        fit = tmp_path / "fit.kes"
+        code = run("estimate", "--input", clutter_file, "--output", fit,
+                   "--ra", 1, "--rb", 3, "--eps", eps, "--max-iter", 7)
+        assert code == DATA_ERROR
+        assert f"--eps {eps}" in capsys.readouterr().err
+        assert not fit.exists()
+
+    def test_a_negative_infinite_eps_runs_max_iter(self, tmp_path,
+                                                   clutter_file):
+        fit = tmp_path / "fit.kes"
+        code = run("estimate", "--input", clutter_file, "--output", fit,
+                   "--ra", 1, "--rb", 3, "--eps=-inf", "--max-iter", 3)
+        assert code == NO_CONVERGENCE
+        assert read_estimate(fit).iterations == 3
+
+    def test_the_file_carries_the_residual_history(self, tmp_path,
+                                                   clutter_file):
+        fit = tmp_path / "fit.kes"
+        assert run("estimate", "--input", clutter_file, "--output", fit,
+                   "--ra", 1, "--rb", 3) == 0
+        history = helpers.read_residuals_csv(str(fit) + ".residuals.csv")
+        assert read_estimate(fit).residuals == history
+
 
 class TestFilterAndDetect:
     @pytest.fixture()
@@ -320,11 +344,13 @@ class TestFilterAndDetect:
     def test_rank_budget_outside_the_dims_is_a_data_error(self, tmp_path,
                                                           fitted_scene,
                                                           ranks):
+        # a KES2 rank budget is its stored pair count, so the file is
+        # built by hand with as many (zero) pairs as the header says
         clean, fit = fitted_scene
-        est = read_estimate(fit)
+        pairs = [(np.zeros(rank), np.zeros((dim, rank), complex))
+                 for dim, rank in zip((3, 16), ranks)]
         bad = tmp_path / "bad.kes"
-        write_estimate(bad, replace(est, rank_spatial=ranks[0],
-                                    rank_temporal=ranks[1]))
+        bad.write_bytes(helpers.kes2_bytes(*pairs))
         out = tmp_path / "filtered.kph"
         code = run("filter", "--input", clean, "--estimate", bad,
                    "--output", out)
@@ -350,12 +376,13 @@ class TestFilterAndDetect:
     def test_negated_factors_are_a_data_error(self, tmp_path, fitted_scene,
                                               command):
         # (-A) x (-B) = A x B, but a negative semidefinite factor leaves
-        # only rounding noise as its "top" eigen-direction
+        # only rounding noise as its "top" eigen-direction. Its pairs are
+        # the negated values, in descending order, and their vectors
         clean, fit = fitted_scene
         est = read_estimate(fit)
         bad = tmp_path / "negated.kes"
-        write_estimate(bad, replace(est, spatial=-est.spatial,
-                                    temporal=-est.temporal))
+        bad.write_bytes(helpers.kes2_bytes(negated(est.spatial_pairs),
+                                           negated(est.temporal_pairs)))
         out = tmp_path / "out"
         code = run(command, "--input", clean, "--estimate", bad,
                    "--output", out)
@@ -367,10 +394,12 @@ class TestFilterAndDetect:
                                                command):
         clean, fit = fitted_scene
         est = read_estimate(fit)
-        temporal = est.temporal.copy()
-        temporal[2, 2] = np.nan
+        values, vectors = est.temporal_pairs
+        vectors = vectors.copy()
+        vectors[2, 2] = np.nan
         bad = tmp_path / "nan.kes"
-        write_estimate(bad, replace(est, temporal=temporal))
+        bad.write_bytes(helpers.kes2_bytes(est.spatial_pairs,
+                                           (values, vectors)))
         out = tmp_path / "out"
         code = run(command, "--input", clean, "--estimate", bad,
                    "--output", out)
@@ -378,12 +407,18 @@ class TestFilterAndDetect:
         assert not out.exists()
 
 
+def negated(pairs):
+    """The eigenpairs of a negated factor, values descending."""
+    values, vectors = pairs
+    return -values[::-1], vectors[:, ::-1]
+
+
 class TestDamagedEstimateFile:
     """A truncated or bit-flipped KES file never crashes filter or detect."""
 
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
-        # q = 24 at r_b = 2 is wide enough for the range solve
+        # q = 24 at r_b = 2: a 24 x 2 temporal factor in the file
         tmp = tmp_path_factory.mktemp("damaged")
         config = write_config(tmp, "p = 2\nq = 24\nn_bins = 30\nr_b = 2\n"
                                    "sigma2 = 0.01\nseed = 23\n")
@@ -421,16 +456,139 @@ class TestDamagedEstimateFile:
 
     @pytest.mark.parametrize("command", ["filter", "detect"])
     def test_a_negated_temporal_factor_exits_2(self, fitted, command):
-        # the 24 x 24 temporal factor goes through the range solve
+        # the negated 24 x 2 temporal pairs are refused where they are
+        # read, before any filter is built
         tmp, scene, _ = fitted
         est = read_estimate(tmp / "fit.kes")
         bad = tmp / "negated.kes"
-        write_estimate(bad, replace(est, temporal=-est.temporal))
+        bad.write_bytes(helpers.kes2_bytes(est.spatial_pairs,
+                                           negated(est.temporal_pairs)))
         out = tmp / "negated.out"
         code = run(command, "--input", scene, "--estimate", bad,
                    "--output", out)
         assert code == DATA_ERROR
         assert not out.exists()
+
+
+def hand_built_cases(est):
+    """(name, KES2 bytes) of files filter and detect must refuse, each
+    from the pairs of a good estimate with one thing broken."""
+    s, t = est.spatial_pairs, est.temporal_pairs
+    good = helpers.kes2_bytes(s, t)
+    tv, tu = t
+
+    def temporal(values=tv, vectors=tu):
+        return helpers.kes2_bytes(s, (values, vectors))
+
+    skewed = tu.copy()
+    skewed[:, 1] += 1e-6 * tu[:, 0]
+    below_clamp = tv.copy()
+    below_clamp[-1] = -1e-8 * tv[0]
+    nan_value = tv.copy()
+    nan_value[1] = np.nan
+    zero = (np.zeros(0), np.zeros((tu.shape[0], 0), complex))
+    q = tu.shape[0]
+    wide = (np.zeros(q + 1), np.zeros((q, q + 1), complex))
+    return [
+        ("non-orthonormal vectors", temporal(vectors=skewed)),
+        ("ascending values", temporal(values=tv[::-1].copy())),
+        ("negative beyond the clamp", temporal(values=below_clamp)),
+        ("NaN value", temporal(values=nan_value)),
+        ("rank 0", helpers.kes2_bytes(s, zero)),
+        ("rank above dim", helpers.kes2_bytes(s, wide)),
+        ("truncated payload", good[:-1]),
+        ("trailing bytes", good + bytes(8)),
+        ("KES1", b"KES1" + good[4:]),
+    ]
+
+
+class TestHandBuiltEstimateFiles:
+    """KES2 files damaged in each way read_estimate checks for."""
+
+    CASES = ["non-orthonormal vectors", "ascending values",
+             "negative beyond the clamp", "NaN value", "rank 0",
+             "rank above dim", "truncated payload", "trailing bytes", "KES1"]
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("hand-built")
+        config = write_config(tmp, CLUTTER_CONFIG)
+        scene = tmp / "scene.kph"
+        fit = tmp / "fit.kes"
+        assert run("simulate", "--config", config, "--output", scene) == 0
+        assert run("estimate", "--input", scene, "--output", fit,
+                   "--ra", 1, "--rb", 3) == 0
+        cases = dict(hand_built_cases(read_estimate(fit)))
+        assert list(cases) == self.CASES
+        return tmp, scene, cases
+
+    def test_the_good_file_is_the_estimate_file(self, fitted):
+        # the cases break a file that is, byte for byte, the real one
+        tmp, _, _ = fitted
+        est = read_estimate(tmp / "fit.kes")
+        assert helpers.kes2_bytes(est.spatial_pairs, est.temporal_pairs,
+                                  iterations=est.iterations,
+                                  converged=int(est.converged),
+                                  residuals=est.residuals) == \
+            (tmp / "fit.kes").read_bytes()
+
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_filter_and_detect_exit_2(self, fitted, capsys, command, case):
+        tmp, scene, cases = fitted
+        path = tmp / "bad.kes"
+        path.write_bytes(cases[case])
+        out = tmp / f"out.{command}"
+        out.unlink(missing_ok=True)
+        code = run(command, "--input", scene, "--estimate", path,
+                   "--output", out)
+        assert code == DATA_ERROR
+        assert not out.exists()
+        if case == "KES1":
+            assert "re-run `kronstap estimate`" in capsys.readouterr().err
+
+
+class TestNoSolveAfterEstimate:
+    """filter and detect read the estimator's pairs and use them as they
+    are: no eigensolve, no QR, no q x q array."""
+
+    # q = 512 >= 4 * (rank + 4), and 2 * 24 snapshot rows keep the fit
+    # on the span path; the cube is 24 * 2 * 512 entries, well below the
+    # q x q factor's 512 * 512
+    CONFIG = "p = 2\nq = 512\nn_bins = 24\nr_b = 4\nseed = 7\n" \
+             "target = 5 0.375 3 0\n"
+
+    @pytest.mark.parametrize("command", ["filter", "detect"])
+    def test_no_eigensolve_and_no_q_by_q_array(self, tmp_path, monkeypatch,
+                                               command):
+        config = write_config(tmp_path, self.CONFIG)
+        scene, fit = tmp_path / "scene.kph", tmp_path / "fit.kes"
+        assert run("simulate", "--config", config, "--output", scene) == 0
+        assert run("estimate", "--input", scene, "--output", fit,
+                   "--ra", 1, "--rb", 4) == 0
+        calls = []
+        for name in ("eigh", "qr", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        # detect's Doppler operators are q x D: 8 cells keep them far
+        # below a q x q array
+        extra = ["--grid-doppler", 8] if command == "detect" else []
+        q = 512
+        tracemalloc.start()
+        try:
+            code = run(command, "--input", scene, "--estimate", fit,
+                       "--output", tmp_path / "out", *extra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert calls == []
+        assert peak < q * q * 16 / 2
 
 
 class TestThreadInvariance:
@@ -747,6 +905,17 @@ class TestExitCodesAndThreads:
         assert run("estimate", "--input", "x") == USAGE_ERROR
         assert run("simulate", "--config", tmp_path / "c", "--output",
                    tmp_path / "o", "--threads", 0) == USAGE_ERROR
+
+    def test_signed_without_multipass_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        # before, --signed was ignored and the map came out unsigned
+        out = tmp_path / "map.csv"
+        code = run("detect", "--input", tmp_path / "scene.kph",
+                   "--estimate", tmp_path / "fit.kes", "--output", out,
+                   "--signed")
+        assert code == USAGE_ERROR
+        assert "--multipass" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_env_fallback(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "p = 2\nq = 8\nn_bins = 8\nr_b = 2\n")

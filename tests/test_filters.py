@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap import filters, formats, linalg
+from kronstap import filters, linalg
 from kronstap.errors import DataError, DimensionError
 from kronstap.filters import (
     BLOCK_BINS,
@@ -135,8 +135,29 @@ def projector(basis):
     return None if basis is None else basis @ basis.conj().T
 
 
+def range_span(m, k):
+    """An n x k span that holds m's range whenever m's rank is at most k."""
+    return m @ helpers.complex_gauss(np.random.default_rng(59),
+                                     (m.shape[0], k))
+
+
+def span_basis(m, budget, k):
+    """subspace_basis's verdict with the pairs from the span solve on
+    range_span(m, k) in place of the full solve."""
+    sym = linalg._hermitian_part(m, "matrix")
+    values, vectors = linalg._top_eigenpairs(sym, budget, range_span(sym, k))
+    linalg._check_psd(values, "matrix")
+    return filters._pairs_basis(linalg.EigenPairs(values, vectors), budget,
+                                1e-9)
+
+
 class TestRangeSolve:
-    """subspace_basis through the range solve against the full solve."""
+    """The span solve of _top_eigenpairs against the full solve.
+
+    The estimator runs it on the span of the snapshot rows; here the
+    span is a factor's range, sampled by range_span, with 4 columns
+    more than the rank budget.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(16, 200), rank=st.integers(1, 6),
@@ -148,13 +169,12 @@ class TestRangeSolve:
         m = range_test_factor(np.random.default_rng(seed), n, rank, budget,
                               kind)
         outcomes = []
-        for min_ratio in (linalg._RANGE_MIN_RATIO, np.inf):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(linalg, "_RANGE_MIN_RATIO", min_ratio)
-                try:
-                    outcomes.append(subspace_basis(m, budget))
-                except DataError:
-                    outcomes.append(DataError)
+        for solve in (lambda: span_basis(m, budget, budget + 4),
+                      lambda: subspace_basis(m, budget)):
+            try:
+                outcomes.append(solve())
+            except DataError:
+                outcomes.append(DataError)
         fast, full = outcomes
         if full is DataError or fast is DataError:
             assert fast is full
@@ -172,7 +192,7 @@ class TestRangeSolve:
         for budget in (3, 5):
             with pytest.MonkeyPatch.context() as mp:
                 full = helpers.CountFullSolves(mp)
-                basis = subspace_basis(m, budget)
+                basis = span_basis(m, budget, budget + 4)
             assert full.sizes == []
             assert basis.shape == (64, 3)
 
@@ -180,21 +200,20 @@ class TestRangeSolve:
         m = helpers.random_psd(np.random.default_rng(51), 64)
         with pytest.MonkeyPatch.context() as mp:
             full = helpers.CountFullSolves(mp)
-            basis = subspace_basis(m, 3)
+            basis = span_basis(m, 3, 7)
         assert full.sizes == [64]
         want = linalg.hermitian_eig(m).vectors[:, :3]
         assert np.array_equal(basis, want)
 
     def test_a_tie_at_the_window_edge_gets_the_full_solve(self):
-        # rank exactly k, so the range holds the whole matrix, but the
+        # rank exactly k, so the span holds the whole matrix, but the
         # tie runs from inside the budget to the last Ritz value
-        budget = 2
-        k = budget + linalg._RANGE_OVERSAMPLE
+        budget, k = 2, 6
         m = factor_with_values(np.random.default_rng(52), 64,
                                [3.0] + [2.0] * (k - 1))
         with pytest.MonkeyPatch.context() as mp:
             full = helpers.CountFullSolves(mp)
-            basis = subspace_basis(m, budget)
+            basis = span_basis(m, budget, k)
         assert full.sizes == [64]
         assert np.array_equal(basis, linalg.hermitian_eig(m).vectors[:, :2])
 
@@ -202,7 +221,7 @@ class TestRangeSolve:
         m = helpers.random_psd(np.random.default_rng(53), 16, 1)
         with pytest.MonkeyPatch.context() as mp:
             full = helpers.CountFullSolves(mp)
-            subspace_basis(m, 1)
+            span_basis(m, 1, 5)
         assert full.sizes == [16]
 
     def test_a_negated_low_rank_factor_is_a_data_error(self):
@@ -210,23 +229,23 @@ class TestRangeSolve:
         with pytest.MonkeyPatch.context() as mp:
             full = helpers.CountFullSolves(mp)
             with pytest.raises(DataError, match="positive semidefinite"):
-                subspace_basis(-m, 4)
+                span_basis(-m, 4, 8)
         assert full.sizes == []
 
     def test_entries_near_the_float_limit_take_the_full_solve(self):
-        # the range products overflow; the full solve scales the matrix
+        # the span products overflow; the full solve scales the matrix
         m = helpers.random_psd(np.random.default_rng(57), 64, 3)
         m[0, 1] = m[1, 0] = 8e307
         with pytest.MonkeyPatch.context() as mp:
             full = helpers.CountFullSolves(mp)
             with pytest.raises(DataError, match="positive semidefinite"):
-                subspace_basis(m, 3)
+                span_basis(m, 3, 7)
         assert full.sizes == [64]
 
     def test_the_range_solve_keeps_the_conventions(self):
         m = helpers.random_psd(np.random.default_rng(55), 96, 4)
-        values, vectors = linalg._top_eigenpairs(m, 4)
-        assert values.size == 4 + linalg._RANGE_OVERSAMPLE
+        values, vectors = linalg._top_eigenpairs(m, 4, range_span(m, 8))
+        assert values.size == 8
         # descending up to the tie tolerance, within which ties reorder
         assert np.all(np.diff(values) <= linalg._TIE_RTOL * values[0])
         full = linalg.hermitian_eig(m)
@@ -237,22 +256,24 @@ class TestRangeSolve:
             assert abs(vectors[pivot, k].imag) < 1e-15
         assert np.max(np.abs(vectors[:, :4] - full.vectors[:, :4])) < 1e-12
 
-
     def test_the_range_solve_forms_no_square_temporary(self):
         n = 768
         m = helpers.random_psd(np.random.default_rng(58), n, 4)
+        span = range_span(m, 8)
         tracemalloc.start()
         try:
-            values, _ = linalg._top_eigenpairs(m, 4)
+            values, _ = linalg._top_eigenpairs(m, 4, span)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.size == 4 + linalg._RANGE_OVERSAMPLE
+        assert values.size == 8
         assert peak < n * n * 16 / 4
 
 
 class TestCheckedFactors:
-    """Factors read from a KES file are checked there, and only there."""
+    """A caller's dense factors are checked where they enter the
+    estimate, once; factors read from a KES2 file are checked there, as
+    pairs, and never by the Hermitian check."""
 
     @pytest.fixture()
     def hermitian_checks(self, monkeypatch):
@@ -264,9 +285,6 @@ class TestCheckedFactors:
             return original(m, name, **kwargs)
 
         monkeypatch.setattr(linalg, "_hermitian_part", counted)
-        # filters and formats hold their own references to the check
-        monkeypatch.setattr(filters, "_hermitian_part", counted)
-        monkeypatch.setattr(formats, "_hermitian_part", counted)
         return names
 
     def estimate_file(self, tmp_path):
@@ -279,27 +297,31 @@ class TestCheckedFactors:
         return est, path
 
     def test_a_read_estimate_is_not_checked_again(self, tmp_path,
-                                                  hermitian_checks):
+                                                  hermitian_checks,
+                                                  monkeypatch):
         est, path = self.estimate_file(tmp_path)
+        del hermitian_checks[:]
+        full = helpers.CountFullSolves(monkeypatch)
         back = read_estimate(path)
-        assert hermitian_checks == ["spatial factor", "temporal factor"]
         filt = build_filter("kron", back)
-        assert hermitian_checks == ["spatial factor", "temporal factor"]
+        assert hermitian_checks == []
+        assert full.sizes == []
         want = build_filter("kron", est)
         assert np.array_equal(filt.temporal_basis, want.temporal_basis)
         assert not back.temporal.flags.writeable
 
     def test_user_factors_are_checked(self, tmp_path, hermitian_checks):
         est, path = self.estimate_file(tmp_path)
+        assert hermitian_checks == ["spatial factor", "temporal factor"]
         build_filter("kron", est)
         assert hermitian_checks == ["spatial factor", "temporal factor"]
         back = read_estimate(path)
         del hermitian_checks[:]
-        # a replaced factor is not the array the file boundary checked
+        # a replaced factor is the caller's, not the file's
         skewed = back.temporal.copy()
         skewed[0, 1] += 1e-3
         with pytest.raises(DataError, match="temporal factor"):
-            build_filter("kron", replace(back, temporal=skewed))
+            build_filter("kron", replace(back, temporal_factor=skewed))
         assert hermitian_checks == ["temporal factor"]
         with pytest.raises(DataError):
             subspace_basis(skewed, 3)

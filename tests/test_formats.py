@@ -1,9 +1,10 @@
 """On-disk format checks: byte layouts, round trips, parser errors."""
 
 import os
+import struct
 import tempfile
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap.errors import ConfigError, DataError, KronStapError
+from kronstap.errors import ConfigError, DataError, DimensionError, \
+    KronStapError
 from kronstap.filters import DetectionMap
 from kronstap.formats import (
     parse_scene_config,
@@ -24,6 +26,7 @@ from kronstap.formats import (
     write_phase_history,
     write_residuals_csv,
 )
+from kronstap.linalg import EigenPairs, Factor, hermitian_eig
 from kronstap.lrkron import KronCovEstimate
 from kronstap.simulate import (
     PhaseHistory,
@@ -135,21 +138,54 @@ class TestPhaseHistoryFile:
         assert np.array_equal(back.data, data)
 
 
+def pairs_estimate(rng, sdim, q, rank_spatial, rank_temporal, **kwargs):
+    """An estimate held as eigenpairs, as the estimator leaves it."""
+    factors = [
+        Factor(EigenPairs(*helpers.random_pairs(
+            rng, dim, np.sort(rng.random(rank))[::-1] + 0.5)))
+        for dim, rank in ((sdim, rank_spatial), (q, rank_temporal))]
+    kwargs.setdefault("residuals", [0.5, 0.1])
+    return KronCovEstimate(*factors, rank_spatial, rank_temporal,
+                           kwargs.pop("iterations", 2), **kwargs)
+
+
+def assert_same_pairs(back, est):
+    """back's pairs are est's top rank-budget pairs, bit for bit."""
+    for name in ("spatial", "temporal"):
+        rank = getattr(est, f"rank_{name}")
+        want = getattr(est, f"{name}_pairs")
+        got = getattr(back, f"{name}_pairs")
+        assert got.values.tobytes() == want.values[:rank].tobytes()
+        assert got.vectors.tobytes() == \
+            np.ascontiguousarray(want.vectors[:, :rank]).tobytes()
+
+
 class TestEstimateFile:
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(40)
-        est = KronCovEstimate(helpers.random_psd(rng, 3),
-                              helpers.random_psd(rng, 5),
-                              2, 4, 7, [0.5, 0.1], False)
+        est = pairs_estimate(rng, 3, 5, 2, 4, iterations=7, converged=False)
         path = tmp_path / "fit.kes"
         write_estimate(path, est)
         back = read_estimate(path)
+        assert_same_pairs(back, est)
         assert np.array_equal(back.spatial, est.spatial)
         assert np.array_equal(back.temporal, est.temporal)
         assert back.rank_spatial == 2
         assert back.rank_temporal == 4
         assert back.iterations == 7
         assert back.converged is False
+        assert back.residuals == [0.5, 0.1]
+
+    def test_a_dense_factor_is_written_as_its_top_pairs(self, tmp_path):
+        rng = np.random.default_rng(48)
+        est = KronCovEstimate(helpers.random_psd(rng, 3),
+                              helpers.random_psd(rng, 5), 2, 4, 1, [0.5])
+        path = tmp_path / "fit.kes"
+        write_estimate(path, est)
+        back = read_estimate(path)
+        assert_same_pairs(back, est)
+        assert np.array_equal(back.spatial_pairs.vectors,
+                              hermitian_eig(est.spatial).vectors[:, :2])
 
     def test_payload_size_mismatch_is_rejected(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -168,59 +204,86 @@ class TestEstimateFile:
         with pytest.raises(DataError):
             read_estimate(path)
 
+    def test_a_kes1_file_says_to_re_run_estimate(self, tmp_path):
+        # a KES1 header for 1 x 1 factors, then both factors
+        path = tmp_path / "fit.kes"
+        path.write_bytes(struct.pack("<4sHHIIIIII", b"KES1", 1, 8, 1, 1, 1,
+                                     1, 1, 1) + bytes(32))
+        with pytest.raises(DataError, match="KES1.*re-run `kronstap "
+                                            "estimate`"):
+            read_estimate(path)
+
     @pytest.mark.parametrize("ranks", [(0, 2), (1, 0), (0, 0), (4, 2),
                                        (1, 6), (99, 99)])
     def test_rank_budget_outside_the_factor_dims_is_rejected(self, tmp_path,
                                                              ranks):
+        # in KES2 a rank budget is also the stored pair count: the
+        # payload matches the header, so only the rank check can fail
         rng = np.random.default_rng(42)
-        est = KronCovEstimate(helpers.random_psd(rng, 3),
-                              helpers.random_psd(rng, 5),
-                              *ranks, 1, [0.5], True)
+        pairs = [(np.zeros(rank), np.zeros((dim, rank), complex))
+                 for dim, rank in zip((3, 5), ranks)]
         path = tmp_path / "fit.kes"
-        write_estimate(path, est)
+        path.write_bytes(helpers.kes2_bytes(*pairs))
         with pytest.raises(DataError, match="rank"):
             read_estimate(path)
+        # and the writer will not write one
+        est = pairs_estimate(rng, 3, 5, 1, 2)
+        with pytest.raises(DimensionError, match="rank budget"):
+            write_estimate(path, replace(est, rank_spatial=ranks[0],
+                                         rank_temporal=ranks[1]))
 
     @pytest.mark.parametrize("factor", ["spatial", "temporal"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factors_are_rejected(self, tmp_path, factor, bad):
         rng = np.random.default_rng(44)
-        est = KronCovEstimate(helpers.random_psd(rng, 3),
-                              helpers.random_psd(rng, 5), 1, 2, 1, [0.5], True)
-        getattr(est, factor)[1, 1] = bad
-        path = tmp_path / "fit.kes"
-        write_estimate(path, est)
-        with pytest.raises(DataError, match=f"{factor} factor"):
-            read_estimate(path)
+        for part in (0, 1):      # a value, then a vector entry
+            pairs = {"spatial": helpers.random_pairs(rng, 3, [2.0]),
+                     "temporal": helpers.random_pairs(rng, 5, [3.0, 1.0])}
+            pairs[factor][part].flat[1 if part else 0] = bad
+            path = tmp_path / "fit.kes"
+            path.write_bytes(helpers.kes2_bytes(pairs["spatial"],
+                                                pairs["temporal"]))
+            with pytest.raises(DataError, match=f"{factor} factor"):
+                read_estimate(path)
 
     @pytest.mark.parametrize("factor", ["spatial", "temporal"])
     def test_non_hermitian_factors_are_rejected(self, tmp_path, factor):
+        # U diag(values) U^H is Hermitian whatever U is; what stands in
+        # for a damaged factor is vectors that are not orthonormal, so
+        # the pairs are no eigendecomposition
         rng = np.random.default_rng(45)
-        est = KronCovEstimate(helpers.random_psd(rng, 3),
-                              helpers.random_psd(rng, 5), 1, 2, 1, [0.5], True)
-        getattr(est, factor)[0, 1] += 1e-3
+        pairs = {"spatial": helpers.random_pairs(rng, 3, [2.0, 1.0]),
+                 "temporal": helpers.random_pairs(rng, 5, [3.0, 1.0])}
+        pairs[factor][1][0, 1] += 1e-3
         path = tmp_path / "fit.kes"
-        write_estimate(path, est)
-        with pytest.raises(DataError, match=f"{factor} factor"):
+        path.write_bytes(helpers.kes2_bytes(pairs["spatial"],
+                                            pairs["temporal"]))
+        with pytest.raises(DataError, match=f"{factor} factor eigenvectors "
+                                            f"are not orthonormal"):
             read_estimate(path)
 
     def test_an_asymmetry_past_the_overflow_is_rejected(self, tmp_path):
+        # a finite vector entry whose square overflows: the Gram check
+        # sees inf or NaN, which must fail it, not pass as no error
         rng = np.random.default_rng(46)
-        est = KronCovEstimate(helpers.random_psd(rng, 3),
-                              helpers.random_psd(rng, 6), 1, 2, 1, [0.5], True)
-        est.temporal[0, 1] = 1e156
-        est.temporal[1, 0] = 0.0
-        path = tmp_path / "fit.kes"
-        write_estimate(path, est)
-        with pytest.raises(DataError, match="temporal factor"):
-            read_estimate(path)
+        for entry in (1e156, 1e200, 1.7e308):
+            spatial = helpers.random_pairs(rng, 3, [1.0])
+            temporal = helpers.random_pairs(rng, 6, [2.0, 1.0])
+            temporal[1][0, 1] = entry
+            path = tmp_path / "fit.kes"
+            path.write_bytes(helpers.kes2_bytes(spatial, temporal))
+            with pytest.raises(DataError, match="temporal factor"):
+                read_estimate(path)
 
     def test_read_and_write_hold_the_factors_once(self, tmp_path):
+        # a wide-q-sized temporal factor, q = 768, with 32 kept pairs:
+        # enough that the reader's fixed costs (an 8 KiB file buffer, a
+        # row tile of the Gram check) stay small beside them. Neither
+        # side forms the 768 x 768 factor
         rng = np.random.default_rng(47)
-        est = KronCovEstimate(helpers.random_psd(rng, 8, 1),
-                              helpers.random_psd(rng, 768, 4), 1, 4, 3,
-                              [0.5], True)
-        factor_bytes = est.spatial.nbytes + est.temporal.nbytes
+        est = pairs_estimate(rng, 8, 768, 1, 32)
+        pair_bytes = sum(a.nbytes for a in (*est.spatial_pairs,
+                                            *est.temporal_pairs))
         path = tmp_path / "fit.kes"
         tracemalloc.start()
         try:
@@ -231,9 +294,9 @@ class TestEstimateFile:
             _, read_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert write_peak < 0.25 * factor_bytes
-        assert read_peak < 1.25 * factor_bytes
-        assert np.array_equal(back.temporal, est.temporal)
+        assert write_peak < 0.25 * pair_bytes
+        assert read_peak < 1.25 * pair_bytes
+        assert_same_pairs(back, est)
 
     def test_rank_budget_at_the_factor_dims_is_accepted(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -244,11 +307,6 @@ class TestEstimateFile:
         write_estimate(path, est)
         back = read_estimate(path)
         assert (back.rank_spatial, back.rank_temporal) == (3, 5)
-
-
-def random_hermitian(rng, n, scale):
-    g = scale * helpers.complex_gauss(rng, (n, n))
-    return (g + g.conj().T) / 2.0
 
 
 def kes_blob(est):
@@ -267,6 +325,12 @@ def read_blob(blob):
         return read_estimate(path)
 
 
+def assert_hermitian_psd(m):
+    assert np.array_equal(m, m.conj().T)
+    values = np.linalg.eigvalsh(m)
+    assert values.min() >= -1e-10 * max(values.max(), 0.0)
+
+
 class TestEstimateFileProperties:
     @settings(max_examples=60, deadline=None)
     @given(sdim=st.integers(1, 5), q=st.integers(1, 9), data=st.data())
@@ -274,17 +338,22 @@ class TestEstimateFileProperties:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         scale = 10.0 ** data.draw(st.integers(-100, 100))
         est = KronCovEstimate(
-            random_hermitian(rng, sdim, scale), random_hermitian(rng, q, scale),
+            scale * helpers.random_psd(rng, sdim,
+                                       data.draw(st.integers(1, sdim))),
+            scale * helpers.random_psd(rng, q, data.draw(st.integers(1, q))),
             data.draw(st.integers(1, sdim)), data.draw(st.integers(1, q)),
-            data.draw(st.integers(0, 2 ** 32 - 1)), [0.5], data.draw(st.booleans()),
+            data.draw(st.integers(0, 2 ** 32 - 1)),
+            data.draw(st.lists(st.floats(0.0, 1e300), max_size=5)),
+            data.draw(st.booleans()),
         )
         back = read_blob(kes_blob(est))
-        assert np.array_equal(back.spatial, est.spatial)
-        assert np.array_equal(back.temporal, est.temporal)
+        assert_same_pairs(back, est)
         assert (back.rank_spatial, back.rank_temporal, back.iterations,
-                back.converged) == (est.rank_spatial, est.rank_temporal,
-                                    est.iterations, est.converged)
-        assert back.residuals == []      # the history is not stored
+                back.converged, back.residuals) == \
+            (est.rank_spatial, est.rank_temporal, est.iterations,
+             est.converged, est.residuals)
+        for factor in (back.spatial, back.temporal):
+            assert_hermitian_psd(factor)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -298,6 +367,8 @@ class TestEstimateFileProperties:
         cut = data.draw(st.integers(0, len(blob) - 1))
         with pytest.raises(KronStapError):
             read_blob(blob[:cut])
+        with pytest.raises(KronStapError):
+            read_blob(blob + bytes(data.draw(st.integers(1, 16))))
         bit = data.draw(st.integers(0, 8 * len(blob) - 1))
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << (bit % 8)
@@ -307,7 +378,7 @@ class TestEstimateFileProperties:
             return
         for factor in (back.spatial, back.temporal):
             assert np.isfinite(factor).all()
-            assert np.array_equal(factor, factor.conj().T)
+            assert_hermitian_psd(factor)
 
 
 def kph_blob(history):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import helpers
+from kronstap import linalg
 from kronstap.errors import DataError, DimensionError
 from kronstap.linalg import (
+    Factor,
     _hermitian_part,
     as_matrix,
     eig_truncate,
@@ -139,6 +141,85 @@ def test_eig_truncate_rank_bounds():
         eig_truncate(m, 0)
     with pytest.raises(DimensionError):
         eig_truncate(m, 4)
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (8, 1), (64, 3), (200, 7)])
+def test_a_truncation_keeps_its_pairs_and_rebuilds_the_same_bits(n, rank):
+    # the dense view of the kept pairs is the product over a column
+    # slice of the full solve, as the truncation formed it before it
+    # kept its pairs, bit for bit
+    m = helpers.random_psd(np.random.default_rng(n), n, rank + 1)
+    sym = _hermitian_part(m, "matrix")
+    values, vectors = hermitian_eig(sym)
+    top = max(abs(values[0]), abs(values[-1]))
+    lam = values[:rank]
+    lam = np.where((lam < 0) & (np.abs(lam) <= 1e-10 * top), 0.0, lam)
+    u = vectors[:, :rank]
+    out = (u * lam) @ u.conj().T
+    want = (out + out.conj().T) / 2.0
+    factor = linalg._truncated(sym, rank)
+    assert factor.pairs.values.tobytes() == lam.tobytes()
+    assert np.array_equal(factor.pairs.vectors, u)
+    assert factor.matrix.tobytes() == want.tobytes()
+    assert eig_truncate(m, rank).tobytes() == want.tobytes()
+    for arr in (factor.matrix, *factor.pairs):
+        assert not arr.flags.writeable
+
+
+def test_a_dense_factor_is_decomposed_once_on_first_use(monkeypatch):
+    m = helpers.random_psd(np.random.default_rng(75), 12, 3)
+    full = helpers.CountFullSolves(monkeypatch)
+    factor = Factor.checked(m, "temporal factor")
+    assert full.sizes == []
+    assert factor.dim == 12
+    assert factor.pairs is factor.pairs
+    assert full.sizes == [12]
+    assert np.array_equal(factor.pairs.vectors, hermitian_eig(m).vectors)
+    with pytest.raises(DataError, match="temporal factor is not positive "
+                                        "semidefinite"):
+        Factor.checked(-m, "temporal factor").pairs
+
+
+def test_checked_pairs_take_the_solvers_tie_order():
+    # _pin_conventions orders tied values by pivot index, so a tie can
+    # come out ascending by rounding; the check leaves room for that
+    rng = np.random.default_rng(76)
+    rises = 0
+    for _ in range(20):
+        values = np.repeat(rng.random(3) + 1.0, 3)
+        _, basis = helpers.random_pairs(rng, 12, values)
+        m = (basis * values) @ basis.conj().T
+        pairs = hermitian_eig((m + m.conj().T) / 2)
+        rises += int(np.any(np.diff(pairs.values) > 0))
+        Factor.checked_pairs(pairs.values, pairs.vectors, "factor")
+    assert rises > 0
+
+
+@pytest.mark.parametrize("case, match", [
+    ("ascending", "descending"), ("negative", "positive semidefinite"),
+    ("skewed", "orthonormal"), ("nan vector", "non-finite"),
+    ("inf value", "non-finite")])
+def test_checked_pairs_refuse_what_is_no_eigendecomposition(case, match):
+    values, vectors = helpers.random_pairs(np.random.default_rng(77), 6,
+                                           [3.0, 2.0, 1.0])
+    if case == "ascending":
+        values = values[::-1].copy()
+    elif case == "negative":
+        values[-1] = -1e-9
+    elif case == "skewed":
+        vectors[:, 1] += 1e-9 * vectors[:, 0]
+    elif case == "nan vector":
+        vectors[5, 2] = np.nan
+    else:
+        values[0] = np.inf
+    with pytest.raises(DataError, match=match):
+        Factor.checked_pairs(values, vectors, "factor")
+    # within the stated tolerances the same pairs pass
+    values, vectors = helpers.random_pairs(np.random.default_rng(77), 6,
+                                           [3.0, 2.0, 1.0])
+    values[-1] = -1e-11
+    vectors[:, 1] += 1e-12 * vectors[:, 0]
+    Factor.checked_pairs(values, vectors, "factor")
 
 
 def hermitian_cases(n):

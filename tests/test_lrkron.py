@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import helpers
 from kronstap import linalg, lrkron
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
+from kronstap.filters import build_filter
+from kronstap.formats import read_estimate, write_estimate
 from kronstap.linalg import _hermitian_part, eig_truncate
 from kronstap.lrkron import (
     SampleCovariance,
@@ -284,6 +286,22 @@ def test_estimator_input_validation():
         _exact_cov(s, 3, 3)
     with pytest.raises(DimensionError):
         _exact_cov(s[:, :5], 2, 3)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_a_nan_or_infinite_tolerance_is_refused(tol):
+    # NaN never stalls, so it would run to max_iter; +inf stalls at once
+    s = helpers.random_psd(np.random.default_rng(34), 6)
+    with pytest.raises(DimensionError, match="tol"):
+        lr_kron_estimate(_exact_cov(s, 2, 3), 1, 2, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -np.inf])
+def test_a_negative_tolerance_runs_max_iter(tol):
+    snaps = helpers.complex_gauss(np.random.default_rng(35), (20, 6))
+    est = lr_kron_estimate(sample_covariance(snaps, 2, 3), 1, 2, tol=tol,
+                           max_iter=7)
+    assert (est.iterations, est.converged) == (7, False)
 
 
 def test_near_hermitian_covariance_fits_as_its_symmetrization():
@@ -615,3 +633,31 @@ class TestTemporalTruncation:
         assert q not in full.sizes
         want = _hermitian_part(est.iterates[-1][1], "matrix")
         assert est.temporal.tobytes() == want.tobytes()
+
+    def test_a_full_budget_is_decomposed_once_on_first_use(self, monkeypatch,
+                                                           tmp_path):
+        # as the timing bench fits: rank q, so the fit itself runs no
+        # q x q solve; the first use outside it runs one, and only one
+        p, q, n = 2, 128, 8
+        snaps = helpers.complex_gauss(np.random.default_rng(74), (n, p * q))
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps, p, q, 1, q)
+        assert q not in full.sizes
+        build_filter("kron", est)
+        write_estimate(tmp_path / "fit.kes", est)
+        assert full.sizes.count(q) == 1
+        assert read_estimate(tmp_path / "fit.kes").temporal_pairs.values.size \
+            == q
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_the_estimate_keeps_the_truncations_pairs(self, monkeypatch, n):
+        # n = 3 truncates on the span, n = 40 by the full solve; either
+        # way the estimate holds rank-budget pairs and no q x q factor
+        p, q = 2, 64
+        snaps = helpers.complex_gauss(np.random.default_rng(n), (n, p * q))
+        est = self.fit(snaps, p, q, 1, 3)
+        values, vectors = est.temporal_pairs
+        assert values.shape == (3,) and vectors.shape == (q, 3)
+        assert est.temporal_factor._matrix is None
+        assert helpers.relative_error(
+            est.temporal, eig_truncate(est.iterates[-1][1], 3)) <= 1e-12
