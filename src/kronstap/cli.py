@@ -21,6 +21,7 @@ filters), and a multipass scan gathers each block's passes itself.
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -48,7 +49,18 @@ NO_CONVERGENCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems with exit status 1."""
+    """argparse parser that reports usage problems with exit status 1.
+
+    A value that starts with '-' is read as a negative number, not an
+    option, in every float spelling (-1e-3, -.5, -inf), not only
+    argparse's plain decimals; subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -221,7 +233,6 @@ def cmd_detect(args):
                          "the change map of --multipass\n")
         return USAGE_ERROR
     history = formats.read_phase_history(args.input)
-    dopplers = make_doppler_grid(args.grid_doppler)
     if args.multipass:
         if history.n_passes != 2:
             raise DataError(
@@ -230,16 +241,28 @@ def cmd_detect(args):
         filt, stacked = _projection_filter_for(history, args)
         if not stacked:
             raise DataError("change detection needs a stacked estimate")
-        images = pass_images(filt, history, dopplers, args.grid_spatial)
-        image = change_detect(images[0], images[1], signed=args.signed)
-        label = "change map"
     else:
         if history.n_passes != 1:
             raise DataError("multipass input needs --multipass")
         filt, _ = _projection_filter_for(history, args)
-        grid = make_spatial_grid(history.p, args.grid_spatial)
-        image = detection_image(filt, history.data[0], dopplers, grid)
-        label = "detection map"
+    # the grid counts size the grids, the scan's operators and the map;
+    # numpy refuses an array it cannot allocate at once, with a
+    # MemoryError or, when its byte size overflows, a ValueError
+    try:
+        dopplers = make_doppler_grid(args.grid_doppler)
+        if args.multipass:
+            images = pass_images(filt, history, dopplers, args.grid_spatial)
+            image = change_detect(images[0], images[1], signed=args.signed)
+            label = "change map"
+        else:
+            grid = make_spatial_grid(history.p, args.grid_spatial)
+            image = detection_image(filt, history.data[0], dopplers, grid)
+            label = "detection map"
+    except (MemoryError, ValueError):
+        raise DataError(
+            f"--grid-doppler {args.grid_doppler} with --grid-spatial "
+            f"{args.grid_spatial} over {history.n_bins} bins needs more "
+            f"memory than can be allocated") from None
     formats.write_detection_csv(args.output, image)
     if args.pgm is not None:
         formats.write_pgm(args.pgm, np.abs(image.values))
@@ -264,10 +287,14 @@ def _load_sweep(path):
             if len(parts) != 4:
                 raise ConfigError(lineno, "row takes exactly: p q threads eps")
             try:
-                rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                             float(parts[3])))
+                row = (int(parts[0]), int(parts[1]), int(parts[2]),
+                       float(parts[3]))
             except ValueError:
                 raise ConfigError(lineno, f"bad row fields {value.strip()!r}") from None
+            if min(row[:3]) < 1:
+                raise ConfigError(lineno, f"p, q and threads must be >= 1, "
+                                          f"got {value.strip()!r}")
+            rows.append(row)
     if not rows:
         raise DataError("sweep file lists no rows")
     return rows
@@ -276,6 +303,11 @@ def _load_sweep(path):
 def cmd_bench(args):
     if args.default_sweep == (args.sweep is not None):
         raise DataError("pass exactly one of --sweep or --default-sweep")
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--n", args.n_train, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise DataError(f"{flag} must be >= {least}, got {value}")
     sweep = bench_mod.default_sweep() if args.default_sweep \
         else _load_sweep(args.sweep)
 

@@ -10,8 +10,14 @@ run the full n x n eigh. `_top_eigenpairs` runs a Rayleigh-Ritz solve
 on the span of a caller's matrix whose columns hold the matrix's range,
 and keeps it only when that is checked to hold the whole matrix up to
 rounding; it runs the full solve otherwise. Its one caller is the
-estimator's final temporal truncation on the snapshot path, on the span
-of the p*n snapshot rows, which holds the temporal iterate's range.
+estimator's final temporal truncation on the snapshot path, through
+`_truncated` on the span of the p*n snapshot rows, which holds the
+temporal iterate's range; `eig_truncate` always runs the full solve.
+
+A caller's dense matrix is checked by `_hermitian_part`, the plain
+(m + m^H) / 2 after a Hermitian check. Only library entry points reach
+it (`lrkron.SampleCovariance`, `Factor.checked`, `eig_truncate`,
+`hermitian_eig`); no CLI stage does.
 
 A Kronecker factor is a `Factor`: its kept eigenpairs, its dense
 matrix, or both, with the missing one formed on first use. A truncation
@@ -40,7 +46,8 @@ _CLAMP_RTOL = 1e-10
 # eigh's vectors of random 64..1024-square PSD matrices left 2e-15 to
 # 4e-15, so this is some 10^4 times that.
 _ORTHO_TOL = 1e-10
-# Edge of the square tiles the Hermitian check and symmetrization walk.
+# Rows per tile of the two n x k walks that form no n x n temporary:
+# checked_pairs' U^H U and the span solve's residual (_top_eigenpairs).
 _SYM_TILE = 64
 # Relative spacing within which sorted eigenvalues count as tied.
 _TIE_RTOL = 1e-12
@@ -70,15 +77,8 @@ def kron(a, b):
     return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
 
 
-def _hermitian_part(m, name, overwrite=False):
+def _hermitian_part(m, name):
     """Check that m is square and Hermitian; return (m + m^H) / 2.
-
-    The work goes tile pair by tile pair, so the transposed reads of a
-    large matrix stay in cache; every entry is still computed as in the
-    untiled expression. With overwrite, the result is written over m,
-    which must then be a writable complex128 array, and m is returned:
-    the same bits without a second n x n array. m is overwritten even
-    when the check fails.
 
     When ||m||_F^2 overflows, the check runs on a copy of m scaled by
     its largest component instead, so an asymmetry that overflows as
@@ -86,40 +86,20 @@ def _hermitian_part(m, name, overwrite=False):
     before the sum, which would overflow for entries above ~9e307.
     """
     m = as_matrix(m, name)
-    n = m.shape[0]
-    if m.shape[1] != n:
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
     scale2 = np.vdot(m, m).real
-    halved = not math.isfinite(scale2)
-    if halved:
-        scaled = m / max(np.abs(m.real).max(), np.abs(m.imag).max())
-        d = scaled - scaled.conj().T
-        _check_hermitian(np.vdot(d, d).real, np.vdot(scaled, scaled).real,
-                         name)
-        # m + m^H overflows for entries above ~9e307: halve first
-        m = np.multiply(m, 0.5, out=m if overwrite else None)
-    out = m if overwrite else np.empty_like(m)
-    acc = 0.0
-    # each tile pair's conjugate transposes are copies, taken before
-    # the tile they come from is written, so out may be m
-    for i0 in range(0, n, _SYM_TILE):
-        rows = slice(i0, i0 + _SYM_TILE)
-        for j0 in range(i0, n, _SYM_TILE):
-            cols = slice(j0, j0 + _SYM_TILE)
-            a = m[rows, cols]
-            b_h = m[cols, rows].conj().T
-            d = a - b_h
-            # the mirror tile's difference is -d^H, of the same norm
-            acc += (1.0 if i0 == j0 else 2.0) * np.vdot(d, d).real
-            if j0 > i0:
-                np.add(m[cols, rows], a.conj().T, out=out[cols, rows])
-            np.add(a, b_h, out=out[rows, cols])
-    if not halved:
-        out /= 2.0
+    if math.isfinite(scale2):
+        d = m - m.conj().T
         # a finite scale bounds the asymmetry by 4 * scale2, so an
-        # overflowed acc means an asymmetry above the scale: a failure
-        _check_hermitian(acc, scale2, name)
-    return out
+        # overflowed norm of d means an asymmetry above the scale: a failure
+        _check_hermitian(np.vdot(d, d).real, scale2, name)
+        return (m + m.conj().T) / 2.0
+    scaled = m / max(np.abs(m.real).max(), np.abs(m.imag).max())
+    d = scaled - scaled.conj().T
+    _check_hermitian(np.vdot(d, d).real, np.vdot(scaled, scaled).real, name)
+    half = m * 0.5
+    return half + half.conj().T
 
 
 def _check_hermitian(acc, scale2, name):
@@ -349,32 +329,32 @@ class Factor:
         return self._matrix
 
 
-def eig_truncate(m, rank, span=None):
+def eig_truncate(m, rank):
     """Best Hermitian approximation keeping the top `rank` eigenpairs.
 
     m is checked once, by `_hermitian_part`: finite, square and
-    Hermitian within tolerance, then symmetrized. Negative eigenvalues
-    within rounding distance of zero are clamped before truncation, so
-    a PSD input yields a PSD result. rank equal to the full dimension
-    short-circuits to the symmetrized input. The result is read-only.
-
-    span, an n x k matrix whose columns span a range that holds m's,
-    lets the eigenpairs come from the checked Rayleigh-Ritz solve of
-    `_top_eigenpairs` on that range; the full solve still runs whenever
-    that solve is declined. Without it the full solve always runs.
+    Hermitian within tolerance, then symmetrized. The pairs come from
+    the full eigensolve. Negative eigenvalues within rounding distance
+    of zero are clamped before truncation, so a PSD input yields a PSD
+    result. rank equal to the full dimension short-circuits to the
+    symmetrized input. The result is read-only.
     """
     sym = _hermitian_part(m, "matrix")
     n = sym.shape[0]
     if not 1 <= rank <= n:
         raise DimensionError(f"rank must be in [1, {n}], got {rank}")
-    return _truncated(sym, rank, span).matrix
+    return _truncated(sym, rank).matrix
 
 
 def _truncated(sym, rank, span=None, name="factor"):
     """eig_truncate of a finite Hermitian sym, 1 <= rank <= n, as a
     Factor that holds the kept pairs and no matrix: no check.
 
-    rank equal to n holds sym itself, whose pairs wait for first use.
+    span, an n x k matrix whose columns span a range that holds sym's,
+    lets the pairs come from the checked Rayleigh-Ritz solve of
+    `_top_eigenpairs` on that range; the full solve still runs whenever
+    that solve is declined. rank equal to n holds sym itself, whose
+    pairs wait for first use.
     """
     if rank == sym.shape[0]:
         return Factor(matrix=sym, name=name)

@@ -73,15 +73,14 @@ _COV_ALIGN = 4
 class SampleCovariance:
     """Mean of snapshot outer products, tagged with the bin shape.
 
+    It holds exactly one of the read-only dense `matrix` and the
+    read-only (n, p, q) `snapshots` stack; the other is None.
     Constructed from a pq x pq matrix, it checks it in full, once:
     finite, Hermitian within tolerance, with a non-negative diagonal;
-    it keeps a read-only symmetrized copy. `sample_covariance` checks
-    its own input and skips this: it keeps only the read-only (n, p, q)
-    `snapshots` stack when n < p*q, and `matrix` is then formed on
-    first access, with the same arithmetic as the dense path, and the
-    estimator never asks for it. From n >= p*q snapshots it holds the
-    dense `matrix`, built exactly Hermitian and read-only, and
-    `snapshots` is None.
+    it keeps the symmetrized copy as `matrix`. `sample_covariance`
+    checks its own input and skips this: from n < p*q snapshots it
+    keeps only the stack, and from n >= p*q it holds the dense matrix,
+    built exactly Hermitian.
     """
 
     def __init__(self, matrix, n_samples, p, q):
@@ -92,32 +91,24 @@ class SampleCovariance:
         diag = s.diagonal().real
         if diag.min(initial=0.0) < -_HERMITIAN_RTOL * diag.max(initial=0.0):
             raise DataError("covariance has a negative diagonal, not PSD")
-        self._fill(s, None, n_samples, p, q)
+        self._fill(s, n_samples, p, q)
 
-    def _fill(self, matrix, snapshots, n_samples, p, q):
-        for arr in (matrix, snapshots):
-            if arr is not None:
-                arr.flags.writeable = False
-        self._matrix = matrix
-        self.snapshots = snapshots
+    def _fill(self, held, n_samples, p, q):
+        """Keep held read-only: the (n, p, q) stack or the dense matrix."""
+        held.flags.writeable = False
+        stack = held.ndim == 3
+        self.matrix = None if stack else held
+        self.snapshots = held if stack else None
         self.n_samples = n_samples
         self.p = p
         self.q = q
 
     @classmethod
-    def _from_checked(cls, matrix, snapshots, n, p, q):
+    def _from_checked(cls, held, n, p, q):
         """One that sample_covariance built and checked: no check here."""
         scm = cls.__new__(cls)
-        scm._fill(matrix, snapshots, n, p, q)
+        scm._fill(held, n, p, q)
         return scm
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = _outer_average(
-                self.snapshots.reshape(1, self.n_samples, -1))
-            self._matrix.flags.writeable = False
-        return self._matrix
 
 
 @dataclass(eq=False)
@@ -199,12 +190,12 @@ def sample_covariance(snapshots, p, q):
         if not np.isfinite(x).all():
             raise DataError("snapshots contain non-finite entries")
         stack = np.array(x.swapaxes(0, 1), order="C").reshape(n, p, q)
-        return SampleCovariance._from_checked(None, stack, n, p, q)
+        return SampleCovariance._from_checked(stack, n, p, q)
     s = _outer_average(np.ascontiguousarray(x))
     # finite only if the snapshots were and their products did not overflow
     if not np.isfinite(s).all():
         raise DataError("covariance contains non-finite entries")
-    return SampleCovariance._from_checked(s, None, n, p, q)
+    return SampleCovariance._from_checked(s, n, p, q)
 
 
 def _outer_average(x):
@@ -329,7 +320,7 @@ def _symmetrize_iterate(m, name):
 
 
 def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
-                     max_iter=100, pool=None, keep_iterates=False):
+                     max_iter=100, pool=None):
     """Alternating Kronecker-factor fit to a sample covariance.
 
     Parameters
@@ -353,9 +344,6 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     pool : WorkerPool, optional
         Thread pool for the snapshot sweeps (n < p*q); the dense path
         runs on the calling thread. Does not change the result.
-    keep_iterates : bool
-        Record the per-iteration factor matrices on the estimate as
-        an `iterates` attribute (testing hook).
     """
     if not isinstance(scm, SampleCovariance):
         raise DimensionError("estimator expects a SampleCovariance")
@@ -377,21 +365,17 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
 
     fro = sweeps.fro
     if fro == 0.0:
-        est = KronCovEstimate(
+        return KronCovEstimate(
             Factor(matrix=np.zeros((p, p), dtype=np.complex128),
                    name="spatial factor"),
             Factor(matrix=np.zeros((q, q), dtype=np.complex128),
                    name="temporal factor"),
             rank_spatial, rank_temporal, 0, [0.0], True,
         )
-        if keep_iterates:
-            est.iterates = []
-        return est
 
     a_mat = sweeps.start()
     b_mat = np.empty((q, q), dtype=np.complex128)
     residuals = []
-    iterates = []
     eta_prev = math.inf
     converged = False
     iterations = 0
@@ -419,8 +403,6 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         eta2 = fro * fro + np.vdot(a_mat, a_mat).real * norm_b2 - 2.0 * cross
         eta = math.sqrt(max(eta2, 0.0)) / fro
         residuals.append(eta)
-        if keep_iterates:
-            iterates.append((a_mat.copy(), b_mat.copy()))
 
         if abs(eta_prev - eta) <= tol:
             converged = True
@@ -430,10 +412,7 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     spatial = Factor(kept, a_mat, name="spatial factor")
     temporal = _truncated(_symmetrize_iterate(b_mat, "temporal"),
                           rank_temporal, sweeps.span, name="temporal factor")
-    est = KronCovEstimate(
+    return KronCovEstimate(
         spatial, temporal, rank_spatial, rank_temporal,
         iterations, residuals, converged,
     )
-    if keep_iterates:
-        est.iterates = iterates
-    return est

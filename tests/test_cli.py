@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap import lrkron
+from kronstap import linalg, lrkron
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
 from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter
@@ -262,6 +262,19 @@ class TestEstimate:
         assert code == NO_CONVERGENCE
         assert read_estimate(fit).iterations == 3
 
+    @pytest.mark.parametrize("eps", ["-1e-3", "-inf", "-.5", "-1"])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_a_negative_eps_parses_in_either_spelling(self, tmp_path,
+                                                      clutter_file, eps,
+                                                      joined):
+        # a negative eps, in any float spelling, disables the stall check
+        fit = tmp_path / "fit.kes"
+        flag = [f"--eps={eps}"] if joined else ["--eps", eps]
+        code = run("estimate", "--input", clutter_file, "--output", fit,
+                   "--ra", 1, "--rb", 3, *flag, "--max-iter", 3)
+        assert code == NO_CONVERGENCE
+        assert read_estimate(fit).iterations == 3
+
     def test_the_file_carries_the_residual_history(self, tmp_path,
                                                    clutter_file):
         fit = tmp_path / "fit.kes"
@@ -339,6 +352,21 @@ class TestFilterAndDetect:
         code = run("detect", "--input", small, "--estimate", fit,
                    "--output", tmp_path / "map.csv")
         assert code == DATA_ERROR
+
+    @pytest.mark.parametrize("flag", ["--grid-doppler", "--grid-spatial"])
+    def test_an_unallocatable_grid_exits_2_naming_the_flag(self, tmp_path,
+                                                           capsys,
+                                                           fitted_scene,
+                                                           flag):
+        # 2**62 cells overflow numpy's byte count, so nothing is allocated
+        clean, fit = fitted_scene
+        out = tmp_path / "map.csv"
+        count = 2 ** 62
+        code = run("detect", "--input", clean, "--estimate", fit,
+                   "--output", out, flag, count)
+        assert code == DATA_ERROR
+        assert f"{flag} {count}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("ranks", [(0, 0), (99, 99)])
     def test_rank_budget_outside_the_dims_is_a_data_error(self, tmp_path,
@@ -591,6 +619,38 @@ class TestNoSolveAfterEstimate:
         assert peak < q * q * 16 / 2
 
 
+class TestNoHermitianCheckInThePipeline:
+    """No stage runs linalg._hermitian_part: every matrix a stage uses
+    is made or read checked, so only library callers reach the check."""
+
+    @pytest.mark.parametrize("config, ranks, detect_flags", [
+        ("p = 2\nq = 8\nn_bins = 24\nr_b = 2\nseed = 7\n", (1, 2), []),
+        (FEW_SNAPSHOTS_CONFIG, (1, 3), []),
+        (TWO_PASS_CONFIG, (2, 2), ["--multipass"]),
+    ], ids=["dense", "snapshots", "multipass"])
+    def test_simulate_to_detect_never_calls_it(self, tmp_path, monkeypatch,
+                                               config, ranks, detect_flags):
+        calls = []
+        original = linalg._hermitian_part
+
+        def counted(m, name):
+            calls.append(name)
+            return original(m, name)
+
+        for module in (linalg, lrkron):
+            monkeypatch.setattr(module, "_hermitian_part", counted)
+        scene, fit = tmp_path / "scene.kph", tmp_path / "fit.kes"
+        assert run("simulate", "--config", write_config(tmp_path, config),
+                   "--output", scene) == 0
+        assert run("estimate", "--input", scene, "--output", fit,
+                   "--ra", ranks[0], "--rb", ranks[1]) == 0
+        assert run("filter", "--input", scene, "--estimate", fit,
+                   "--output", tmp_path / "filtered.kph") == 0
+        assert run("detect", "--input", scene, "--estimate", fit,
+                   "--output", tmp_path / "map.csv", *detect_flags) == 0
+        assert calls == []
+
+
 class TestThreadInvariance:
     def test_few_snapshot_pipeline_bytes_do_not_depend_on_threads(self,
                                                                   tmp_path):
@@ -718,6 +778,20 @@ class TestMultipassCli:
         code = run("detect", "--input", broken, "--estimate", fit,
                    "--output", out, "--multipass")
         assert code == DATA_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--grid-doppler", "--grid-spatial"])
+    def test_an_unallocatable_grid_exits_2_naming_the_flag(self, tmp_path,
+                                                           capsys,
+                                                           stacked_scene,
+                                                           flag):
+        cube, fit = stacked_scene
+        out = tmp_path / "change.csv"
+        count = 2 ** 62
+        code = run("detect", "--input", cube, "--estimate", fit,
+                   "--output", out, "--multipass", flag, count)
+        assert code == DATA_ERROR
+        assert f"{flag} {count}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_multipass_flag_is_required_for_stacks(self, tmp_path,
@@ -888,6 +962,27 @@ class TestBenchCli:
         monkeypatch.setenv("KRONSTAP_THREADS", "junk")
         assert run("bench", "--sweep", sweep, "--output", out,
                    "--trials", 1) == 0
+
+    @pytest.mark.parametrize("row, flags, named", [
+        ("2 16 1 1e-4", ["--trials", 0], "--trials"),
+        ("2 16 1 1e-4", ["--trials", -2], "--trials"),
+        ("2 16 1 1e-4", ["--seed", -1], "--seed"),
+        ("2 16 1 1e-4", ["--n", -1], "--n"),
+        ("0 16 1 1e-4", [], "line 1"),
+        ("2 0 1 1e-4", [], "line 1"),
+    ], ids=["trials-0", "trials-negative", "seed-negative", "n-negative",
+            "p-0", "q-0"])
+    def test_bad_inputs_exit_2_naming_the_flag_or_line(self, tmp_path,
+                                                        capsys, row, flags,
+                                                        named):
+        # a one-row sweep file, so no default sweep runs
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text(f"row = {row}\n")
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--sweep", sweep, "--output", out,
+                   *flags) == DATA_ERROR
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_sweep_rows_are_data_errors(self, tmp_path):
         sweep = tmp_path / "sweep.cfg"

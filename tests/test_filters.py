@@ -280,9 +280,9 @@ class TestCheckedFactors:
         names = []
         original = linalg._hermitian_part
 
-        def counted(m, name, **kwargs):
+        def counted(m, name):
             names.append(name)
-            return original(m, name, **kwargs)
+            return original(m, name)
 
         monkeypatch.setattr(linalg, "_hermitian_part", counted)
         return names

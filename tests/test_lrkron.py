@@ -16,7 +16,7 @@ from kronstap.lrkron import (
     lr_kron_estimate,
     sample_covariance,
 )
-from kronstap.parallel import WorkerPool
+from kronstap.parallel import WorkerPool, get_pool
 from kronstap.rearrange import rearrange, unrearrange
 from kronstap.simulate import SceneConfig, gen_clutter
 
@@ -100,9 +100,10 @@ def test_snapshot_stack_is_a_private_copy():
     rng = np.random.default_rng(46)
     snaps = helpers.complex_gauss(rng, (4, 6))
     scm = sample_covariance(snaps, 2, 3)
-    want = sample_covariance(snaps.copy(), 2, 3).matrix
+    want = snaps.reshape(4, 2, 3).copy()
     snaps[:] = 0.0
-    assert np.array_equal(scm.matrix, want)
+    assert scm.matrix is None
+    assert np.array_equal(scm.snapshots, want)
 
 
 def _pass_cube(seed, k, n, d_pass):
@@ -156,8 +157,8 @@ def test_pass_cube_snapshot_path_stacks_the_passes():
     scm = sample_covariance(cube, 4, 3)
     assert np.array_equal(scm.snapshots, rows.reshape(5, 4, 3))
     cube[:] = 0.0
-    assert np.array_equal(scm.matrix,
-                          sample_covariance(rows, 4, 3).matrix)
+    assert scm.matrix is None
+    assert np.array_equal(scm.snapshots, rows.reshape(5, 4, 3))
     with pytest.raises(DimensionError):
         sample_covariance(np.zeros((2, 1, 5, 6)), 4, 3)
     with pytest.raises(DimensionError):
@@ -191,10 +192,11 @@ def test_built_covariance_skips_only_the_hermitian_check(monkeypatch):
         checks.calls.update(none)
         rows = helpers.complex_gauss(np.random.default_rng(81), (n, 12))
         built = sample_covariance(rows, 3, 4)
-        assert not built.matrix.flags.writeable
+        held = built.snapshots if built.matrix is None else built.matrix
+        assert not held.flags.writeable
         assert checks.calls == none
         # a caller's matrix is checked in full once, where it enters
-        user = SampleCovariance(built.matrix.copy(), n, 3, 4)
+        user = SampleCovariance(helpers.outer_average_gemm(rows), n, 3, 4)
         assert checks.calls == once
         assert not user.matrix.flags.writeable
         fit_built = lr_kron_estimate(built, 1, 2)
@@ -250,8 +252,8 @@ _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
        skew_scale=st.floats(0.0, 1e-12))
 def test_iterate_symmetrization_matches_the_checked_one_bitwise(
         n, seed, scale, skew_scale):
-    # the loop's (m + m^H) / 2 must give _hermitian_part's bits, across
-    # more than one _SYM_TILE, on iterates with rounding-level asymmetry
+    # the loop's in-place (m + m^H) / 2 must give _hermitian_part's
+    # bits, on iterates with rounding-level asymmetry
     rng = np.random.default_rng(seed)
     m = helpers.complex_gauss(rng, (n, n))
     m = (m + m.conj().T) * scale
@@ -351,14 +353,16 @@ def test_white_noise_input_fits_exactly():
 
 
 def test_iterates_stay_hermitian_psd():
+    # a fit stopped after k iterations ends on iterate k; with a full
+    # temporal budget it keeps the symmetrized B itself
     rng = np.random.default_rng(43)
     p, q = 3, 6
     snaps = helpers.complex_gauss(rng, (40, p * q))
-    est = lr_kron_estimate(sample_covariance(snaps, p, q), 2, 3,
-                           tol=1e-12, max_iter=30, keep_iterates=True)
-    assert est.iterates
-    for spatial, temporal in est.iterates:
-        for factor in (spatial, temporal):
+    scm = sample_covariance(snaps, p, q)
+    for max_iter in range(1, 31):
+        est = lr_kron_estimate(scm, 2, q, tol=-1.0, max_iter=max_iter)
+        assert est.iterations == max_iter
+        for factor in (est.spatial, est.temporal):
             scale = np.linalg.norm(factor)
             assert np.linalg.norm(factor - factor.conj().T) < 1e-10 * scale
             values = np.linalg.eigvalsh((factor + factor.conj().T) / 2)
@@ -435,8 +439,8 @@ def test_snapshot_fit_matches_the_dense_fit(p, q, seed, data):
     max_iter = data.draw(st.integers(1, 6), label="max_iter")
     snaps = helpers.complex_gauss(np.random.default_rng(seed), (n, p * q))
     scm = sample_covariance(snaps, p, q)
-    assert scm.snapshots is not None
-    dense = SampleCovariance(scm.matrix, n, p, q)
+    assert scm.snapshots is not None and scm.matrix is None
+    dense = SampleCovariance(helpers.outer_average_gemm(snaps), n, p, q)
     fast = lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=-1.0,
                             max_iter=max_iter)
     slow = lr_kron_estimate(dense, rank_spatial, rank_temporal, tol=-1.0,
@@ -530,32 +534,20 @@ def test_dense_estimate_pool_invariant_bitwise():
     assert e1.residuals == e4.residuals
 
 
-def test_keep_iterates_records_history():
-    rng = np.random.default_rng(41)
-    p, q = 2, 6
-    snaps = helpers.complex_gauss(rng, (12, p * q))
-    est = lr_kron_estimate(sample_covariance(snaps, p, q), 1, 2,
-                           keep_iterates=True)
-    assert len(est.iterates) == est.iterations
-    spatial, temporal = est.iterates[-1]
-    assert spatial.shape == (p, p)
-    assert temporal.shape == (q, q)
-    assert np.array_equal(spatial, est.spatial)
-
-
 class TestTemporalTruncation:
-    """The final temporal truncation on the span of the snapshot rows."""
+    """The final temporal truncation on the span of the snapshot rows.
+
+    The B a fit truncates does not depend on its temporal budget, so a
+    refit at rank q, which keeps the symmetrized B itself, gives it.
+    """
 
     @staticmethod
     def fit(snaps, p, q, rank_spatial, rank_temporal, max_iter=4):
         return lr_kron_estimate(sample_covariance(snaps, p, q), rank_spatial,
-                                rank_temporal, tol=-1.0, max_iter=max_iter,
-                                keep_iterates=True)
+                                rank_temporal, tol=-1.0, max_iter=max_iter)
 
-    @staticmethod
-    def rows_span(snaps, p, q):
-        n = snaps.shape[0]
-        return snaps.reshape(n, p, q).transpose(1, 0, 2).reshape(p * n, q).T
+    def final_b(self, snaps, p, q, rank_spatial, max_iter=4):
+        return self.fit(snaps, p, q, rank_spatial, q, max_iter).temporal
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(1, 6), q=st.integers(2, 256),
@@ -569,24 +561,17 @@ class TestTemporalTruncation:
         rank_temporal = data.draw(st.integers(1, q), label="rank_temporal")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         snaps = helpers.complex_gauss(rng, (n, p * q))
-        est = self.fit(snaps, p, q, rank_spatial, rank_temporal,
-                       data.draw(st.integers(1, 4), label="max_iter"))
-        b_mat = est.iterates[-1][1]
+        max_iter = data.draw(st.integers(1, 4), label="max_iter")
+        est = self.fit(snaps, p, q, rank_spatial, rank_temporal, max_iter)
+        b_mat = self.final_b(snaps, p, q, rank_spatial, max_iter)
         want = eig_truncate(b_mat, rank_temporal)
         assert helpers.relative_error(est.temporal, want) <= 1e-12
-        # a B that is not Hermitian gets the same verdict on both paths
+        # a B that is not Hermitian is refused by the one _hermitian_part
+        # check, before the span or the full solve could run
         skewed = b_mat.copy()
         skewed[0, -1] += 1e-3 * np.abs(b_mat).max() + 1e-300
-        outcomes = []
-        for span in (None, self.rows_span(snaps, p, q)):
-            try:
-                outcomes.append(eig_truncate(skewed, rank_temporal, span))
-            except DataError:
-                outcomes.append(DataError)
-        if outcomes[0] is DataError or outcomes[1] is DataError:
-            assert outcomes[0] is outcomes[1]
-        else:
-            assert helpers.relative_error(*outcomes[::-1]) <= 1e-12
+        with pytest.raises(DataError, match="Hermitian"):
+            eig_truncate(skewed, rank_temporal)
 
     def wide_q_snapshots(self):
         config = SceneConfig(p=8, q=768, n_bins=24, rank_temporal=4, seed=7)
@@ -610,7 +595,7 @@ class TestTemporalTruncation:
         full = helpers.CountFullSolves(monkeypatch)
         est = self.fit(snaps, p, q, 1, rank_temporal)
         assert full.sizes.count(q) == 1
-        want = eig_truncate(est.iterates[-1][1], rank_temporal)
+        want = eig_truncate(self.final_b(snaps, p, q, 1), rank_temporal)
         assert np.array_equal(est.temporal, want)
 
     def test_a_tie_across_the_cut_runs_the_full_solve(self, monkeypatch):
@@ -619,10 +604,11 @@ class TestTemporalTruncation:
         q, n = 64, 5
         basis, _ = np.linalg.qr(
             helpers.complex_gauss(np.random.default_rng(73), (q, n)))
+        snaps = np.ascontiguousarray(basis.T)
         full = helpers.CountFullSolves(monkeypatch)
-        est = self.fit(np.ascontiguousarray(basis.T), 1, q, 1, 2)
+        est = self.fit(snaps, 1, q, 1, 2)
         assert full.sizes.count(q) == 1
-        want = eig_truncate(est.iterates[-1][1], 2)
+        want = eig_truncate(self.final_b(snaps, 1, q, 1), 2)
         assert np.array_equal(est.temporal, want)
 
     def test_a_full_budget_is_the_symmetrized_b(self, monkeypatch):
@@ -631,7 +617,15 @@ class TestTemporalTruncation:
         full = helpers.CountFullSolves(monkeypatch)
         est = self.fit(snaps, p, q, 1, q)
         assert q not in full.sizes
-        want = _hermitian_part(est.iterates[-1][1], "matrix")
+        assert est.temporal_factor._pairs is None
+        # the fourth iteration's B, swept by hand from the third's A
+        a_mat = self.fit(snaps, p, q, 1, q, max_iter=3).spatial
+        scm = sample_covariance(snaps, p, q)
+        b_mat = np.empty((q, q), dtype=np.complex128)
+        lrkron._snapshot_sweeps(scm.snapshots, get_pool(None)).b_sweep(
+            np.conj(a_mat), b_mat)
+        b_mat /= np.vdot(a_mat, a_mat).real
+        want = _hermitian_part(b_mat, "matrix")
         assert est.temporal.tobytes() == want.tobytes()
 
     def test_a_full_budget_is_decomposed_once_on_first_use(self, monkeypatch,
@@ -660,4 +654,5 @@ class TestTemporalTruncation:
         assert values.shape == (3,) and vectors.shape == (q, 3)
         assert est.temporal_factor._matrix is None
         assert helpers.relative_error(
-            est.temporal, eig_truncate(est.iterates[-1][1], 3)) <= 1e-12
+            est.temporal, eig_truncate(self.final_b(snaps, p, q, 1), 3)) \
+            <= 1e-12
