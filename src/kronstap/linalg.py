@@ -5,14 +5,16 @@ complex128. Eigenwork delegates to LAPACK through numpy, with the
 ordering and phase conventions pinned down here so repeated runs give
 identical output.
 
-Two solves share those conventions. `hermitian_eig` and `_full_eig`
-run the full n x n eigh. `_top_eigenpairs` runs a Rayleigh-Ritz solve
-on the span of a caller's matrix whose columns hold the matrix's range,
-and keeps it only when that is checked to hold the whole matrix up to
-rounding; it runs the full solve otherwise. Its one caller is the
-estimator's final temporal truncation on the snapshot path, through
-`_truncated` on the span of the p*n snapshot rows, which holds the
-temporal iterate's range; `eig_truncate` always runs the full solve.
+Two solves share those conventions. `_full_eig` runs the full n x n
+eigh, for `hermitian_eig`, a dense factor's pairs and every truncation
+(`_kept_pairs`, `eig_truncate`); a truncation pins only the pairs it
+keeps. `_top_eigenpairs` serves only the estimator's final temporal
+truncation on the snapshot path. That iterate is
+B = rows^T ((conj(A) kron I_n) / n) conj(rows) / ||A||^2 for the p*n
+snapshot rows, so its Ritz pairs on the span of the rows come from a
+p*n x p*n matrix formed from the rows' QR factor, with no q x q
+product. It keeps them only when they are checked against the computed
+iterate, and returns None otherwise, for the full solve.
 
 A caller's dense matrix is checked by `_hermitian_part`, the plain
 (m + m^H) / 2 after a Hermitian check. Only library entry points reach
@@ -46,17 +48,17 @@ _CLAMP_RTOL = 1e-10
 # eigh's vectors of random 64..1024-square PSD matrices left 2e-15 to
 # 4e-15, so this is some 10^4 times that.
 _ORTHO_TOL = 1e-10
-# Rows per tile of the two n x k walks that form no n x n temporary:
-# checked_pairs' U^H U and the span solve's residual (_top_eigenpairs).
+# Rows per tile of checked_pairs' U^H U walk, which copies no vectors.
 _SYM_TILE = 64
 # Relative spacing within which sorted eigenvalues count as tied.
 _TIE_RTOL = 1e-12
-# Span solve of _top_eigenpairs: the least n / (span columns) worth
-# trying it at, and the accepted residual relative to the largest Ritz
-# magnitude. The residual bounds every eigenvalue the span leaves out,
-# so it sits far below the PSD clamp. At n = 4k the solve took at most
-# half the full solve's time in an in-process sweep (2-CPU host), and a
-# declined try adds at most a fifth; at n = 2k it can lose.
+# Ritz solve of _top_eigenpairs: the least q / (p*n) worth trying it
+# at, and the accepted eigen-residual of the kept pairs relative to the
+# largest Ritz magnitude, far below the PSD clamp. At q = 4 p*n the
+# earlier span solve, which formed two q x q by q x p*n products, took
+# at most half the full solve's time in an in-process sweep (2-CPU
+# host), and a declined try added at most a fifth; the factored solve
+# costs less.
 _RANGE_MIN_RATIO = 4
 _RANGE_RTOL = 1e-2 * _CLAMP_RTOL
 
@@ -107,19 +109,22 @@ def _check_hermitian(acc, scale2, name):
         raise DataError(f"{name} deviates from Hermitian beyond tolerance")
 
 
-def _pin_conventions(values, vectors):
+def _pin_conventions(values, vectors, top=None):
     """Fix the order of ties and the phase of every vector, in place.
 
     values are sorted descending with vectors in matching columns. Runs
-    of values within _TIE_RTOL of the largest magnitude of each other
-    are ordered by the index of each vector's largest-magnitude
-    component, and every vector is rotated so that component is real
-    and positive.
+    of values within _TIE_RTOL of top of each other are ordered by the
+    index of each vector's largest-magnitude component, and every vector
+    is rotated so that component is real and positive. top defaults to
+    the largest magnitude of values; a caller that pins a prefix of a
+    spectrum passes the whole spectrum's.
     """
     n = values.size
     if n > 1:
         # sorted values: the largest magnitude sits at one end
-        tie_tol = max(abs(values[0]), abs(values[-1])) * _TIE_RTOL
+        if top is None:
+            top = _largest_magnitude(values)
+        tie_tol = top * _TIE_RTOL
         start = 0
         while start < n:
             stop = start + 1
@@ -143,10 +148,34 @@ def _pin_conventions(values, vectors):
     return EigenPairs(values, vectors)
 
 
+def _largest_magnitude(values):
+    """Largest magnitude of values sorted descending: one of the ends."""
+    return max(abs(values[0]), abs(values[-1]))
+
+
+def _tie_run_end(values, rank, top):
+    """End of the tie run (see _pin_conventions) that holds value
+    rank - 1 of values sorted descending: rank when the cut after it
+    splits no tie."""
+    tie_tol = top * _TIE_RTOL
+    stop = rank
+    while stop < values.size and abs(values[stop] - values[stop - 1]) <= tie_tol:
+        stop += 1
+    return stop
+
+
 def _full_eig(sym):
-    """Every eigenpair of a checked Hermitian matrix, by one n x n eigh."""
+    """Every eigenpair of a checked Hermitian matrix, by one n x n eigh,
+    sorted descending; the conventions are not pinned yet, and the
+    vectors are a reversed view of eigh's."""
     values, vectors = np.linalg.eigh(sym)
-    return _pin_conventions(values[::-1].copy(), vectors[:, ::-1].copy())
+    return values[::-1].copy(), vectors[:, ::-1]
+
+
+def _all_pairs(sym):
+    """Every eigenpair of a checked Hermitian matrix, conventions pinned."""
+    values, vectors = _full_eig(sym)
+    return _pin_conventions(values, vectors.copy())
 
 
 def hermitian_eig(m):
@@ -158,62 +187,77 @@ def hermitian_eig(m):
     largest-magnitude component, and every vector is rotated so that
     component is real and positive, which makes the output reproducible.
     """
-    return _full_eig(_hermitian_part(m, "matrix"))
+    return _all_pairs(_hermitian_part(m, "matrix"))
 
 
-def _top_eigenpairs(sym, rank, span):
-    """Leading eigenpairs of a checked Hermitian matrix under a rank budget.
+def _top_eigenpairs(b, rank, rows, conj_a, norm_a2):
+    """Top `rank` eigenpairs of a snapshot-path temporal iterate from its
+    factors, or None when the check declines them.
 
-    sym must already be Hermitian (a `_hermitian_part` result), and the
-    columns of span, an n x k matrix, must span a range that holds
-    sym's. The result is either the k Ritz pairs of sym on an
-    orthonormal basis Q of span, or, when that solve is declined,
-    `_full_eig(sym)`. Both carry the same conventions, sorted
-    descending. The span solve is tried only when rank < k and
-    _RANGE_MIN_RATIO * k <= n.
+    b is the q x q iterate as the fit computed it, Hermitian up to
+    rounding, from the (p*n, q) snapshot rows (channel-major: row
+    i*n + m is snapshot m's channel i) and the conj_a and norm_a2 of its
+    sweep: B = rows^T ((conj_a kron I_n) / n) conj(rows) / norm_a2. With
+    the QR rows^T = Q K, B = Q T Q^H exactly, for the p*n x p*n Ritz
+    matrix T = K ((conj_a kron I_n) / n) K^H / norm_a2, so the pairs are
+    eigh(T)'s lifted by Q, and no q x q product is formed. Only the kept
+    vectors are formed and pinned. Tried only when rank < p*n and
+    _RANGE_MIN_RATIO * p*n <= q; None otherwise.
 
-    The span result is kept only when ||sym - Q (sym Q)^H||_F is at
-    most _RANGE_RTOL times the largest Ritz magnitude. Every eigenvalue
-    of sym is then within sqrt(2) times that residual of a Ritz value or
-    of zero, so the Ritz values carry the PSD verdict, the largest
-    magnitude and the leading values of the full solve, and what they
-    leave out is rounding noise. It is also declined when the rank cut
-    splits a tie of values above the PSD clamp (_CLAMP_RTOL times the
-    largest magnitude), which covers a tie reaching the last Ritz value:
-    which members of such a tie fall inside the budget is decided by
-    the solver, not the matrix, and the full solve's choice is kept.
-    The residual is summed over row tiles, so no n x n temporary is
-    formed.
+    The pairs are checked against sym = (b + b^H) / 2, the matrix the
+    full solve would take, and kept only when:
+    - every product is finite;
+    - the cut after them splits no tie (see _pin_conventions): which
+      members of a tie fall inside the budget is decided by the solver,
+      not the matrix;
+    - the last kept value exceeds the PSD clamp (_CLAMP_RTOL times top,
+      the largest Ritz magnitude) and the Frobenius mass the Ritz values
+      theta leave unexplained, sqrt(max(||b||_F^2 - sum theta^2, 0)),
+      where ||b||_F bounds ||sym||_F from above. An eigenvalue of sym
+      that no Ritz value accounts for, among them the q - p*n zeros
+      outside the span, is at most that mass in magnitude, so none
+      outranks a kept value;
+    - the kept pairs (U, lam) leave ||sym U - U lam||_F at most
+      _RANGE_RTOL * top, so they are eigenpairs of sym up to rounding.
+      sym U is formed as (b U + (U^H b)^H) / 2: q^2 * rank work.
+    The kept values are then all positive, and the result is
+    _kept_pairs(sym, rank) up to rounding, with contiguous vectors.
     """
-    n = sym.shape[0]
-    k = span.shape[1]
-    if not 1 <= rank < k or _RANGE_MIN_RATIO * k > n:
-        return _full_eig(sym)
+    q_dim = b.shape[0]
+    k = rows.shape[0]
+    if not 1 <= rank < k or _RANGE_MIN_RATIO * k > q_dim:
+        return None
+    p = conj_a.shape[0]
+    n = k // p
     # entries near the float limit overflow in these products; the full
     # solve scales such a matrix, so non-finite results decline to it
     with np.errstate(over="ignore", invalid="ignore"):
-        q, _ = np.linalg.qr(span)
-        sq = sym @ q
-        sq_h = sq.conj().T
-        tile = np.empty((min(n, _SYM_TILE), n), dtype=sym.dtype)
-        resid2 = 0.0
-        for r0 in range(0, n, _SYM_TILE):
-            r1 = min(r0 + _SYM_TILE, n)
-            d = np.matmul(q[r0:r1], sq_h, out=tile[:r1 - r0])
-            np.subtract(sym[r0:r1], d, out=d)
-            resid2 += np.vdot(d, d).real
-        t = q.conj().T @ sq
-    if not np.isfinite(t).all():
-        return _full_eig(sym)
-    values, w = np.linalg.eigh((t + t.conj().T) / 2.0)
-    top = max(abs(values[0]), abs(values[-1]))
-    if not math.sqrt(resid2) <= _RANGE_RTOL * top:
-        return _full_eig(sym)
-    values = values[::-1].copy()
-    if (abs(values[rank] - values[rank - 1]) <= _TIE_RTOL * top
-            and abs(values[rank - 1]) > _CLAMP_RTOL * top):
-        return _full_eig(sym)
-    return _pin_conventions(values, q @ w[:, ::-1])
+        q, k_mat = np.linalg.qr(rows.T)
+        # conj(rows) = K^H Q^H: T takes K^H where the B sweep takes conj(rows)
+        z = ((conj_a / n) @ k_mat.conj().T.reshape(p, n * k)).reshape(k, k)
+        t = k_mat @ z
+        t /= norm_a2
+        if not np.isfinite(t).all():
+            return None
+        values, w = np.linalg.eigh((t + t.conj().T) / 2.0)
+        values = values[::-1].copy()
+        top = _largest_magnitude(values)
+        if _tie_run_end(values, rank, top) > rank:
+            return None
+        mass2 = np.vdot(b, b).real - np.dot(values, values)
+        floor = max(math.sqrt(max(mass2, 0.0)), _CLAMP_RTOL * top)
+        if not floor < values[rank - 1]:
+            return None
+        lam, u = _pin_conventions(values[:rank], q @ w[:, ::-1][:, :rank],
+                                  top)
+        # sym U as (b U + (U^H b)^H) / 2: q^2 * rank work, no q x q copy
+        resid = b @ u
+        resid += (u.conj().T @ b).conj().T
+        resid /= 2.0
+        resid -= u * lam
+        if not math.sqrt(np.vdot(resid, resid).real) <= _RANGE_RTOL * top:
+            return None
+    return EigenPairs(lam, u)
 
 
 def _check_psd(values, name):
@@ -317,7 +361,7 @@ class Factor:
     @property
     def pairs(self):
         if self._pairs is None:
-            values, vectors = _full_eig(self._matrix)
+            values, vectors = _all_pairs(self._matrix)
             _check_psd(values, self.name)
             self._pairs = EigenPairs(_read_only(values), _read_only(vectors))
         return self._pairs
@@ -346,34 +390,33 @@ def eig_truncate(m, rank):
     return _truncated(sym, rank).matrix
 
 
-def _truncated(sym, rank, span=None, name="factor"):
+def _truncated(sym, rank, name="factor"):
     """eig_truncate of a finite Hermitian sym, 1 <= rank <= n, as a
     Factor that holds the kept pairs and no matrix: no check.
 
-    span, an n x k matrix whose columns span a range that holds sym's,
-    lets the pairs come from the checked Rayleigh-Ritz solve of
-    `_top_eigenpairs` on that range; the full solve still runs whenever
-    that solve is declined. rank equal to n holds sym itself, whose
-    pairs wait for first use.
+    rank equal to n holds sym itself, whose pairs wait for first use.
     """
     if rank == sym.shape[0]:
         return Factor(matrix=sym, name=name)
-    values, vectors = _kept_pairs(sym, rank, span)
+    values, vectors = _kept_pairs(sym, rank)
     return Factor(EigenPairs(values, np.ascontiguousarray(vectors)),
                   name=name)
 
 
-def _kept_pairs(sym, rank, span=None):
+def _kept_pairs(sym, rank):
     """The top `rank` eigenpairs of a finite Hermitian sym, 1 <= rank < n,
-    negative values within rounding distance of zero clamped: no check.
+    by the full solve, negative values within rounding distance of zero
+    clamped: no check.
 
-    The vectors are a column slice of the solve's result.
+    Only the kept pairs, and the rest of a tie run that crosses the cut,
+    have their conventions pinned, with the tie tolerance of the whole
+    spectrum, so they carry the bits of the all-pairs result. The
+    vectors are a column slice of the solve's result.
     """
-    if span is None:
-        values, vectors = _full_eig(sym)
-    else:
-        values, vectors = _top_eigenpairs(sym, rank, span)
-    top = max(abs(values[0]), abs(values[-1]))   # values sorted descending
+    values, vectors = _full_eig(sym)
+    top = _largest_magnitude(values)
+    stop = _tie_run_end(values, rank, top)
+    values, vectors = _pin_conventions(values[:stop], vectors[:, :stop], top)
     lam = values[:rank]
     lam = np.where((lam < 0) & (np.abs(lam) <= _CLAMP_RTOL * top), 0.0, lam)
     return EigenPairs(lam, vectors[:, :rank])

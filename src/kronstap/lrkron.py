@@ -28,12 +28,15 @@ The spatial factor is eigen-truncated to its rank budget every
 iteration, by the full p x p eigensolve, and rebuilt as the dense A the
 next sweep needs; the temporal factor is truncated once at the end.
 Each of these iterates is symmetrized in place and tested once for
-finite entries, not checked again. On the snapshot path the temporal
-iterate B's columns lie in the span of the p*n snapshot rows, so that
-truncation is a checked Rayleigh-Ritz solve on that span (`_truncated`
-with a span): a q x p*n QR and products and a p*n x p*n eigh instead of
-the q x q eigh. It takes the full solve when the check declines, when
-rank_temporal >= p*n, or when p*n is more than q / 4 (see linalg).
+finite entries, not checked again. On the snapshot path the final
+temporal iterate is B = rows^T ((conj(A) kron I_n) / n) conj(rows) /
+||A||^2 for the p*n snapshot rows, so its truncation takes the Ritz
+pairs of the factors (`linalg._top_eigenpairs`): a q x p*n QR, a
+p*n x p*n product and eigh, and a check of the kept pairs against the
+computed B in q^2 * rank work, instead of the q x q eigh. B is then
+never symmetrized. The full solve of the symmetrized B runs when the
+check declines, when rank_temporal >= p*n, or when p*n is more than
+q / 4 (see linalg).
 
 The estimate keeps each factor as a linalg.Factor: the kept eigenpairs
 of its truncation, which is all the filter needs, and the dense matrix
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
 from .linalg import _HERMITIAN_RTOL, Factor, _hermitian_part, _kept_pairs, \
-    _rebuild, _truncated
+    _rebuild, _top_eigenpairs, _truncated
 # perfbench's span tracer wraps lrkron.eig_truncate by name
 from .linalg import eig_truncate  # noqa: F401
 from .parallel import chunk_spans, get_pool
@@ -246,10 +249,11 @@ def _outer_average(x):
 # writes sum_ij S[ir, jc] conj_a[i, j] into `out`; and the V sweep,
 # which returns sum_rc S[ir, jc] conj_b[r, c]. The snapshot sweeps split
 # their GEMMs over chunk_spans(q); each span writes its own slice of the
-# output, so the result does not depend on the pool width. `span` is a
-# q-row matrix whose columns span every B sweep's range, or None.
+# output, so the result does not depend on the pool width. `rows` is
+# the (p*n, q) snapshot rows, channel-major, in which every B sweep is
+# rows^T ((conj_a kron I_n) / n) conj(rows), or None on the dense path.
 _Sweeps = namedtuple("_Sweeps",
-                     ["fro", "start", "b_sweep", "v_sweep", "span"])
+                     ["fro", "start", "b_sweep", "v_sweep", "rows"])
 
 
 def _dense_sweeps(s, p, q):
@@ -300,9 +304,8 @@ def _snapshot_sweeps(x, pool):
         pool.run(step, spans)
         return (w.reshape(p, n * q) @ conj_wide.T) / n
 
-    # B = rows^T (...) conj(rows): its columns lie in the span of rows^T
     return _Sweeps(math.sqrt(np.vdot(gram, gram).real) / n,
-                   start, b_sweep, v_sweep, rows.T)
+                   start, b_sweep, v_sweep, rows)
 
 
 def _symmetrize_iterate(m, name):
@@ -385,7 +388,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         norm_a2 = np.vdot(a_mat, a_mat).real
         if norm_a2 == 0.0:
             raise DegenerateInputError("spatial iterate collapsed to zero")
-        sweeps.b_sweep(np.conj(a_mat), b_mat)
+        conj_a = np.conj(a_mat)
+        sweeps.b_sweep(conj_a, b_mat)
         b_mat /= norm_a2
 
         norm_b2 = np.vdot(b_mat, b_mat).real
@@ -410,8 +414,17 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         eta_prev = eta
 
     spatial = Factor(kept, a_mat, name="spatial factor")
-    temporal = _truncated(_symmetrize_iterate(b_mat, "temporal"),
-                          rank_temporal, sweeps.span, name="temporal factor")
+    # on the snapshot path the final B's pairs come from its factors
+    # (conj_a and norm_a2 are still the final sweep's), unless declined
+    pairs = None
+    if sweeps.rows is not None:
+        pairs = _top_eigenpairs(b_mat, rank_temporal, sweeps.rows, conj_a,
+                                norm_a2)
+    if pairs is None:
+        temporal = _truncated(_symmetrize_iterate(b_mat, "temporal"),
+                              rank_temporal, name="temporal factor")
+    else:
+        temporal = Factor(pairs, name="temporal factor")
     return KronCovEstimate(
         spatial, temporal, rank_spatial, rank_temporal,
         iterations, residuals, converged,

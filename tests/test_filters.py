@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap import filters, linalg
+from kronstap import filters, linalg, lrkron
 from kronstap.errors import DataError, DimensionError
 from kronstap.filters import (
     BLOCK_BINS,
@@ -25,6 +25,7 @@ from kronstap.filters import (
 from kronstap.formats import read_estimate, write_estimate
 from kronstap.lrkron import KronCovEstimate
 from kronstap.multipass import pass_images
+from kronstap.parallel import get_pool
 from kronstap.simulate import PhaseHistory
 
 
@@ -109,165 +110,229 @@ class TestSubspaceBasis:
         assert basis.shape == (2, 1)
 
 
-def factor_with_values(rng, n, values):
-    """Hermitian n x n matrix with the given nonzero eigenvalues."""
-    basis, _ = np.linalg.qr(helpers.complex_gauss(rng, (n, len(values))))
-    m = (basis * np.asarray(values, dtype=np.float64)) @ basis.conj().T
-    return (m + m.conj().T) / 2.0
+def snapshot_iterate(rng, q, values, n):
+    """A snapshot-path temporal iterate with the given nonzero
+    eigenvalues, as the fit's B sweep computes it, and its factors
+    (rows, conj_a, norm_a2).
+
+    p = 2, and A = V diag(a) V^H with V a random unitary. Each of A's
+    eigen-channels l carries at most n of the values, all of the sign
+    of a[l] = +-1, through n snapshots whose rows are
+    U diag(sqrt(n ||A||^2 |values|)) W^T, with W's columns orthonormal.
+    Mixed signs put the positive values on the first channel and the
+    negative ones on the second; one sign splits them between the two.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if (values > 0).any() and (values < 0).any():
+        signs, groups = [1.0, -1.0], [values > 0, values < 0]
+    else:
+        first = np.arange(values.size) < min(n, values.size)
+        signs, groups = [np.sign(values[0])] * 2, [first, ~first]
+    v = orthonormal_columns(rng, 2, 2)
+    a = (v * np.array(signs)) @ v.conj().T
+    norm_a2 = np.vdot(a, a).real
+    basis = orthonormal_columns(rng, q, values.size)
+    eigen_rows = np.zeros((2, n, q), dtype=np.complex128)
+    for channel, sel in enumerate(groups):
+        w = orthonormal_columns(rng, n, int(sel.sum()))
+        scale = np.sqrt(n * norm_a2 * np.abs(values[sel]))
+        eigen_rows[channel] = w @ (basis[:, sel] * scale).T
+    # snapshot m's channel i is sum_l V[i, l] (eigen-channel l's row m)
+    stack = np.ascontiguousarray(np.einsum("il,lmc->mic", v, eigen_rows))
+    sweeps = lrkron._snapshot_sweeps(stack, get_pool(None))
+    conj_a = np.conj(a)
+    b = np.empty((q, q), dtype=np.complex128)
+    sweeps.b_sweep(conj_a, b)
+    b /= norm_a2
+    return b, (sweeps.rows, conj_a, norm_a2)
 
 
-def range_test_factor(rng, n, rank, budget, kind):
+def range_test_values(rng, rank, budget, kind):
     if kind == "low":
-        return helpers.random_psd(rng, n, rank)
+        return 1.0 + rng.random(rank)
     if kind == "negated":
-        return -helpers.random_psd(rng, n, rank)
-    if kind == "full":
-        return helpers.random_psd(rng, n)
+        return -(1.0 + rng.random(rank))
     if kind == "indefinite":
         # PSD but for one eigenvalue far below the rounding clamp
-        return factor_with_values(rng, n, [3.0] * rank + [-1e-6])
+        return [3.0] * rank + [-1e-6]
     # "tied": the budget cuts a pair of equal values in two
-    distinct = 4.0 + np.arange(budget - 1, 0, -1, dtype=np.float64)
-    return factor_with_values(rng, n, list(distinct) + [2.0, 2.0])
+    return list(4.0 + np.arange(budget - 1, 0, -1)) + [2.0, 2.0]
 
 
-def projector(basis):
-    return None if basis is None else basis @ basis.conj().T
-
-
-def range_span(m, k):
-    """An n x k span that holds m's range whenever m's rank is at most k."""
-    return m @ helpers.complex_gauss(np.random.default_rng(59),
-                                     (m.shape[0], k))
-
-
-def span_basis(m, budget, k):
-    """subspace_basis's verdict with the pairs from the span solve on
-    range_span(m, k) in place of the full solve."""
-    sym = linalg._hermitian_part(m, "matrix")
-    values, vectors = linalg._top_eigenpairs(sym, budget, range_span(sym, k))
-    linalg._check_psd(values, "matrix")
-    return filters._pairs_basis(linalg.EigenPairs(values, vectors), budget,
-                                1e-9)
+def full_truncation(b, budget):
+    """The truncation the fit falls back to: the full solve of the
+    symmetrized iterate."""
+    return linalg._kept_pairs(linalg._hermitian_part(b, "matrix"), budget)
 
 
 class TestRangeSolve:
-    """The span solve of _top_eigenpairs against the full solve.
+    """The factored Ritz solve of _top_eigenpairs against the full solve.
 
-    The estimator runs it on the span of the snapshot rows; here the
-    span is a factor's range, sampled by range_span, with 4 columns
-    more than the rank budget.
+    The estimator runs it on the final temporal iterate of the snapshot
+    path; here the iterate is swept from factors built with a given
+    spectrum (snapshot_iterate), on a span of 4 or more rows beyond the
+    budget.
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(16, 200), rank=st.integers(1, 6),
+    @given(q=st.integers(16, 200), rank=st.integers(1, 6),
            budget=st.integers(1, 8),
-           kind=st.sampled_from(["low", "negated", "full", "indefinite",
-                                 "tied"]),
+           kind=st.sampled_from(["low", "negated", "indefinite", "tied"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_full_solve(self, n, rank, budget, kind, seed):
-        m = range_test_factor(np.random.default_rng(seed), n, rank, budget,
-                              kind)
-        outcomes = []
-        for solve in (lambda: span_basis(m, budget, budget + 4),
-                      lambda: subspace_basis(m, budget)):
-            try:
-                outcomes.append(solve())
-            except DataError:
-                outcomes.append(DataError)
-        fast, full = outcomes
-        if full is DataError or fast is DataError:
-            assert fast is full
-        elif full is None or fast is None:
-            assert fast is full
-        else:
-            assert fast.shape == full.shape
-            want = projector(full)
-            gap = np.linalg.norm(projector(fast) - want)
-            assert gap <= 1e-12 * np.linalg.norm(want)
+    def test_matches_the_full_solve(self, q, rank, budget, kind, seed):
+        rng = np.random.default_rng(seed)
+        values = range_test_values(rng, rank, budget, kind)
+        n = max(len(values), budget) + 2
+        b, factors = snapshot_iterate(rng, q, values, n)
+        got = linalg._top_eigenpairs(b, budget, *factors)
+        # tried when 4 * p * n <= q; kept where the cut falls in a gap
+        # between values above zero, declined at ties and at or below zero
+        tried = 4 * 2 * n <= q
+        kept = (kind == "low" and budget <= rank
+                or kind == "indefinite" and budget == rank)
+        assert (got is not None) == (tried and kept)
+        if got is not None:
+            want = full_truncation(b, budget)
+            assert got.vectors.shape == (q, budget)
+            assert helpers.relative_error(linalg._rebuild(got),
+                                          linalg._rebuild(want)) <= 1e-12
 
     def test_a_low_rank_factor_skips_the_full_solve(self):
-        # a budget above the rank cuts through rounding noise, not a tie
-        m = helpers.random_psd(np.random.default_rng(50), 64, 3)
-        for budget in (3, 5):
-            with pytest.MonkeyPatch.context() as mp:
-                full = helpers.CountFullSolves(mp)
-                basis = span_basis(m, budget, budget + 4)
-            assert full.sizes == []
-            assert basis.shape == (64, 3)
+        b, factors = snapshot_iterate(np.random.default_rng(50), 64,
+                                      [3.0, 2.0, 1.0], 5)
+        for budget in (1, 3):
+            got = linalg._top_eigenpairs(b, budget, *factors)
+            assert got.vectors.shape == (64, budget)
+            assert helpers.relative_error(
+                linalg._rebuild(got),
+                linalg._rebuild(full_truncation(b, budget))) <= 1e-12
 
-    def test_a_full_rank_factor_gets_the_full_solve_basis(self):
-        m = helpers.random_psd(np.random.default_rng(51), 64)
-        with pytest.MonkeyPatch.context() as mp:
-            full = helpers.CountFullSolves(mp)
-            basis = span_basis(m, 3, 7)
-        assert full.sizes == [64]
-        want = linalg.hermitian_eig(m).vectors[:, :3]
-        assert np.array_equal(basis, want)
+    def test_a_budget_above_the_rank_declines(self):
+        # the kept values past the rank are rounding noise, which the
+        # q - p*n zero eigenvalues outside the span could outrank
+        b, factors = snapshot_iterate(np.random.default_rng(50), 64,
+                                      [3.0, 2.0, 1.0], 5)
+        assert linalg._top_eigenpairs(b, 5, *factors) is None
 
     def test_a_tie_at_the_window_edge_gets_the_full_solve(self):
-        # rank exactly k, so the span holds the whole matrix, but the
-        # tie runs from inside the budget to the last Ritz value
-        budget, k = 2, 6
-        m = factor_with_values(np.random.default_rng(52), 64,
-                               [3.0] + [2.0] * (k - 1))
-        with pytest.MonkeyPatch.context() as mp:
-            full = helpers.CountFullSolves(mp)
-            basis = span_basis(m, budget, k)
-        assert full.sizes == [64]
-        assert np.array_equal(basis, linalg.hermitian_eig(m).vectors[:, :2])
+        # the tie runs from inside the budget to the last nonzero Ritz value
+        n = 6
+        b, factors = snapshot_iterate(np.random.default_rng(52), 64,
+                                      [3.0] + [2.0] * (n - 1), n)
+        assert linalg._top_eigenpairs(b, 2, *factors) is None
 
     def test_small_factors_go_straight_to_the_full_solve(self):
-        m = helpers.random_psd(np.random.default_rng(53), 16, 1)
-        with pytest.MonkeyPatch.context() as mp:
-            full = helpers.CountFullSolves(mp)
-            span_basis(m, 1, 5)
-        assert full.sizes == [16]
+        b, factors = snapshot_iterate(np.random.default_rng(53), 16, [1.0], 3)
+        assert linalg._top_eigenpairs(b, 1, *factors) is None
 
     def test_a_negated_low_rank_factor_is_a_data_error(self):
-        m = helpers.random_psd(np.random.default_rng(54), 128, 4)
-        with pytest.MonkeyPatch.context() as mp:
-            full = helpers.CountFullSolves(mp)
-            with pytest.raises(DataError, match="positive semidefinite"):
-                span_basis(-m, 4, 8)
-        assert full.sizes == []
+        # every Ritz value is negative, so the zeros outside the span
+        # outrank them: declined, and the full solve refuses the matrix
+        b, factors = snapshot_iterate(np.random.default_rng(54), 128,
+                                      -(1.0 + np.arange(4.0)), 8)
+        assert linalg._top_eigenpairs(b, 4, *factors) is None
+        with pytest.raises(DataError, match="positive semidefinite"):
+            subspace_basis(b, 4)
+
+    def test_negative_ritz_values_decline_to_the_zeros_outside_the_span(
+            self):
+        # the rows have full rank, so no Ritz value is at rounding level
+        # and none ties, but the q - p*n zeros of B outside the span
+        # outrank every one of them
+        b, factors = snapshot_iterate(np.random.default_rng(56), 128,
+                                      -(1.0 + np.arange(8.0)), 4)
+        assert factors[0].shape == (8, 128)
+        assert linalg._top_eigenpairs(b, 3, *factors) is None
+        assert linalg._top_eigenpairs(-b, 3, factors[0], -factors[1],
+                                      factors[2]) is not None
+
+    def test_an_iterate_its_factors_do_not_give_is_declined(self):
+        # same span and spectrum, so the same Ritz values and no
+        # unexplained mass, but the eigenvectors turned within the span
+        b, factors = snapshot_iterate(np.random.default_rng(59), 128,
+                                      [4.0, 3.0, 2.0, 1.0], 6)
+        q, _ = np.linalg.qr(factors[0].T)
+        turn = orthonormal_columns(np.random.default_rng(60), 12, 12)
+        t = q.conj().T @ b @ q
+        turned = q @ (turn @ t @ turn.conj().T) @ q.conj().T
+        assert linalg._top_eigenpairs(b, 2, *factors) is not None
+        assert linalg._top_eigenpairs(turned, 2, *factors) is None
+
+    @pytest.mark.parametrize("outside, kept", [(2.5, False), (0.5, True)])
+    def test_mass_outside_the_span_declines_when_it_outranks(self, outside,
+                                                            kept):
+        # an eigenpair of b the factors do not give, orthogonal to the
+        # span: the Ritz pairs stay exact eigenpairs, so only the
+        # unexplained mass tells whether it outranks the third value, 2
+        rng = np.random.default_rng(61)
+        b, factors = snapshot_iterate(rng, 128, [4.0, 3.0, 2.0, 1.0], 6)
+        q, _ = np.linalg.qr(factors[0].T)
+        v = helpers.complex_gauss(rng, 128)
+        v -= q @ (q.conj().T @ v)
+        v /= np.linalg.norm(v)
+        b += outside * np.outer(v, v.conj())
+        got = linalg._top_eigenpairs(b, 3, *factors)
+        assert (got is not None) == kept
+        if kept:
+            assert helpers.relative_error(
+                linalg._rebuild(got),
+                linalg._rebuild(full_truncation(b, 3))) <= 1e-12
 
     def test_entries_near_the_float_limit_take_the_full_solve(self):
-        # the span products overflow; the full solve scales the matrix
-        m = helpers.random_psd(np.random.default_rng(57), 64, 3)
-        m[0, 1] = m[1, 0] = 8e307
-        with pytest.MonkeyPatch.context() as mp:
-            full = helpers.CountFullSolves(mp)
-            with pytest.raises(DataError, match="positive semidefinite"):
-                span_basis(m, 3, 7)
-        assert full.sizes == [64]
+        # rows scaled by s and A by s^2 leave B as it was, but the Ritz
+        # matrix overflows before its divide by ||A||^2: its largest
+        # entry is B's top value, ~q times B's largest entry. s puts
+        # the undivided B that far below the float limit and the
+        # undivided Ritz matrix that far above it; the full solve of
+        # the same iterate still gives the unscaled truncation.
+        q, budget = 256, 3
+        b0, (rows, conj_a, norm_a2) = snapshot_iterate(
+            np.random.default_rng(57), q, [3e3, 2e3, 1e3], 5)
+        peak_b, peak_t = np.abs(b0).max() * norm_a2, 3e3 * norm_a2
+        s = (np.finfo(np.float64).max / np.sqrt(peak_b * peak_t)) ** 0.25
+        p, n = 2, rows.shape[0] // 2
+        stack = np.ascontiguousarray(
+            (rows * s).reshape(p, n, q).transpose(1, 0, 2))
+        sweeps = lrkron._snapshot_sweeps(stack, get_pool(None))
+        factors = (sweeps.rows, conj_a * (s * s), norm_a2 * s ** 4)
+        b = np.empty((q, q), dtype=np.complex128)
+        sweeps.b_sweep(factors[1], b)
+        b /= factors[2]
+        assert np.isfinite(b).all()
+        assert linalg._top_eigenpairs(b, budget, *factors) is None
+        assert linalg._top_eigenpairs(b0, budget, rows, conj_a, norm_a2) \
+            is not None
+        assert helpers.relative_error(
+            linalg._rebuild(full_truncation(b, budget)),
+            linalg._rebuild(full_truncation(b0, budget))) <= 1e-12
 
     def test_the_range_solve_keeps_the_conventions(self):
-        m = helpers.random_psd(np.random.default_rng(55), 96, 4)
-        values, vectors = linalg._top_eigenpairs(m, 4, range_span(m, 8))
-        assert values.size == 8
-        # descending up to the tie tolerance, within which ties reorder
-        assert np.all(np.diff(values) <= linalg._TIE_RTOL * values[0])
-        full = linalg.hermitian_eig(m)
-        assert np.allclose(values[:4], full.values[:4], rtol=1e-13, atol=0)
+        b, factors = snapshot_iterate(np.random.default_rng(55), 96,
+                                      [4.0, 3.0, 2.0, 1.0, 0.5], 6)
+        values, vectors = linalg._top_eigenpairs(b, 4, *factors)
+        assert values.shape == (4,) and vectors.shape == (96, 4)
+        assert vectors.flags.c_contiguous
+        assert np.all(np.diff(values) < 0)
+        full = full_truncation(b, 4)
+        assert np.allclose(values, full.values, rtol=1e-13, atol=0)
         for k in range(4):
             pivot = int(np.argmax(np.abs(vectors[:, k])))
             assert vectors[pivot, k].real > 0
             assert abs(vectors[pivot, k].imag) < 1e-15
-        assert np.max(np.abs(vectors[:, :4] - full.vectors[:, :4])) < 1e-12
+        assert np.max(np.abs(vectors - full.vectors)) < 1e-12
 
     def test_the_range_solve_forms_no_square_temporary(self):
-        n = 768
-        m = helpers.random_psd(np.random.default_rng(58), n, 4)
-        span = range_span(m, 8)
+        q = 768
+        b, factors = snapshot_iterate(np.random.default_rng(58), q,
+                                      [4.0, 3.0, 2.0, 1.0], 4)
         tracemalloc.start()
         try:
-            values, _ = linalg._top_eigenpairs(m, 4, span)
+            got = linalg._top_eigenpairs(b, 3, *factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.size == 8
-        assert peak < n * n * 16 / 4
+        assert got.values.size == 3
+        assert peak < q * q * 16 / 4
 
 
 class TestCheckedFactors:

@@ -166,6 +166,34 @@ def test_a_truncation_keeps_its_pairs_and_rebuilds_the_same_bits(n, rank):
         assert not arr.flags.writeable
 
 
+@pytest.mark.parametrize("values, rank, pinned", [
+    ([5.0, 3.0, 2.0, 1.0], 2, 2),                 # no tie at the cut
+    ([5.0, 3.0, 3.0, 3.0, 1.0], 2, 4),            # a tie run crosses it
+    # tied only within the whole spectrum's tolerance, 9e-12, not 2e-12
+    ([2.0, 1.0 + 5e-12, 1.0, -9.0], 2, 3),
+])
+def test_a_truncation_pins_only_its_kept_pairs(monkeypatch, values, rank,
+                                               pinned):
+    # the kept prefix, and the rest of a tie run across the cut, get the
+    # bits of the all-pairs solve
+    values, basis = helpers.random_pairs(np.random.default_rng(78), 12,
+                                         values)
+    sym = _hermitian_part((basis * values) @ basis.conj().T, "matrix")
+    want = hermitian_eig(sym)
+    widths = []
+    pin = linalg._pin_conventions
+
+    def recorded(vals, vectors, top=None):
+        widths.append(vectors.shape[1])
+        return pin(vals, vectors, top)
+
+    monkeypatch.setattr(linalg, "_pin_conventions", recorded)
+    got = linalg._kept_pairs(sym, rank)
+    assert widths == [pinned]
+    assert got.values.tobytes() == want.values[:rank].tobytes()
+    assert np.array_equal(got.vectors, want.vectors[:, :rank])
+
+
 def test_a_dense_factor_is_decomposed_once_on_first_use(monkeypatch):
     m = helpers.random_psd(np.random.default_rng(75), 12, 3)
     full = helpers.CountFullSolves(monkeypatch)

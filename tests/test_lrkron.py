@@ -573,8 +573,9 @@ class TestTemporalTruncation:
         with pytest.raises(DataError, match="Hermitian"):
             eig_truncate(skewed, rank_temporal)
 
-    def wide_q_snapshots(self):
-        config = SceneConfig(p=8, q=768, n_bins=24, rank_temporal=4, seed=7)
+    def wide_q_snapshots(self, noise_power=1e-2):
+        config = SceneConfig(p=8, q=768, n_bins=24, rank_temporal=4,
+                             noise_power=noise_power, seed=7)
         return helpers.cube_to_snapshots(gen_clutter(config).data[0])
 
     def test_a_wide_q_fit_never_runs_the_q_by_q_solve(self, monkeypatch):
@@ -583,6 +584,54 @@ class TestTemporalTruncation:
         est = lr_kron_estimate(sample_covariance(snaps, 8, 768), 1, 4)
         assert full.sizes and set(full.sizes) == {8}   # the spatial solves
         assert est.temporal.shape == (768, 768)
+
+    def test_the_span_path_symmetrizes_no_q_by_q_iterate(self, monkeypatch):
+        # below rank q the final B is checked in place, never symmetrized;
+        # at rank q it is, once, and kept (the timing bench's path)
+        shapes = []
+        symmetrize = lrkron._symmetrize_iterate
+
+        def recorded(m, name):
+            shapes.append(m.shape)
+            return symmetrize(m, name)
+
+        monkeypatch.setattr(lrkron, "_symmetrize_iterate", recorded)
+        full = helpers.CountFullSolves(monkeypatch)
+        scm = sample_covariance(self.wide_q_snapshots(), 8, 768)
+        lr_kron_estimate(scm, 1, 4)
+        assert shapes and set(shapes) == {(8, 8)}
+        assert set(full.sizes) == {8}
+        shapes.clear()
+        lr_kron_estimate(scm, 1, 768)
+        assert shapes.count((768, 768)) == 1
+
+    @pytest.mark.parametrize("rank_temporal, declined", [(4, False),
+                                                         (6, True)])
+    def test_rank_deficient_snapshot_rows(self, monkeypatch, rank_temporal,
+                                          declined):
+        # noiseless: the 192 snapshot rows, and so B, have rank 4; a
+        # budget above it reaches values at rounding level and declines
+        snaps = self.wide_q_snapshots(noise_power=0.0)
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps, 8, 768, 1, rank_temporal)
+        assert full.sizes.count(768) == declined
+        want = eig_truncate(self.final_b(snaps, 8, 768, 1), rank_temporal)
+        assert helpers.relative_error(est.temporal, want) <= 1e-12
+
+    def test_rows_near_the_float_limit_decline_with_the_same_verdict(
+            self, monkeypatch):
+        # at 2e76 the undivided Ritz matrix overflows (its top entry is
+        # ~q times the undivided B's largest) and the full solve runs;
+        # at 1e77 the sweeps overflow, at either budget
+        snaps = self.wide_q_snapshots(noise_power=0.0)
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps * 2e76, 8, 768, 1, 4)
+        assert full.sizes.count(768) == 1
+        want = eig_truncate(self.final_b(snaps * 2e76, 8, 768, 1), 4)
+        assert np.array_equal(est.temporal, want)
+        for rank_temporal in (4, 768):
+            with pytest.raises(DataError, match="non-finite"):
+                self.fit(snaps * 1e77, 8, 768, 1, rank_temporal)
 
     @pytest.mark.parametrize("p, q, n, rank_temporal", [
         (2, 64, 9, 3),       # 4 * p * n > q
