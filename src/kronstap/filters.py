@@ -167,12 +167,15 @@ class StapFilter:
         u_b = self.temporal_basis
         if self.kind == "kron":
             out = x
+            # each projection's product is fresh, so the difference
+            # overwrites it: one stack-sized temporary per side, not two
             if u_b is not None:
                 rows = _as_rows(out, self.p, self.q)
-                rows = rows - (rows @ u_b.conj()) @ u_b.T
-                out = rows.reshape(x.shape)
+                proj = (rows @ u_b.conj()) @ u_b.T
+                out = np.subtract(rows, proj, out=proj).reshape(x.shape)
             if u_a is not None:
-                out = out - u_a @ (u_a.conj().T @ out)
+                proj = u_a @ (u_a.conj().T @ out)
+                out = np.subtract(out, proj, out=proj)
             return np.array(out) if out is x else out
         # classical: subtract the joint-subspace component
         if u_a is None or u_b is None:

@@ -13,16 +13,19 @@ shape alone:
   sweep is a sum over snapshots computed as two GEMMs;
 - built by `sample_covariance` from n >= p*q snapshots, it holds the
   dense matrix, formed exactly Hermitian from the upper tile pairs
-  of _COV_TILE columns and read straight from a K-pass cube without
-  stacking it, and checked there for finite entries;
+  of _COV_TILE columns as real products on the float64 view of the
+  snapshots (a dsyrk on each diagonal tile), read straight from a
+  K-pass cube without stacking or conjugating it, and checked there
+  for finite entries;
 - constructed from a user's matrix, it holds that matrix, checked in
   full and symmetrized once by the constructor; the estimator never
   checks a covariance again.
 
 On either dense path each sweep is one einsum over the (p, q, p, q)
-block view. Only the snapshot sweeps split their GEMMs over a
-WorkerPool; the dense path, like the sample covariance, runs on the
-calling thread.
+block view, and ||S||_F is a numpy reduction over the float64 view, so
+it does not depend on the BLAS thread count. Only the snapshot sweeps
+split their GEMMs over a WorkerPool; the dense path, like the sample
+covariance, runs on the calling thread.
 
 The spatial factor is eigen-truncated to its rank budget every
 iteration, by the full p x p eigensolve, and rebuilt as the dense A the
@@ -63,13 +66,17 @@ from .linalg import eig_truncate  # noqa: F401
 from .parallel import chunk_spans, get_pool
 
 
-# Widest column tile of the dense sample covariance. On 4000 x 1024
-# snapshots (2-CPU host, OpenBLAS 0.3.31) the upper tile pairs took
-# 240-270 ms at 128 or 256 columns and 290 ms at 512, against 380 ms
-# for the one full GEMM; at 256 columns or fewer it is a single tile.
+# Widest column tile of the dense sample covariance. On a 2-CPU host
+# (OpenBLAS 0.3.31, medians of 8 rounds) 1 x 10000 x 256 snapshots took
+# 51 ms at 128 columns and 41-42 ms at 256 or 512 (one tile), and
+# 2 x 4000 x 512 took 298, 243 and 239 ms; on that cube the 512-column
+# tiles' larger temporaries raised a standalone `estimate`'s peak RSS
+# from 114.8 to 128.4 MB.
 _COV_TILE = 256
-# Tiles start on multiples of this, the row block of OpenBLAS's complex
-# GEMM kernels, so an entry meets the same kernel code as in one product.
+# Tiles start on multiples of this (8 float64 view columns), so an entry
+# meets the same BLAS kernel code as in one product over the whole view:
+# at 4, every tiling of pass widths 20-300 that are multiples of 4 kept
+# that product's bits; at 1 or 2, most moved entries by rounding.
 _COV_ALIGN = 4
 
 
@@ -204,38 +211,48 @@ def sample_covariance(snapshots, p, q):
 def _outer_average(x):
     """Dense (1/n) sum of x_m x_m^H over the snapshots of a pass cube.
 
-    x is (K, n, d_pass); snapshot m is x[0, m], ..., x[K-1, m] back to
-    back, so pass k's rows are column block k of the snapshot matrix X
-    and S = X^T conj(X) / n. Each pass is cut into the fewest tiles of
-    at most _COV_TILE columns, of equal width rounded up to _COV_ALIGN,
-    and only the tile pairs on and above the diagonal are multiplied.
-    Each tile above the diagonal is mirrored below it and each diagonal
-    tile t becomes (t + t^H) / 2, so S is exactly Hermitian with a real
-    diagonal.
+    x is a C-contiguous (K, n, d_pass) cube; snapshot m is x[0, m], ...,
+    x[K-1, m] back to back, so pass k's rows are column block k of the
+    snapshot matrix X and S = X^T conj(X) / n. Each pass is cut into the
+    fewest tiles of at most _COV_TILE columns, of equal width rounded up
+    to _COV_ALIGN, and only the tile pairs on and above the diagonal are
+    multiplied. The products are real, on the float64 view of each pass,
+    in which column c's real and imaginary parts are columns 2c and
+    2c + 1, so no conjugated copy is made. In a tile pair's product
+    M = V_a^T V_b, the 2 x 2 block of entry (r, c) holds rr, ri, ir and
+    ii, the sums of products of row r's and column c's real (r) and
+    imaginary (i) parts, and the entry is ((rr + ii) + i (ir - ri)) / n.
+    A diagonal tile's product is V^T V, which numpy runs as a dsyrk, at
+    half the flops of a GEMM. Each tile above the diagonal is mirrored
+    below it and each diagonal tile t becomes (t + t^H) / 2, so S is
+    exactly Hermitian with a real diagonal.
 
-    S equals (G + G^H) / 2 of the one product G = X^T conj(X), bit for
-    bit, when the BLAS computes every entry of a tile as it does in G
-    and G is Hermitian. OpenBLAS 0.3.31 (x86-64, Haswell kernels) does
-    when d_pass and the tiles are multiples of 4 and each tile's GEMM
-    takes the same threaded or serial path as G, as on the benchmark
-    workloads; otherwise entries can move by rounding.
+    S has the bits of the same fold of the one product over the whole
+    float64 view, symmetrized, when the BLAS computes every entry of a
+    tile as it does in that product. OpenBLAS 0.3.31 (x86-64, Haswell
+    kernels) does when d_pass and the tiles are multiples of 4;
+    otherwise entries can move by rounding.
     """
     k, n, d_pass = x.shape
     out = np.empty((k * d_pass, k * d_pass), dtype=np.complex128)
+    x_f = x.view(np.float64)
     n_tiles = -(-d_pass // _COV_TILE)
     step = -(-d_pass // n_tiles)
     step += -step % _COV_ALIGN
     # (pass, first and last column within the pass, first column in S)
     tiles = [(l, c0, min(c0 + step, d_pass), l * d_pass + c0)
              for l in range(k) for c0 in range(0, d_pass, step)]
-    conj_buf = np.empty((n, step), dtype=np.complex128)
     for j, (l, b0, b1, j0) in enumerate(tiles):
+        v_b = x_f[l, :, 2 * b0:2 * b1]
         cols = slice(j0, j0 + b1 - b0)
-        conj_b = np.conjugate(x[l, :, b0:b1], out=conj_buf[:, :b1 - b0])
         for l_a, a0, a1, i0 in tiles[:j + 1]:
             rows = slice(i0, i0 + a1 - a0)
-            t = np.matmul(x[l_a, :, a0:a1].T, conj_b, out=out[rows, cols])
-            t /= n
+            m = x_f[l_a, :, 2 * a0:2 * a1].T @ v_b
+            t = out[rows, cols]
+            t_f = t.view(np.float64)
+            np.add(m[0::2, 0::2], m[1::2, 1::2], out=t_f[:, 0::2])
+            np.subtract(m[1::2, 0::2], m[0::2, 1::2], out=t_f[:, 1::2])
+            t_f /= n
             if i0 == j0:
                 t += t.conj().T
                 t /= 2.0
@@ -269,8 +286,11 @@ def _dense_sweeps(s, p, q):
     def v_sweep(conj_b):
         return np.einsum("irjc,rc->ij", s4, conj_b)
 
-    return _Sweeps(math.sqrt(np.vdot(s, s).real), start, b_sweep, v_sweep,
-                   None)
+    # ||S||_F^2 as a numpy reduction over the float64 view, not a BLAS
+    # dot, whose partial sums split by BLAS thread
+    s_f = s.view(np.float64)
+    return _Sweeps(math.sqrt(np.einsum("ij,ij->", s_f, s_f)), start, b_sweep,
+                   v_sweep, None)
 
 
 def _snapshot_sweeps(x, pool):

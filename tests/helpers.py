@@ -164,11 +164,31 @@ def random_kron_cov(rng, p, q, rank_spatial, rank_temporal):
     return a, b, np.kron(a, b)
 
 
-def outer_average_gemm(x):
-    """The dense sample covariance as one GEMM, then symmetrized.
+def outer_average_real(x):
+    """The dense sample covariance as one real product, folded.
 
-    Declared oracle for lrkron's tiled builder: x is (n, d) snapshot
-    rows, and the result is (G + G^H) / 2 of G = x^T conj(x) / n.
+    Declared oracle for lrkron's tiled builder, whose bits it has: x is
+    (n, d) snapshot rows, and v is their (n, 2d) float64 view, in which
+    column c's real and imaginary parts are columns 2c and 2c + 1. The
+    2 x 2 block (r, c) of M = v^T v holds rr, ri, ir and ii, the four
+    real sums of entry (r, c), and the result is (S + S^H) / 2 of
+    S = ((rr + ii) + i (ir - ri)) / n.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    v = x.view(np.float64)
+    m = v.T @ v
+    out = np.empty((x.shape[1], x.shape[1]), dtype=np.complex128)
+    out.real = (m[0::2, 0::2] + m[1::2, 1::2]) / x.shape[0]
+    out.imag = (m[1::2, 0::2] - m[0::2, 1::2]) / x.shape[0]
+    return (out + out.conj().T) / 2.0
+
+
+def outer_average_gemm(x):
+    """The dense sample covariance as one complex GEMM, then symmetrized.
+
+    Complex reference for lrkron's builder, which meets it only to
+    rounding: x is (n, d) snapshot rows, and the result is
+    (G + G^H) / 2 of G = x^T conj(x) / n.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     out = x.T @ np.conj(x)

@@ -1,6 +1,10 @@
 """End-to-end CLI runs: pipelines, exit codes, thread handling."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,6 +698,36 @@ class TestThreadInvariance:
         assert 128 not in full.sizes
         assert fits[0] == fits[1]
 
+    def test_dense_fit_does_not_depend_on_blas_threads(self, tmp_path):
+        # 512 bins of 4 x 64 >= p*q = 256 snapshots: the dense path, whose
+        # ||S||_F over 65 536 entries must not be a BLAS dot, as its
+        # partial sums split by BLAS thread (on this scene a BLAS dot
+        # wrote different residuals under 1 and 2 threads). OpenBLAS
+        # reads its thread count when it loads, so each count needs its
+        # own interpreter.
+        config = write_config(tmp_path, "p = 4\nq = 64\nn_bins = 512\n"
+                              "r_b = 3\ntexture = inverse_gamma\nseed = 20\n")
+        scene = tmp_path / "scene.kph"
+        assert run("simulate", "--config", config, "--output", scene) == 0
+        src = str(Path(lrkron.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            fit = tmp_path / f"fit{threads}.kes"
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "from kronstap.cli import entry; entry()",
+                 "estimate", "--input", str(scene), "--output", str(fit),
+                 "--ra", "1", "--rb", "3"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            residuals = tmp_path / f"fit{threads}.kes.residuals.csv"
+            outputs.append((fit.read_bytes(), residuals.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestParallelSite:
     """The estimator's snapshot sweeps are the one place a pool runs."""
@@ -912,9 +946,9 @@ class TestDenseMultipassEstimate:
 
     def test_estimate_makes_no_cube_sized_copy(self, tmp_path):
         # 1024 bins of 2 passes x 2 x 64. Besides the cube, estimate
-        # holds one conjugated tile of columns (half the cube here) and
-        # the 256 x 256 matrix, a peak of 1.9 cubes; a stacked or a
-        # conjugated copy of the whole cube would take it past 2.25
+        # holds the 256 x 256 matrix and tile-sized temporaries, a peak
+        # of 1.55 cubes; a stacked or a conjugated copy of the whole
+        # cube would take it past 2.25
         config = write_config(tmp_path, "p = 2\nq = 64\nn_bins = 1024\n"
                               "r_b = 2\nseed = 23\nK = 2\n")
         cube = tmp_path / "passes.kph"

@@ -514,6 +514,27 @@ class TestStackedApply:
                 assert out.shape == stack.shape
                 assert np.array_equal(out, per_bin(filt, stack))
 
+    def test_kron_apply_holds_one_temporary_per_projection(self):
+        # each projection's fresh product takes the difference in place:
+        # the peak is the two products and the (m, 2, q) spatial
+        # coefficients, 2.5 stacks here; a second stack-sized temporary
+        # per projection takes it to 3
+        rng = np.random.default_rng(49)
+        p, q = 4, 64
+        filt = projection_filter("kron", orthonormal_columns(rng, p, 2),
+                                 orthonormal_columns(rng, q, 3), p, q)
+        stack = helpers.complex_gauss(rng, (512, p, q))
+        before = stack.copy()
+        tracemalloc.start()
+        try:
+            out = filt.apply_matrix(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * stack.nbytes
+        assert np.array_equal(stack, before)
+        assert not np.shares_memory(out, stack)
+
     def test_optimal_stack_matches_per_bin_calls(self):
         # the whitening oracle batches like StapFilter.apply_matrix
         rng = np.random.default_rng(47)

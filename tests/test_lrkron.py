@@ -113,10 +113,10 @@ def _pass_cube(seed, k, n, d_pass):
 
 
 # Pass widths are multiples of 4 and no tile width divides them; tile
-# None keeps the package's widest tile. The narrowest tile GEMM is large
-# enough to take the threaded BLAS path when the full product does, and
-# with tile 8 the snapshot count is one BLAS block long, so OpenBLAS
-# sums every entry over the same blocks in the tiles as in one GEMM.
+# None keeps the package's widest tile. The tiles' real products meet
+# the one product over the whole float64 view bit for bit (OpenBLAS
+# 0.3.31, Haswell kernels). The complex GEMM rounds entries differently,
+# measured up to 9.8e-16 of the largest entry on these shapes.
 @pytest.mark.parametrize("k, d_pass, tile", [
     (1, 300, None), (2, 260, None), (3, 268, None),
     (1, 20, 8), (2, 36, 8), (3, 12, 8),
@@ -127,27 +127,31 @@ def test_dense_covariance_is_bitwise_the_one_gemm(monkeypatch, k, d_pass,
         monkeypatch.setattr(lrkron, "_COV_TILE", tile)
     n = k * d_pass + 5
     cube, rows = _pass_cube(60 + k, k, n, d_pass)
-    want = helpers.outer_average_gemm(rows).tobytes()
+    want = helpers.outer_average_real(rows).tobytes()
     p, q = k * d_pass // 4, 4
     from_cube = sample_covariance(cube, p, q)
     from_rows = sample_covariance(rows, p, q)
     assert from_cube.snapshots is None and from_rows.snapshots is None
     assert from_cube.matrix.tobytes() == want
     assert from_rows.matrix.tobytes() == want
+    gemm = helpers.outer_average_gemm(rows)
+    assert np.max(np.abs(from_cube.matrix - gemm)) \
+        <= 4e-15 * np.max(np.abs(gemm))
 
 
 @pytest.mark.parametrize("k, d_pass", [(1, 21), (3, 7), (2, 30)])
 def test_dense_covariance_is_exactly_hermitian_at_any_width(monkeypatch, k,
                                                             d_pass):
-    # at widths that are not multiples of 4 the BLAS may round an entry
-    # and its mirror differently, so only rounding-level agreement holds
+    # at widths that are not multiples of 4 a tile's product can round
+    # an entry differently from the one product, so only rounding-level
+    # agreement holds (measured up to 2.7e-16 of the largest entry)
     monkeypatch.setattr(lrkron, "_COV_TILE", 8)
     n = k * d_pass + 3
     cube, rows = _pass_cube(70 + k, k, n, d_pass)
     s = sample_covariance(cube, k * d_pass, 1).matrix
     assert np.array_equal(s, s.conj().T)
     assert not s.diagonal().imag.any()
-    want = helpers.outer_average_gemm(rows)
+    want = helpers.outer_average_real(rows)
     assert np.max(np.abs(s - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -196,7 +200,7 @@ def test_built_covariance_skips_only_the_hermitian_check(monkeypatch):
         assert not held.flags.writeable
         assert checks.calls == none
         # a caller's matrix is checked in full once, where it enters
-        user = SampleCovariance(helpers.outer_average_gemm(rows), n, 3, 4)
+        user = SampleCovariance(helpers.outer_average_real(rows), n, 3, 4)
         assert checks.calls == once
         assert not user.matrix.flags.writeable
         fit_built = lr_kron_estimate(built, 1, 2)
@@ -475,6 +479,25 @@ def test_snapshot_path_never_forms_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 8
+
+
+def test_dense_covariance_memory_does_not_grow_with_the_snapshots():
+    # the same 256 x 256 covariance from n and from 4n snapshots: every
+    # temporary is tile-sized, so the peaks match; a conjugated copy of
+    # one tile of columns (n x 256 complex) would add 3 * n * 4 KB
+    p, q, n = 4, 64, 512
+    peaks = []
+    for count in (n, 4 * n):
+        snaps = helpers.complex_gauss(np.random.default_rng(48),
+                                      (count, p * q))
+        tracemalloc.start()
+        try:
+            sample_covariance(snaps, p, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < n * 256 * 16 / 8
 
 
 def test_zero_input_returns_zero_estimate():
