@@ -10,13 +10,32 @@ which estimate opens for the snapshot-path sweeps (fewer snapshots
 than p*q); every other stage runs on the calling thread. bench takes
 no --threads: its pool widths are the sweep rows' threads column.
 
-estimate fits a K-pass cube as one K*p-channel system through
-multipass.joint_snapshots, so its fit is bitwise multipass_estimate's.
-filter writes each filtered block back into the cube it read and
-writes that cube out, so it holds one cube. detect never forms a
-filtered cube: detection_image and, with --multipass, pass_images scan
-the raw cube with the filter folded into the detection operators (see
-filters), and a multipass scan gathers each block's passes itself.
+The cube stages stream the cube in blocks of bins through
+formats.PhaseHistoryReader and formats.phase_history_writer, so no
+stage holds a whole cube and none's working set grows with n_bins,
+save for detect's map:
+
+- simulate generates, injects targets into and writes one block of
+  simulate.BLOCK_BINS bins at a time (K * 256 * p * q entries);
+- estimate fits a K-pass cube as one K*p-channel system through
+  multipass.joint_snapshots, so its fit is bitwise multipass_estimate's.
+  With at least p*q bins it reads chunks of 1024 bins (lrkron._COV_CHUNK)
+  and holds one chunk, the tile pairs' real sums and the pq x pq matrix;
+  with fewer, the whole cube, which is then smaller than that matrix;
+- filter reads, filters and writes one block of filters.BLOCK_BINS
+  bins at a time;
+- detect reads one block of filters.BLOCK_BINS bins at a time and never
+  forms a filtered cube: detection_image and, with --multipass,
+  pass_images scan the raw blocks with the filter folded into the
+  detection operators (see filters). It holds the map, n_bins x D
+  float64 per pass.
+
+Every output goes to a temporary file next to it and is renamed into
+place on success (see formats), so a stage that fails leaves no
+output, and `filter --input X --output X` is safe. Each input is
+checked when opened (a KPH cube's header and target tail, a KES2
+estimate in full), before any output is opened and before any block
+is read.
 """
 
 import argparse
@@ -38,10 +57,11 @@ from .lrkron import lr_kron_estimate, sample_covariance
 from .multipass import change_detect, joint_snapshots, pass_images, \
     stack_passes  # noqa: F401
 from .parallel import WorkerPool
-# inject_target stays importable from here: perfbench's span tracer wraps
-# cli.inject_target by name, while cmd_simulate adds targets in place
-from .simulate import _add_target, gen_clutter, gen_multipass, \
-    inject_target  # noqa: F401
+# gen_clutter, gen_multipass and inject_target stay importable from here:
+# perfbench's span tracer wraps them by name, while cmd_simulate streams
+# the scene's blocks and adds targets to them in place
+from .simulate import TargetTruth, _add_target, clutter_blocks, \
+    gen_clutter, gen_multipass, inject_target, multipass_blocks  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -144,28 +164,36 @@ def cmd_simulate(args):
     scene = job.scene
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
-    if job.n_passes == 1:
-        history = gen_clutter(scene)
-    else:
-        history = gen_multipass(scene, job.n_passes,
-                                change_fraction=job.change_fraction,
-                                shared_calibration=job.shared_calibration,
-                                unit_gains=job.unit_pass_gains,
-                                gain_spread=job.pass_gain_spread)
-    # the cube is ours alone, so targets go in without a copy of it
-    for bin_index, doppler, amplitude in job.targets:
-        _add_target(history, bin_index, doppler, amplitude,
-                    kappa=scene.kappa)
-    formats.write_phase_history(args.output, history)
-    print(f"wrote {args.output}: {history.n_passes} pass(es), "
-          f"{history.n_bins} bins of {history.p}x{history.q}, "
-          f"{len(history.truth)} target(s)")
+        scene.validate()
+    truth = [TargetTruth(int(b), float(d), complex(a))
+             for b, d, a in job.targets]
+    with formats.phase_history_writer(args.output, scene.p, scene.q,
+                                      job.n_passes, scene.n_bins,
+                                      truth) as write:
+        if job.n_passes == 1:
+            blocks = clutter_blocks(scene)
+        else:
+            blocks = multipass_blocks(
+                scene, job.n_passes, change_fraction=job.change_fraction,
+                shared_calibration=job.shared_calibration,
+                unit_gains=job.unit_pass_gains,
+                gain_spread=job.pass_gain_spread)
+        for m0, m1, block in blocks:
+            # targets go into pass 0 of their block, in config order
+            for bin_index, doppler, amplitude in job.targets:
+                if m0 <= bin_index < m1:
+                    _add_target(block[0, bin_index - m0], bin_index,
+                                doppler, amplitude, kappa=scene.kappa)
+            write(block)
+    print(f"wrote {args.output}: {job.n_passes} pass(es), "
+          f"{scene.n_bins} bins of {scene.p}x{scene.q}, "
+          f"{len(truth)} target(s)")
     return 0
 
 
 def cmd_estimate(args):
-    history = formats.read_phase_history(args.input)
-    scm = sample_covariance(*joint_snapshots(history))
+    with formats.PhaseHistoryReader(args.input) as cube:
+        scm = sample_covariance(*joint_snapshots(cube))
     with WorkerPool(args.threads) as pool:
         try:
             est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
@@ -182,8 +210,8 @@ def cmd_estimate(args):
     return 0 if est.converged else NO_CONVERGENCE
 
 
-def _projection_filter_for(history, args):
-    """The filter of the estimate args.estimate names, for history's shape.
+def _projection_filter_for(cube, args):
+    """The filter of the estimate args.estimate names, for cube's shape.
 
     Returns (filter, whether the estimate is stacked). The estimate is
     dropped once its filter is built, so the memory of its factors is
@@ -191,16 +219,16 @@ def _projection_filter_for(history, args):
     """
     est = formats.read_estimate(args.estimate)
     sdim = est.spatial_factor.dim
-    stacked = sdim == history.n_passes * history.p and history.n_passes > 1
-    if not stacked and sdim != history.p:
+    stacked = sdim == cube.n_passes * cube.p and cube.n_passes > 1
+    if not stacked and sdim != cube.p:
         raise DataError(
-            f"estimate spatial dim {sdim} matches neither p={history.p} "
-            f"nor stacked {history.n_passes * history.p}"
+            f"estimate spatial dim {sdim} matches neither p={cube.p} "
+            f"nor stacked {cube.n_passes * cube.p}"
         )
-    if est.temporal_factor.dim != history.q:
+    if est.temporal_factor.dim != cube.q:
         raise DataError(
             f"estimate temporal dim {est.temporal_factor.dim} "
-            f"does not match q={history.q}"
+            f"does not match q={cube.q}"
         )
     filt = build_filter(args.kind, estimate=est,
                         drop_temporal=args.no_temporal_projection)
@@ -208,21 +236,19 @@ def _projection_filter_for(history, args):
 
 
 def cmd_filter(args):
-    history = formats.read_phase_history(args.input)
-    filt, stacked = _projection_filter_for(history, args)
-    k, n_bins, p, q = history.data.shape
-    for m0, m1 in bin_blocks(n_bins):
-        # bin-major block; a stacked bin's K*p rows are K pass blocks of
-        # p, gathered for this block alone
-        block = history.data[:, m0:m1].swapaxes(0, 1)
-        if stacked:
-            block = block.reshape(m1 - m0, k * p, q)
-        # apply_matrix returns a fresh array, so the block's bins can go
-        # back into the cube they came from
-        filtered = filt.apply_matrix(block)
-        history.data[:, m0:m1] = filtered.reshape(m1 - m0, k, p, q) \
-            .swapaxes(0, 1)
-    formats.write_phase_history(args.output, history)
+    with formats.PhaseHistoryReader(args.input) as cube:
+        filt, stacked = _projection_filter_for(cube, args)
+        k, n_bins, p, q = cube.n_passes, cube.n_bins, cube.p, cube.q
+        with formats.phase_history_writer(args.output, p, q, k, n_bins,
+                                          cube.truth) as write:
+            for m0, m1 in bin_blocks(n_bins):
+                # bin-major block; a stacked bin's K*p rows are K pass
+                # blocks of p, gathered for this block alone
+                block = cube.read(m0, m1).swapaxes(0, 1)
+                if stacked:
+                    block = block.reshape(m1 - m0, k * p, q)
+                filtered = filt.apply_matrix(block)
+                write(filtered.reshape(m1 - m0, k, p, q).swapaxes(0, 1))
     print(f"wrote {args.output}: filtered with {args.kind}")
     return 0
 
@@ -232,37 +258,37 @@ def cmd_detect(args):
         sys.stderr.write("kronstap detect: error: --signed applies only to "
                          "the change map of --multipass\n")
         return USAGE_ERROR
-    history = formats.read_phase_history(args.input)
-    if args.multipass:
-        if history.n_passes != 2:
-            raise DataError(
-                f"change detection needs exactly 2 passes, got {history.n_passes}"
-            )
-        filt, stacked = _projection_filter_for(history, args)
-        if not stacked:
-            raise DataError("change detection needs a stacked estimate")
-    else:
-        if history.n_passes != 1:
-            raise DataError("multipass input needs --multipass")
-        filt, _ = _projection_filter_for(history, args)
-    # the grid counts size the grids, the scan's operators and the map;
-    # numpy refuses an array it cannot allocate at once, with a
-    # MemoryError or, when its byte size overflows, a ValueError
-    try:
-        dopplers = make_doppler_grid(args.grid_doppler)
+    with formats.PhaseHistoryReader(args.input) as cube:
         if args.multipass:
-            images = pass_images(filt, history, dopplers, args.grid_spatial)
-            image = change_detect(images[0], images[1], signed=args.signed)
-            label = "change map"
+            if cube.n_passes != 2:
+                raise DataError(f"change detection needs exactly 2 passes, "
+                                f"got {cube.n_passes}")
+            filt, stacked = _projection_filter_for(cube, args)
+            if not stacked:
+                raise DataError("change detection needs a stacked estimate")
         else:
-            grid = make_spatial_grid(history.p, args.grid_spatial)
-            image = detection_image(filt, history.data[0], dopplers, grid)
-            label = "detection map"
-    except (MemoryError, ValueError):
-        raise DataError(
-            f"--grid-doppler {args.grid_doppler} with --grid-spatial "
-            f"{args.grid_spatial} over {history.n_bins} bins needs more "
-            f"memory than can be allocated") from None
+            if cube.n_passes != 1:
+                raise DataError("multipass input needs --multipass")
+            filt, _ = _projection_filter_for(cube, args)
+        # the grid counts size the grids, the scan's operators and the
+        # map; numpy refuses an array it cannot allocate at once, with a
+        # MemoryError or, when its byte size overflows, a ValueError
+        try:
+            dopplers = make_doppler_grid(args.grid_doppler)
+            if args.multipass:
+                images = pass_images(filt, cube, dopplers, args.grid_spatial)
+                image = change_detect(images[0], images[1],
+                                      signed=args.signed)
+                label = "change map"
+            else:
+                grid = make_spatial_grid(cube.p, args.grid_spatial)
+                image = detection_image(filt, cube, dopplers, grid)
+                label = "detection map"
+        except (MemoryError, ValueError):
+            raise DataError(
+                f"--grid-doppler {args.grid_doppler} with --grid-spatial "
+                f"{args.grid_spatial} over {cube.n_bins} bins needs more "
+                f"memory than can be allocated") from None
     formats.write_detection_csv(args.output, image)
     if args.pgm is not None:
         formats.write_pgm(args.pgm, np.abs(image.values))

@@ -22,17 +22,19 @@ Projection filters are kept factored; applying one works on the p x q
 bin matrix through two-sided products, so the pq x pq operator is never
 materialized. StapFilter.apply_matrix takes one bin or a whole
 (..., p, q) stack, and gives every bin of a stack the same bits as a
-call on that bin alone. The CLI's filter stage walks a cube in blocks
-of BLOCK_BINS bins, one batched call per block.
+call on that bin alone. The CLI's filter stage reads, filters and
+writes a cube in blocks of BLOCK_BINS bins, one batched call per block.
 
 Detection never forms a filtered cube. A kron filter is P_a x P_b, so
 a map's responses conj(G) P_a x P_b conj(T) fold the projectors into
 the two detection operators, formed once per scan: the Doppler side
 M = P_b conj(T) (q x D) and the spatial side G' = conj(G) P_a (S x p).
 The classical filter subtracts its joint-subspace part from x conj(T)
-through the rank-sized core U_a^H x conj(U_b). _scan_maps walks the raw
-bins in blocks of BLOCK_BINS, checks each block for finite entries,
-and costs one (m*p, q) @ M GEMM and one broadcast G' product per block;
+through the rank-sized core U_a^H x conj(U_b). _scan_maps reads the raw
+bins from a block source (a PhaseHistory in memory, or
+formats.PhaseHistoryReader on a file) in blocks of BLOCK_BINS, checks
+each block for finite entries, and costs one (m*p, q) @ M GEMM and one
+broadcast G' product per block;
 a pass cube's block gathers its passes' rows, and every spatial grid
 (one per pass) reads the same product. detection_image and
 multipass.pass_images both scan through it, on the calling thread.
@@ -49,6 +51,7 @@ from .errors import DataError, DimensionError
 # filters.hermitian_eig by name, while subspace_basis decomposes through
 # linalg.Factor
 from .linalg import Factor, as_matrix, hermitian_eig  # noqa: F401
+from .simulate import PhaseHistory
 
 FILTER_KINDS = ("classical", "kron")
 
@@ -321,32 +324,35 @@ class DetectionMap:
     spatial_grid: np.ndarray
 
 
-def _scan_maps(filt, passes, dopplers, grids):
-    """Detection magnitudes of a (K, n_bins, p, q) pass cube, one per grid.
+def _scan_maps(filt, source, dopplers, grids):
+    """Detection magnitudes of a K-pass block source, one map per grid.
 
-    The filter acts on each bin's K*p pass-stacked rows (pass-major, so
-    K = 1 is the bin itself), and every grid is an (S, K*p) block of
-    spatial candidates. Returns one (n_bins, D) array per grid: the
-    largest response magnitude over the grid's candidates, per bin and
-    Doppler. The cube goes through in blocks of BLOCK_BINS bins, each
-    checked for finite entries and never filtered: the filter lives in
-    the operators of StapFilter._detection_operators. Every bin's row
-    is bitwise equal to scanning that bin's block alone.
+    source is a PhaseHistory or a formats.PhaseHistoryReader: its
+    n_bins, and read(m0, m1) giving the (K, m1 - m0, p, q) cube of bins
+    [m0, m1). The filter acts on each bin's K*p pass-stacked rows
+    (pass-major, so K = 1 is the bin itself), and every grid is an
+    (S, K*p) block of spatial candidates. Returns one (n_bins, D) array
+    per grid: the largest response magnitude over the grid's
+    candidates, per bin and Doppler. The operators are formed once;
+    then the cube is read in blocks of BLOCK_BINS bins, each checked
+    for finite entries and never filtered: the filter lives in the
+    operators of StapFilter._detection_operators. Every bin's row is
+    bitwise equal to scanning that bin's block alone.
     """
-    k, n_bins, p, q = passes.shape
-    rows = k * p
+    rows, q = filt.p, filt.q
     temporal = np.exp(2j * np.pi * np.outer(np.arange(q), dopplers))
     temporal /= np.sqrt(q)
     right, left, joint = filt._detection_operators(
         temporal.conj(), np.concatenate(grids).conj())
     edges = np.cumsum([0] + [len(grid) for grid in grids])
-    maps = [np.empty((n_bins, dopplers.size), dtype=np.float64)
+    maps = [np.empty((source.n_bins, dopplers.size), dtype=np.float64)
             for _ in grids]
-    for m0, m1 in bin_blocks(n_bins):
+    for m0, m1 in bin_blocks(source.n_bins):
         # bin-major block; a bin's K*p rows are its K pass blocks of p,
         # gathered for this block alone
-        block = passes[0, m0:m1] if k == 1 else \
-            passes[:, m0:m1].swapaxes(0, 1).reshape(m1 - m0, rows, q)
+        passes = source.read(m0, m1)
+        block = passes[0] if len(passes) == 1 else \
+            passes.swapaxes(0, 1).reshape(m1 - m0, rows, q)
         if not np.isfinite(block).all():
             raise DataError("bin matrix contains non-finite entries")
         x = _as_rows(block, rows, q)
@@ -364,21 +370,30 @@ def _scan_maps(filt, passes, dopplers, grids):
 def detection_image(filt, cube, dopplers, spatial_grid):
     """Max matched-filter magnitude over spatial candidates, per bin and Doppler.
 
-    cube is (n_bins, p, q) with p matching the filter. It is scanned by
-    _scan_maps, which folds the filter into the detection operators and
-    never forms a filtered copy of the cube; a non-finite bin is a
-    DataError.
+    cube is (n_bins, p, q) with p matching the filter, or a one-pass
+    block source (a PhaseHistory or formats.PhaseHistoryReader) of that
+    shape. It is scanned by _scan_maps, which folds the filter into the
+    detection operators and never forms a filtered copy of the cube; a
+    non-finite bin is a DataError.
     """
-    cube = np.asarray(cube, dtype=np.complex128)
-    if cube.ndim != 3 or cube.shape[1:] != (filt.p, filt.q):
-        raise DimensionError(
-            f"cube shape {cube.shape} does not match filter ({filt.p}, {filt.q})"
-        )
+    if hasattr(cube, "read"):
+        if (cube.n_passes, cube.p, cube.q) != (1, filt.p, filt.q):
+            raise DimensionError(
+                f"{cube.n_passes}-pass cube of {cube.p} x {cube.q} bins "
+                f"does not match a one-pass filter ({filt.p}, {filt.q})")
+        source = cube
+    else:
+        cube = np.asarray(cube, dtype=np.complex128)
+        if cube.ndim != 3 or cube.shape[1:] != (filt.p, filt.q):
+            raise DimensionError(
+                f"cube shape {cube.shape} does not match filter "
+                f"({filt.p}, {filt.q})")
+        source = PhaseHistory(filt.p, filt.q, 1, cube[None])
     dopplers = np.asarray(dopplers, dtype=np.float64).ravel()
     spatial_grid = np.asarray(spatial_grid, dtype=np.complex128)
     if spatial_grid.ndim != 2 or spatial_grid.shape[1] != filt.p:
         raise DimensionError(
             f"spatial grid shape {spatial_grid.shape} does not match p = {filt.p}"
         )
-    values, = _scan_maps(filt, cube[None], dopplers, [spatial_grid])
+    values, = _scan_maps(filt, source, dopplers, [spatial_grid])
     return DetectionMap(values, dopplers, spatial_grid)

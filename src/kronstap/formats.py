@@ -35,15 +35,31 @@ caller asks for it (linalg.Factor). Estimate files of the older "KES1"
 layout, dense factors back to back, are refused with a message to
 re-run `estimate`: one reader, not two.
 
-Both binary formats are written from the arrays' memory and read
-straight into the arrays the reader returns, so a file is held in
-memory once either way. CSV outputs always carry a header row, with
-floats printed at full precision so they read back exactly.
+A KPH1 cube is read and written in blocks of bins, through one reader
+and one writer that only this module knows the layout for.
+PhaseHistoryReader checks the header, the file's size and the target
+tail when it opens, then reads the K pass segments of any bin range
+into one buffer that it reuses: its working set is the largest block
+asked for. phase_history_writer checks the header fields (each a u32)
+and the file's size against the free space where it goes before it
+opens anything, then writes each block's pass segments at their
+offsets, and the tail last. read_phase_history and write_phase_history
+are one block of every bin: the cube is read straight into the array
+returned, or written from the array's memory, with no copy. A KES2
+estimate is small and read and written whole, the same way.
+
+Every writer here writes to a temporary file next to its path (its
+name ends in TEMP_SUFFIX) and renames it into place once complete, so
+a failed write leaves no partial file, and an existing file at the
+path, even a stage's own input, stays whole until then. CSV outputs
+always carry a header row, with floats printed at full precision so
+they read back exactly.
 """
 
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,36 +79,152 @@ FLAG_COMPLEX128 = 8
 _PH_HEADER = struct.Struct("<4sHHIIII")
 _TARGET_RECORD = struct.Struct("<Iddd")
 _EST_HEADER = struct.Struct("<4sHHIIIIIII")
+_U32_MAX = 2 ** 32 - 1
+
+# Every output is written under a temporary name ending in this, next to
+# where it goes, and renamed into place once it is complete.
+TEMP_SUFFIX = ".tmp"
+
+
+@contextmanager
+def _replacing(path, mode="wb"):
+    """A new file next to path, renamed to path when the block ends.
+
+    The file is opened exclusively under a temporary name (mode "wb" or
+    "w"), so a reader of path never sees a partial file and an existing
+    path, even the input of the same stage, stays whole until the
+    rename. When the block raises, the temporary file is removed.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory,
+                        f".{name}.{os.urandom(4).hex()}{TEMP_SUFFIX}")
+    try:
+        with open(temp, mode.replace("w", "x")) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.remove(temp)
+        except OSError:
+            pass
+        raise
+
+
+def _free_bytes(path):
+    """Bytes free to an unprivileged writer where path goes, or None
+    where the platform cannot tell."""
+    if not hasattr(os, "statvfs"):
+        return None
+    stat = os.statvfs(os.path.dirname(os.fspath(path)) or ".")
+    return stat.f_bavail * stat.f_frsize
+
+
+def _ph_frame(p, q, n_passes, n_bins, truth):
+    """The header and target tail of a KPH1 file, and its total size.
+
+    Every header field must fit its u32, and every target's bin must lie
+    in range(n_bins); otherwise DataError, which names the cube's byte
+    size.
+    """
+    fields = (("p", p), ("q", q), ("K", n_passes), ("n_bins", n_bins))
+    payload = n_passes * n_bins * p * q * 16
+    cube = (f"a {n_passes} x {n_bins} x {p} x {q} cube needs "
+            f"{payload:,} bytes")
+    for name, value in fields:
+        if not 1 <= value <= _U32_MAX:
+            raise DataError(f"{cube}, and {name} = {value} does not fit "
+                            f"the KPH header's u32 field")
+    if len(truth) > _U32_MAX:
+        raise DataError(f"{len(truth)} targets do not fit the KPH header")
+    tail = [struct.pack("<I", len(truth))]
+    for target in truth:
+        if not 0 <= target.bin_index < n_bins:
+            raise DataError(f"target bin {target.bin_index} out of range")
+        tail.append(_TARGET_RECORD.pack(
+            target.bin_index, target.doppler,
+            target.amplitude.real, target.amplitude.imag))
+    header = _PH_HEADER.pack(PH_MAGIC, FORMAT_VERSION, FLAG_COMPLEX128,
+                             p, q, n_passes, n_bins)
+    tail = b"".join(tail)
+    return header, tail, len(header) + payload + len(tail), cube
+
+
+@contextmanager
+def phase_history_writer(path, p, q, n_passes, n_bins, truth=()):
+    """Write a KPH1 file block by block; yields the block writer.
+
+    The block writer takes the (n_passes, m, p, q) block of the next m
+    bins and writes each pass's segment at its offset. When the block
+    ends, every bin must have been written; the target tail goes last,
+    and the file is renamed into place (see _replacing). The header
+    fields and the targets are checked, and the file's size against the
+    free space where it goes, before anything is opened.
+    """
+    header, tail, size, cube = _ph_frame(p, q, n_passes, n_bins, truth)
+    free = _free_bytes(path)
+    if free is not None and size > free:
+        raise DataError(f"{cube}, more than the {free:,} bytes free "
+                        f"where {os.fspath(path)} goes")
+    bin_bytes = p * q * 16
+    written = 0
+
+    def write(block):
+        nonlocal written
+        if block.shape[:1] + block.shape[2:] != (n_passes, p, q) \
+                or written + block.shape[1] > n_bins:
+            raise DimensionError(
+                f"block of shape {block.shape} does not continue a "
+                f"({n_passes}, {n_bins}, {p}, {q}) cube at bin {written}")
+        for pass_index, segment in enumerate(block):
+            bin_index = pass_index * n_bins + written
+            fh.seek(len(header) + bin_index * bin_bytes)
+            fh.write(np.ascontiguousarray(segment, dtype="<c16"))
+        written += block.shape[1]
+
+    with _replacing(path) as fh:
+        fh.write(header)
+        yield write
+        if written != n_bins:
+            raise DimensionError(f"{written} of {n_bins} bins written")
+        fh.seek(len(header) + n_passes * n_bins * bin_bytes)
+        fh.write(tail)
 
 
 def write_phase_history(path, history):
     """Serialize a PhaseHistory; byte output depends only on the content.
 
-    The payload goes to the file straight from the cube's memory, with
-    no serialized copy.
+    One block of every bin through phase_history_writer: the payload
+    goes to the file straight from the cube's memory, with no
+    serialized copy.
     """
-    data = np.ascontiguousarray(history.data, dtype="<c16")
-    k, n_bins, p, q = data.shape
-    with open(path, "wb") as fh:
-        fh.write(_PH_HEADER.pack(PH_MAGIC, FORMAT_VERSION, FLAG_COMPLEX128,
-                                 p, q, k, n_bins))
-        data.tofile(fh)
-        fh.write(struct.pack("<I", len(history.truth)))
-        for target in history.truth:
-            fh.write(_TARGET_RECORD.pack(
-                target.bin_index, target.doppler,
-                target.amplitude.real, target.amplitude.imag,
-            ))
+    k, n_bins, p, q = history.data.shape
+    with phase_history_writer(path, p, q, k, n_bins, history.truth) as write:
+        write(history.data)
 
 
-def read_phase_history(path):
-    """Read a KPH1 file back into a PhaseHistory, verifying every byte.
+class PhaseHistoryReader:
+    """A KPH1 file opened for reading blocks of bins.
 
-    The payload is read straight into the returned cube, so the file is
-    held in memory once. Sizes are checked against the file's length
-    before anything that large is allocated.
+    Opening it checks every byte outside the payload: the header, the
+    file's size against it, and the target tail, whose records become
+    `truth`. `read(m0, m1)` then reads the K pass segments of bins
+    [m0, m1) into a buffer that the next read reuses and returns it as
+    an (n_passes, m1 - m0, p, q) complex128 cube. Like a PhaseHistory,
+    it has p, q, n_passes, n_bins and truth, so the library's block
+    consumers take either. Use it as a context manager, or close() it.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        self._buffer = np.empty(0, dtype="<c16")
+        try:
+            self._check()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _check(self):
+        fh = self._fh
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_PH_HEADER.size)
         if len(header) < _PH_HEADER.size:
@@ -106,33 +238,67 @@ def read_phase_history(path):
             raise DataError(f"unsupported entry encoding flags {flags}")
         if min(p, q, k, n_bins) < 1:
             raise DataError("dimension fields must be positive")
-        payload_bytes = k * n_bins * p * q * 16
-        if size < _PH_HEADER.size + payload_bytes + 4:
+        tail_at = _PH_HEADER.size + k * n_bins * p * q * 16
+        if size < tail_at + 4:
             raise DataError("truncated payload")
-        # aligned, writable and native on little-endian hosts; astype
-        # only copies on a big-endian one
-        data = np.empty((k, n_bins, p, q), dtype="<c16")
-        if fh.readinto(data) != payload_bytes:
-            raise DataError("truncated payload")
-        data = data.astype(np.complex128, copy=False)
-        tail = fh.read()
-    if len(tail) < 4:
-        raise DataError("truncated payload")
-    (n_targets,) = struct.unpack_from("<I", tail, 0)
-    offset = 4
-    expected = offset + n_targets * _TARGET_RECORD.size
-    if len(tail) < expected:
-        raise DataError("truncated target records")
-    if len(tail) > expected:
-        raise DataError("trailing bytes after target records")
-    truth = []
-    for _ in range(n_targets):
-        bin_index, doppler, re, im = _TARGET_RECORD.unpack_from(tail, offset)
-        offset += _TARGET_RECORD.size
-        if bin_index >= n_bins:
-            raise DataError(f"target bin {bin_index} out of range")
-        truth.append(TargetTruth(bin_index, doppler, complex(re, im)))
-    return PhaseHistory(p, q, k, data, truth)
+        fh.seek(tail_at)
+        (n_targets,) = struct.unpack("<I", fh.read(4))
+        expected = tail_at + 4 + n_targets * _TARGET_RECORD.size
+        if size < expected:
+            raise DataError("truncated target records")
+        if size > expected:
+            raise DataError("trailing bytes after target records")
+        records = fh.read(expected - tail_at - 4)
+        truth = []
+        for bin_index, doppler, re, im in _TARGET_RECORD.iter_unpack(records):
+            if bin_index >= n_bins:
+                raise DataError(f"target bin {bin_index} out of range")
+            truth.append(TargetTruth(bin_index, doppler, complex(re, im)))
+        self.p, self.q, self.n_passes, self.n_bins = p, q, k, n_bins
+        self.truth = truth
+
+    def read(self, m0, m1):
+        """The (n_passes, m1 - m0, p, q) cube of bins [m0, m1).
+
+        It lives in the reader's buffer until the next read.
+        """
+        if not 0 <= m0 < m1 <= self.n_bins:
+            raise DimensionError(
+                f"bins [{m0}, {m1}) outside [0, {self.n_bins})")
+        k, m, p, q = self.n_passes, m1 - m0, self.p, self.q
+        if self._buffer.size < k * m * p * q:
+            self._buffer = np.empty(k * m * p * q, dtype="<c16")
+        block = self._buffer[:k * m * p * q].reshape(k, m, p, q)
+        for pass_index, segment in enumerate(block):
+            bin_index = pass_index * self.n_bins + m0
+            self._fh.seek(_PH_HEADER.size + bin_index * p * q * 16)
+            if self._fh.readinto(segment) != segment.nbytes:
+                raise DataError("truncated payload")
+        # native on little-endian hosts; astype only copies on a
+        # big-endian one
+        return block.astype(np.complex128, copy=False)
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def read_phase_history(path):
+    """Read a KPH1 file back into a PhaseHistory, verifying every byte.
+
+    One block of every bin through PhaseHistoryReader: the payload is
+    read straight into the returned cube, and sizes are checked against
+    the file's length before anything that large is allocated.
+    """
+    with PhaseHistoryReader(path) as reader:
+        data = reader.read(0, reader.n_bins)
+    return PhaseHistory(reader.p, reader.q, reader.n_passes, data,
+                        reader.truth)
 
 
 def write_estimate(path, estimate):
@@ -157,7 +323,7 @@ def write_estimate(path, estimate):
         payload += [np.ascontiguousarray(values[:rank], dtype="<f8"),
                     np.ascontiguousarray(vectors[:, :rank], dtype="<c16")]
     residuals = np.asarray(estimate.residuals, dtype="<f8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_EST_HEADER.pack(EST_MAGIC, FORMAT_VERSION, FLAG_COMPLEX128,
                                   *dims, estimate.rank_spatial,
                                   estimate.rank_temporal, estimate.iterations,
@@ -231,7 +397,7 @@ def _read_array(fh, shape, dtype):
 
 
 def write_residuals_csv(path, residuals):
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         fh.write("iteration,residual\n")
         for i, eta in enumerate(residuals, start=1):
             fh.write(f"{i},{float(eta)!r}\n")
@@ -239,7 +405,7 @@ def write_residuals_csv(path, residuals):
 
 def write_detection_csv(path, image):
     """Detection map as CSV: one row per bin, one column per Doppler."""
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         # plain-float reprs round-trip exactly and stay parseable
         header = ",".join(f"f={float(f)!r}" for f in image.dopplers)
         fh.write(f"bin,{header}\n")
@@ -251,7 +417,7 @@ def write_detection_csv(path, image):
 
 
 def write_bench_csv(path, rows):
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         fh.write("p,q,n,eps,threads,trial,iterations,seconds,eta_final\n")
         for r in rows:
             fh.write(f"{r.p},{r.q},{r.n},{float(r.eps)!r},{r.threads},"
@@ -270,7 +436,7 @@ def write_pgm(path, values):
     else:
         scaled = np.zeros_like(values)
     pixels = scaled.astype(">u2")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n65535\n".encode())
         fh.write(pixels.tobytes())
 

@@ -14,9 +14,10 @@ shape alone:
 - built by `sample_covariance` from n >= p*q snapshots, it holds the
   dense matrix, formed exactly Hermitian from the upper tile pairs
   of _COV_TILE columns as real products on the float64 view of the
-  snapshots (a dsyrk on each diagonal tile), read straight from a
-  K-pass cube without stacking or conjugating it, and checked there
-  for finite entries;
+  snapshots (a dsyrk on each diagonal tile), summed over fixed chunks
+  of _COV_CHUNK snapshots, read straight from a K-pass cube, or chunk
+  by chunk from a block source such as a cube file, without stacking
+  or conjugating it, and checked there for finite entries;
 - constructed from a user's matrix, it holds that matrix, checked in
   full and symmetrized once by the constructor; the estimator never
   checks a covariance again.
@@ -59,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
+from .filters import BLOCK_BINS
 from .linalg import _HERMITIAN_RTOL, Factor, _hermitian_part, _kept_pairs, \
     _rebuild, _top_eigenpairs, _truncated
 # perfbench's span tracer wraps lrkron.eig_truncate by name
@@ -78,6 +80,15 @@ _COV_TILE = 256
 # at 4, every tiling of pass widths 20-300 that are multiples of 4 kept
 # that product's bits; at 1 or 2, most moved entries by rounding.
 _COV_ALIGN = 4
+# Snapshots per chunk of the dense sample covariance: each tile pair's
+# real product is summed over chunks of this many, so a cube read from
+# its file is held one chunk at a time. The cut depends only on n, so a
+# cube in memory and one read from its file give the same bits. On the
+# `multipass` cube (2 x 4000 x 512, 2-CPU host) a standalone `estimate`
+# peaked at 68.0, 76.7 and 92.7 MB RSS with chunks of 512, 1024 and
+# 2048 bins, and at 122.3 MB with the whole cube as one chunk, taking
+# 0.28-0.32 s at each size.
+_COV_CHUNK = 4 * BLOCK_BINS
 
 
 class SampleCovariance:
@@ -170,25 +181,40 @@ def sample_covariance(snapshots, p, q):
 
     No mean is subtracted; the clutter model is zero mean. Snapshots
     are length p*q vectors in the channel-major layout, given either as
-    the rows of an (n, p*q) matrix or as a (K, n, p*q / K) pass cube,
-    whose pass k holds column block k of every snapshot: a K-pass
-    cube's (K, n_bins, p_pass*q) view is its pass-stacked snapshots,
-    with p = K * p_pass channels, without the stacking copy.
+    the rows of an (n, p*q) matrix, as a (K, n, p*q / K) pass cube,
+    whose pass k holds column block k of every snapshot, or as a block
+    source of such a cube: a PhaseHistory or a formats.PhaseHistoryReader,
+    whose (K, m, p_pass, q) blocks of bins are read one at a time. A
+    K-pass cube's (K, n_bins, p_pass*q) view is its pass-stacked
+    snapshots, with p = K * p_pass channels, without the stacking copy.
 
     Fewer than p*q snapshots are checked for finite entries and kept as
     a snapshot stack (see SampleCovariance); a pass cube is stacked for
-    that. Otherwise the dense matrix is formed here from the upper tile
-    pairs and mirrored, which makes it exactly Hermitian with a
-    non-negative diagonal, and checked here for finite entries. Either
-    way this is the one check the estimator's input gets.
+    that. Otherwise the dense matrix is formed here, chunk by chunk of
+    _COV_CHUNK bins, from the upper tile pairs and mirrored, which makes
+    it exactly Hermitian with a non-negative diagonal, and checked here
+    for finite entries. Either way this is the one check the estimator's
+    input gets.
     """
-    x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim == 2:
-        x = x[None]
-    elif x.ndim != 3:
-        raise DimensionError(
-            f"snapshots must be 2-D or a 3-D pass cube, got shape {x.shape}")
-    k, n, d_pass = x.shape
+    if hasattr(snapshots, "read"):
+        k, n = snapshots.n_passes, snapshots.n_bins
+        d_pass = snapshots.p * snapshots.q
+
+        def read(m0, m1):
+            return snapshots.read(m0, m1).reshape(k, m1 - m0, d_pass)
+    else:
+        x = np.asarray(snapshots, dtype=np.complex128)
+        if x.ndim == 2:
+            x = x[None]
+        elif x.ndim != 3:
+            raise DimensionError(
+                f"snapshots must be 2-D or a 3-D pass cube, got shape "
+                f"{x.shape}")
+        x = np.ascontiguousarray(x)
+        k, n, d_pass = x.shape
+
+        def read(m0, m1):
+            return x[:, m0:m1]
     if n < 1:
         raise DimensionError("need at least one snapshot")
     d = k * d_pass
@@ -197,67 +223,80 @@ def sample_covariance(snapshots, p, q):
     if n < d:
         # the one check the snapshot path needs: the stack is Hermitian
         # PSD by construction, and no validated matrix is ever formed
-        if not np.isfinite(x).all():
+        cube = read(0, n)
+        if not np.isfinite(cube).all():
             raise DataError("snapshots contain non-finite entries")
-        stack = np.array(x.swapaxes(0, 1), order="C").reshape(n, p, q)
+        stack = np.array(cube.swapaxes(0, 1), order="C").reshape(n, p, q)
         return SampleCovariance._from_checked(stack, n, p, q)
-    s = _outer_average(np.ascontiguousarray(x))
+    s = _outer_average(read, k, n, d_pass)
     # finite only if the snapshots were and their products did not overflow
     if not np.isfinite(s).all():
         raise DataError("covariance contains non-finite entries")
     return SampleCovariance._from_checked(s, n, p, q)
 
 
-def _outer_average(x):
+def _outer_average(read, k, n, d_pass):
     """Dense (1/n) sum of x_m x_m^H over the snapshots of a pass cube.
 
-    x is a C-contiguous (K, n, d_pass) cube; snapshot m is x[0, m], ...,
-    x[K-1, m] back to back, so pass k's rows are column block k of the
+    read(m0, m1) gives the (K, m1 - m0, d_pass) pass cube x of
+    snapshots [m0, m1), with rows contiguous; snapshot m is x[0, m],
+    ..., x[K-1, m] back to back, so pass k's rows are column block k of the
     snapshot matrix X and S = X^T conj(X) / n. Each pass is cut into the
     fewest tiles of at most _COV_TILE columns, of equal width rounded up
     to _COV_ALIGN, and only the tile pairs on and above the diagonal are
     multiplied. The products are real, on the float64 view of each pass,
     in which column c's real and imaginary parts are columns 2c and
-    2c + 1, so no conjugated copy is made. In a tile pair's product
-    M = V_a^T V_b, the 2 x 2 block of entry (r, c) holds rr, ri, ir and
-    ii, the sums of products of row r's and column c's real (r) and
-    imaginary (i) parts, and the entry is ((rr + ii) + i (ir - ri)) / n.
-    A diagonal tile's product is V^T V, which numpy runs as a dsyrk, at
-    half the flops of a GEMM. Each tile above the diagonal is mirrored
-    below it and each diagonal tile t becomes (t + t^H) / 2, so S is
-    exactly Hermitian with a real diagonal.
+    2c + 1, so no conjugated copy is made. The snapshots go through in
+    chunks of _COV_CHUNK, a cut that depends only on n, and each tile
+    pair's products over the chunks are summed in chunk order. In a
+    tile pair's sum M = V_a^T V_b, the 2 x 2 block of entry (r, c)
+    holds rr, ri, ir and ii, the sums of products of row r's and column
+    c's real (r) and imaginary (i) parts, and the entry is
+    ((rr + ii) + i (ir - ri)) / n. A diagonal tile's product is V^T V,
+    which numpy runs as a dsyrk, at half the flops of a GEMM. Each tile
+    above the diagonal is mirrored below it and each diagonal tile t
+    becomes (t + t^H) / 2, so S is exactly Hermitian with a real
+    diagonal.
 
-    S has the bits of the same fold of the one product over the whole
-    float64 view, symmetrized, when the BLAS computes every entry of a
-    tile as it does in that product. OpenBLAS 0.3.31 (x86-64, Haswell
-    kernels) does when d_pass and the tiles are multiples of 4;
-    otherwise entries can move by rounding.
+    With one chunk, S has the bits of the same fold of the one product
+    over the whole float64 view, symmetrized, when the BLAS computes
+    every entry of a tile as it does in that product. OpenBLAS 0.3.31
+    (x86-64, Haswell kernels) does when d_pass and the tiles are
+    multiples of 4; otherwise entries can move by rounding.
     """
-    k, n, d_pass = x.shape
-    out = np.empty((k * d_pass, k * d_pass), dtype=np.complex128)
-    x_f = x.view(np.float64)
     n_tiles = -(-d_pass // _COV_TILE)
     step = -(-d_pass // n_tiles)
     step += -step % _COV_ALIGN
     # (pass, first and last column within the pass, first column in S)
     tiles = [(l, c0, min(c0 + step, d_pass), l * d_pass + c0)
              for l in range(k) for c0 in range(0, d_pass, step)]
-    for j, (l, b0, b1, j0) in enumerate(tiles):
-        v_b = x_f[l, :, 2 * b0:2 * b1]
-        cols = slice(j0, j0 + b1 - b0)
-        for l_a, a0, a1, i0 in tiles[:j + 1]:
-            rows = slice(i0, i0 + a1 - a0)
-            m = x_f[l_a, :, 2 * a0:2 * a1].T @ v_b
-            t = out[rows, cols]
-            t_f = t.view(np.float64)
-            np.add(m[0::2, 0::2], m[1::2, 1::2], out=t_f[:, 0::2])
-            np.subtract(m[1::2, 0::2], m[0::2, 1::2], out=t_f[:, 1::2])
-            t_f /= n
-            if i0 == j0:
-                t += t.conj().T
-                t /= 2.0
+    pairs = [(a, b) for j, b in enumerate(tiles) for a in tiles[:j + 1]]
+    sums = [None] * len(pairs)
+    for m0 in range(0, n, _COV_CHUNK):
+        x_f = read(m0, min(m0 + _COV_CHUNK, n)).view(np.float64)
+        for index, ((l_a, a0, a1, _), (l_b, b0, b1, _)) in enumerate(pairs):
+            v_a = x_f[l_a, :, 2 * a0:2 * a1]
+            v_b = x_f[l_b, :, 2 * b0:2 * b1]
+            # no name keeps a later chunk's product once it is added
+            if sums[index] is None:
+                sums[index] = v_a.T @ v_b
             else:
-                np.conjugate(t.T, out=out[cols, rows])
+                sums[index] += v_a.T @ v_b
+    out = np.empty((k * d_pass, k * d_pass), dtype=np.complex128)
+    for index, ((_, a0, a1, i0), (_, b0, b1, j0)) in enumerate(pairs):
+        m, sums[index] = sums[index], None
+        rows = slice(i0, i0 + a1 - a0)
+        cols = slice(j0, j0 + b1 - b0)
+        t = out[rows, cols]
+        t_f = t.view(np.float64)
+        np.add(m[0::2, 0::2], m[1::2, 1::2], out=t_f[:, 0::2])
+        np.subtract(m[1::2, 0::2], m[0::2, 1::2], out=t_f[:, 1::2])
+        t_f /= n
+        if i0 == j0:
+            t += t.conj().T
+            t /= 2.0
+        else:
+            np.conjugate(t.T, out=out[cols, rows])
     return out
 
 

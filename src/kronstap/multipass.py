@@ -5,12 +5,14 @@ snapshots, channel blocks ordered by pass. A background common to the
 passes keeps the stacked spatial factor rank K, so the joint estimate
 uses a spatial rank budget of K. The joint covariance needs no stacked
 copy: pass k's rows are column block k of the stacked snapshots, so
-`sample_covariance` reads a (K, n_bins, p*q) pass cube as is (from
-joint_snapshots, for multipass_estimate and the CLI alike) and stacks
-only on its snapshot path, with fewer bins than Kpq. Neither does
-detection: pass_images scans the (K, n_bins, p, q) pass cube as read,
-and gathers the passes of one block of bins at a time, as the CLI's
-filter does. The joint filter folds into the detection operators (see
+`sample_covariance` reads the (K, n_bins, p, q) pass cube as is, chunk
+by chunk, and stacks only on its snapshot path, with fewer bins than
+Kpq. Both multipass_estimate and the CLI hand it the cube through
+joint_snapshots: a PhaseHistory in memory, or a
+formats.PhaseHistoryReader on its file (see PhaseHistory.read).
+Neither does detection: pass_images scans the pass cube as read, and
+gathers the passes of one block of bins at a time, as the CLI's filter
+does. The joint filter folds into the detection operators (see
 filters), so one product per block serves the detection images of
 every pass, and no filtered cube is formed. Change detection subtracts
 the pixel magnitudes of two per-pass detection images formed from the
@@ -62,12 +64,14 @@ def stack_passes(history):
 
 
 def joint_snapshots(history):
-    """sample_covariance's (snapshots, K*p, q) for a PhaseHistory's joint
-    fit: the snapshots are the (K, n_bins, p*q) view of its pass cube."""
-    if not isinstance(history, PhaseHistory):
-        raise DimensionError("joint_snapshots expects a PhaseHistory")
-    k, n_bins, p, q = history.data.shape
-    return history.data.reshape(k, n_bins, p * q), k * p, q
+    """sample_covariance's (snapshots, K*p, q) for the joint fit of a
+    PhaseHistory or another block source such as formats.PhaseHistoryReader:
+    the snapshots are the source itself, whose (K, m, p, q) blocks are
+    its pass cube's, read chunk by chunk."""
+    if not hasattr(history, "read"):
+        raise DimensionError(
+            "joint_snapshots expects a PhaseHistory or a block source")
+    return history, history.n_passes * history.p, history.q
 
 
 def multipass_estimate(history, rank_temporal, tol=1e-4, max_iter=100,
@@ -87,15 +91,17 @@ def multipass_estimate(history, rank_temporal, tol=1e-4, max_iter=100,
 def pass_images(filt, history, dopplers, spatial_count=16):
     """One detection image per pass from jointly filtered pass-stacked bins.
 
-    history is a PhaseHistory of K passes and filt the joint filter of
+    history is a PhaseHistory of K passes, or a block source of them
+    such as formats.PhaseHistoryReader, and filt the joint filter of
     their K*p stacked channels. The spatial candidates for pass k are
     the single-pass grid embedded in pass k's channel block with zeros
     elsewhere, so each image reads out one pass of the jointly filtered
     bins. One scan of the pass cube forms all K images: each block of
     bins gathers its passes and takes one product for every pass.
     """
-    if not isinstance(history, PhaseHistory):
-        raise DimensionError("pass_images expects a PhaseHistory")
+    if not hasattr(history, "read"):
+        raise DimensionError(
+            "pass_images expects a PhaseHistory or a block source")
     k, p, q = history.n_passes, history.p, history.q
     if filt.p != k * p or filt.q != q:
         raise DimensionError(
@@ -106,8 +112,7 @@ def pass_images(filt, history, dopplers, spatial_count=16):
     grid = make_stacked_spatial_grid(p, k, spatial_count)
     grids = [grid[i * spatial_count:(i + 1) * spatial_count]
              for i in range(k)]
-    maps = _scan_maps(filt, np.asarray(history.data, dtype=np.complex128),
-                      dopplers, grids)
+    maps = _scan_maps(filt, history, dopplers, grids)
     return [DetectionMap(values, dopplers, block)
             for values, block in zip(maps, grids)]
 

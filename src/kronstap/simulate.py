@@ -20,6 +20,11 @@ seed, on m's block and on m's offset in that block, and on n_bins only
 through which bins change: without scene change, a longer scene with
 the same seed extends a shorter one. BLOCK_BINS is part of that
 contract; changing it changes every scene.
+
+clutter_blocks and multipass_blocks stream a scene one block at a time,
+in a buffer of BLOCK_BINS bins that each block reuses, so the CLI's
+simulate writes a scene of any length in that much memory;
+gen_clutter and gen_multipass collect the same blocks into one cube.
 """
 
 import math
@@ -102,6 +107,12 @@ class PhaseHistory:
     @property
     def n_bins(self):
         return self.data.shape[1]
+
+    def read(self, m0, m1):
+        """The (passes, m1 - m0, channels, pulses) cube of bins [m0, m1):
+        a PhaseHistory is a block source, as formats.PhaseHistoryReader
+        is, for the library's block-by-block consumers."""
+        return np.asarray(self.data[:, m0:m1], dtype=np.complex128)
 
 
 @dataclass
@@ -226,6 +237,11 @@ def _empty_cube(n_passes, n_bins, p, q):
 
 def _generate(model, n_passes, change_fraction, shared_calibration,
               unit_gains, gain_spread):
+    """Yield (m0, m1, block) for each BLOCK_BINS block of bins [m0, m1).
+
+    block is the (n_passes, m1 - m0, p, q) cube of those bins, in a
+    buffer that the next block reuses.
+    """
     config = model.config
     seed, p, q, n_bins = config.seed, config.p, config.q, config.n_bins
     r = config.rank_temporal
@@ -237,7 +253,8 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     else:
         calibrations = [model.pass_calibration(k) for k in range(n_passes)]
 
-    data = _empty_cube(n_passes, n_bins, p, q)
+    buffer = np.empty((n_passes, min(BLOCK_BINS, n_bins), p, q),
+                      dtype=np.complex128)
     n_changed = int(round(change_fraction * n_bins))
     changed = np.zeros(n_bins, dtype=bool)
     if n_changed > 0:
@@ -268,7 +285,7 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
             channel = _cmul(coef[:, None], calibrations[k],
                             np.empty((nb, p), dtype=np.complex128))
             out = _cmul(channel[:, :, None], speckle_k[:, None, :],
-                        data[k, m0:m1])
+                        buffer[k, :nb])
             if noise_amp > 0:
                 out += _complex_normal(_stream(seed, 2, b, k, 2),
                                        (nb, p, q), noise_amp)
@@ -282,14 +299,43 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                     f"pass {k} overflows in bins {m0}..{m1 - 1}: its "
                     f"clutter gain (pass_gain_spread {gain_spread!r}, "
                     f"texture {config.texture}) is too large")
-    return PhaseHistory(p, q, n_passes, data)
+        yield m0, m1, buffer[:, :nb]
+
+
+def _collect(config, n_passes, blocks):
+    """The PhaseHistory of a scene's (m0, m1, block) stream; the cube is
+    allocated before the first block is drawn."""
+    data = _empty_cube(n_passes, config.n_bins, config.p, config.q)
+    for m0, m1, block in blocks:
+        data[:, m0:m1] = block
+    return PhaseHistory(config.p, config.q, n_passes, data)
+
+
+def clutter_blocks(config):
+    """gen_clutter's cube as a stream of (m0, m1, block), one block of
+    BLOCK_BINS bins at a time (see _generate); the config is checked
+    here, before the first block."""
+    return _generate(scene_model(config), 1, 0.0, shared_calibration=True,
+                     unit_gains=True, gain_spread=0.0)
+
+
+def multipass_blocks(config, n_passes, change_fraction=0.0,
+                     shared_calibration=False, unit_gains=False,
+                     gain_spread=0.5):
+    """gen_multipass's cube as a stream of (m0, m1, block), like
+    clutter_blocks; the arguments are checked here, before the first
+    block."""
+    if n_passes < 1:
+        raise DimensionError(f"need at least one pass, got {n_passes}")
+    if not 0.0 <= change_fraction <= 1.0:
+        raise DataError(f"change fraction must be in [0, 1], got {change_fraction}")
+    return _generate(scene_model(config), n_passes, change_fraction,
+                     shared_calibration, unit_gains, gain_spread)
 
 
 def gen_clutter(config):
     """Single-pass clutter cube for a scene config."""
-    model = scene_model(config)
-    return _generate(model, 1, 0.0, shared_calibration=True,
-                     unit_gains=True, gain_spread=0.0)
+    return _collect(config, 1, clutter_blocks(config))
 
 
 def gen_multipass(config, n_passes, change_fraction=0.0,
@@ -305,13 +351,9 @@ def gen_multipass(config, n_passes, change_fraction=0.0,
     which together with change_fraction 0 and zero noise makes the
     passes identical.
     """
-    if n_passes < 1:
-        raise DimensionError(f"need at least one pass, got {n_passes}")
-    if not 0.0 <= change_fraction <= 1.0:
-        raise DataError(f"change fraction must be in [0, 1], got {change_fraction}")
-    model = scene_model(config)
-    return _generate(model, n_passes, change_fraction, shared_calibration,
-                     unit_gains, gain_spread)
+    return _collect(config, n_passes, multipass_blocks(
+        config, n_passes, change_fraction, shared_calibration, unit_gains,
+        gain_spread))
 
 
 def inject_target(history, bin_index, doppler, amplitude, pass_index=0,
@@ -321,31 +363,33 @@ def inject_target(history, bin_index, doppler, amplitude, pass_index=0,
     Returns a new PhaseHistory; injections are additive so their order
     does not matter. kappa defaults to the steering convention's 0.5.
     """
-    injected = PhaseHistory(history.p, history.q, history.n_passes,
-                            history.data.copy(), list(history.truth))
-    _add_target(injected, bin_index, doppler, amplitude, pass_index, kappa)
-    return injected
-
-
-def _add_target(history, bin_index, doppler, amplitude, pass_index=0,
-                kappa=None):
-    """inject_target's work, done in place on history's cube and truth."""
-    from .filters import make_steering
-
     if not 0 <= bin_index < history.n_bins:
         raise DimensionError(f"bin {bin_index} out of range")
     if not 0 <= pass_index < history.n_passes:
         raise DimensionError(f"pass {pass_index} out of range")
-    sv = make_steering(doppler, history.p, history.q,
-                       0.5 if kappa is None else kappa)
+    injected = PhaseHistory(history.p, history.q, history.n_passes,
+                            history.data.copy(), list(history.truth))
+    _add_target(injected.data[pass_index, bin_index], bin_index, doppler,
+                amplitude, kappa)
+    injected.truth.append(
+        TargetTruth(int(bin_index), float(doppler), complex(amplitude)))
+    return injected
+
+
+def _add_target(matrix, bin_index, doppler, amplitude, kappa=None):
+    """inject_target's work, done in place on bin bin_index's (p, q)
+    matrix; a result that is not finite is a DataError, and leaves the
+    matrix as it was."""
+    from .filters import make_steering
+
+    p, q = matrix.shape
+    sv = make_steering(doppler, p, q, 0.5 if kappa is None else kappa)
     signature = np.outer(sv.spatial, sv.temporal)
     signature /= np.linalg.norm(sv.spatial) * np.linalg.norm(sv.temporal)
     # a finite but huge Doppler or amplitude can still overflow here
-    updated = history.data[pass_index, bin_index] + amplitude * signature
+    updated = matrix + amplitude * signature
     if not np.isfinite(updated).all():
         raise DataError(
             f"target at bin {bin_index} (doppler {doppler!r}, amplitude "
             f"{amplitude!r}) makes the bin non-finite")
-    history.data[pass_index, bin_index] = updated
-    history.truth.append(
-        TargetTruth(int(bin_index), float(doppler), complex(amplitude)))
+    matrix[...] = updated

@@ -2,6 +2,10 @@
 
 import sys
 
+import pytest
+
+from kronstap import formats
+
 
 def pytest_terminal_summary(terminalreporter):
     """Print one line per acceptance criterion after the run.
@@ -17,3 +21,22 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(results, key=lambda item: item[0]):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_artifacts(request):
+    """Fail a test that leaves a temporary output file in its tmp_path.
+
+    Every writer in kronstap.formats writes under a temporary name and
+    renames the file into place, or removes it when the write fails; a
+    leftover one means some path skipped that.
+    """
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(str(path.relative_to(tmp_path))
+                  for path in tmp_path.rglob(f"*{formats.TEMP_SUFFIX}"))
+    if left:
+        pytest.fail(f"temporary artifacts left behind: {left}")

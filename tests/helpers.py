@@ -164,7 +164,7 @@ def random_kron_cov(rng, p, q, rank_spatial, rank_temporal):
     return a, b, np.kron(a, b)
 
 
-def outer_average_real(x):
+def outer_average_real(x, chunk=None):
     """The dense sample covariance as one real product, folded.
 
     Declared oracle for lrkron's tiled builder, whose bits it has: x is
@@ -172,14 +172,20 @@ def outer_average_real(x):
     column c's real and imaginary parts are columns 2c and 2c + 1. The
     2 x 2 block (r, c) of M = v^T v holds rr, ri, ir and ii, the four
     real sums of entry (r, c), and the result is (S + S^H) / 2 of
-    S = ((rr + ii) + i (ir - ri)) / n.
+    S = ((rr + ii) + i (ir - ri)) / n. With chunk, M is the sum, in
+    order, of the products over consecutive chunks of that many rows,
+    as the builder sums them (lrkron._COV_CHUNK).
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     v = x.view(np.float64)
-    m = v.T @ v
+    n = x.shape[0]
+    step = n if chunk is None else chunk
+    m = v[:step].T @ v[:step]
+    for m0 in range(step, n, step):
+        m += v[m0:m0 + step].T @ v[m0:m0 + step]
     out = np.empty((x.shape[1], x.shape[1]), dtype=np.complex128)
-    out.real = (m[0::2, 0::2] + m[1::2, 1::2]) / x.shape[0]
-    out.imag = (m[1::2, 0::2] - m[0::2, 1::2]) / x.shape[0]
+    out.real = (m[0::2, 0::2] + m[1::2, 1::2]) / n
+    out.imag = (m[1::2, 0::2] - m[0::2, 1::2]) / n
     return (out + out.conj().T) / 2.0
 
 

@@ -15,8 +15,11 @@ import helpers
 from kronstap.errors import ConfigError, DataError, DimensionError, \
     KronStapError
 from kronstap.filters import DetectionMap
+from kronstap import formats
 from kronstap.formats import (
+    PhaseHistoryReader,
     parse_scene_config,
+    phase_history_writer,
     read_estimate,
     read_phase_history,
     write_bench_csv,
@@ -136,6 +139,115 @@ class TestPhaseHistoryFile:
         assert write_peak < 0.25 * data.nbytes
         assert read_peak < 1.25 * data.nbytes
         assert np.array_equal(back.data, data)
+
+
+class TestPhaseHistoryBlocks:
+    """The block reader and writer that read_phase_history and
+    write_phase_history are single-block uses of."""
+
+    @staticmethod
+    def history(k=2, n_bins=11, p=2, q=3, seed=6):
+        data = helpers.complex_gauss(np.random.default_rng(seed),
+                                     (k, n_bins, p, q))
+        return PhaseHistory(p, q, k, data, [TargetTruth(4, 0.25, 1 - 2j),
+                                            TargetTruth(0, 0.5, 3j)])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_write_the_bytes_of_one_write(self, tmp_path, k):
+        history = self.history(k=k)
+        whole, blocks = tmp_path / "whole.kph", tmp_path / "blocks.kph"
+        write_phase_history(whole, history)
+        with phase_history_writer(blocks, 2, 3, k, 11,
+                                  history.truth) as write:
+            for m0, m1 in [(0, 4), (4, 5), (5, 11)]:
+                write(history.data[:, m0:m1])
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_read_the_cube_of_one_read(self, tmp_path, k):
+        history = self.history(k=k)
+        path = tmp_path / "scene.kph"
+        write_phase_history(path, history)
+        with PhaseHistoryReader(path) as reader:
+            assert (reader.p, reader.q, reader.n_passes, reader.n_bins) \
+                == (2, 3, k, 11)
+            assert reader.truth == history.truth
+            for m0, m1 in [(5, 11), (0, 4), (4, 5), (0, 11)]:
+                block = reader.read(m0, m1)
+                assert block.dtype == np.complex128
+                assert block.flags.c_contiguous
+                assert block.tobytes() == \
+                    np.ascontiguousarray(history.data[:, m0:m1]).tobytes()
+            with pytest.raises(DimensionError):
+                reader.read(3, 3)
+            with pytest.raises(DimensionError):
+                reader.read(0, 12)
+
+    @pytest.mark.parametrize("damage", [
+        "count", "count-short", "bin", "trailing"])
+    def test_a_bad_target_tail_is_refused_when_the_file_opens(
+            self, tmp_path, damage):
+        path = tmp_path / "scene.kph"
+        write_phase_history(path, self.history())
+        blob = bytearray(path.read_bytes())
+        tail = len(blob) - 4 - 2 * 28
+        if damage == "count":
+            struct.pack_into("<I", blob, tail, 3)
+        elif damage == "count-short":
+            struct.pack_into("<I", blob, tail, 1)
+        elif damage == "bin":
+            struct.pack_into("<I", blob, tail + 4 + 28, 11)
+        else:
+            blob += b"\x00"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError):
+            PhaseHistoryReader(path)
+
+    def test_a_bin_count_past_the_u32_field_names_the_cube_size(
+            self, tmp_path):
+        out = tmp_path / "x.kph"
+        with pytest.raises(DataError, match="n_bins = 4294967296 .*u32") \
+                as info:
+            with phase_history_writer(out, 2, 3, 1, 2 ** 32):
+                pass
+        assert "a 1 x 4294967296 x 2 x 3 cube needs 412,316,860,416 " \
+            "bytes" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_larger_than_the_free_space_is_refused(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(formats, "_free_bytes", lambda path: 1000)
+        out = tmp_path / "x.kph"
+        with pytest.raises(DataError, match="1,056 bytes, more than the "
+                                            "1,000 bytes free"):
+            with phase_history_writer(out, 2, 3, 1, 11):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unfinished_cube_is_not_written(self, tmp_path):
+        history = self.history()
+        out = tmp_path / "x.kph"
+        with pytest.raises(DimensionError, match="4 of 11 bins"):
+            with phase_history_writer(out, 2, 3, 2, 11) as write:
+                write(history.data[:, :4])
+        with pytest.raises(DimensionError):
+            with phase_history_writer(out, 2, 3, 2, 11) as write:
+                write(history.data[:1])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "x.kph"
+        out.write_bytes(b"old")
+
+        class Boom(Exception):
+            pass
+
+        with pytest.raises(Boom):
+            with phase_history_writer(out, 2, 3, 2, 11) as write:
+                write(self.history().data[:, :4])
+                raise Boom
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 def pairs_estimate(rng, sdim, q, rank_spatial, rank_temporal, **kwargs):

@@ -18,7 +18,7 @@ from kronstap.lrkron import (
 )
 from kronstap.parallel import WorkerPool, get_pool
 from kronstap.rearrange import rearrange, unrearrange
-from kronstap.simulate import SceneConfig, gen_clutter
+from kronstap.simulate import PhaseHistory, SceneConfig, gen_clutter
 
 
 def _exact_cov(s, p, q):
@@ -137,6 +137,28 @@ def test_dense_covariance_is_bitwise_the_one_gemm(monkeypatch, k, d_pass,
     gemm = helpers.outer_average_gemm(rows)
     assert np.max(np.abs(from_cube.matrix - gemm)) \
         <= 4e-15 * np.max(np.abs(gemm))
+
+
+# n spans several chunks and a short tail. Summed over the same chunks,
+# the products meet the oracle bit for bit; the cube read as a block
+# source (PhaseHistory.read) meets the array it holds.
+@pytest.mark.parametrize("k, d_pass, chunk", [
+    (1, 20, 8), (2, 12, 16), (3, 8, 24), (1, 300, 128)])
+def test_dense_covariance_sums_fixed_chunks_of_snapshots(monkeypatch, k,
+                                                         d_pass, chunk):
+    monkeypatch.setattr(lrkron, "_COV_CHUNK", chunk)
+    n = max(k * d_pass, 3 * chunk) + 5
+    cube, rows = _pass_cube(90 + k, k, n, d_pass)
+    want = helpers.outer_average_real(rows, chunk)
+    p, q = k * d_pass // 4, 4
+    from_cube = sample_covariance(cube, p, q).matrix
+    assert from_cube.tobytes() == want.tobytes()
+    history = PhaseHistory(d_pass // 4, 4, k, cube.reshape(k, n, -1, 4))
+    assert sample_covariance(history, p, q).matrix.tobytes() == \
+        want.tobytes()
+    # the chunked sums differ from the one product only by rounding
+    whole = helpers.outer_average_real(rows)
+    assert np.max(np.abs(from_cube - whole)) <= 4e-15 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("k, d_pass", [(1, 21), (3, 7), (2, 30)])
