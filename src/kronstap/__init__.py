@@ -25,9 +25,8 @@ from .filters import (
     make_steering,
     projection_filter,
     sinr,
-    subspace_basis,
 )
-from .linalg import EigenPairs, Factor, eig_truncate, hermitian_eig
+from .linalg import EigenPairs, Factor
 from .lrkron import (
     KronCovEstimate,
     SampleCovariance,
@@ -65,10 +64,9 @@ __all__ = [
     "KronStapError", "DetectionMap", "StapFilter", "SteeringVector",
     "build_filter", "detection_image", "make_doppler_grid",
     "make_spatial_grid", "make_steering", "projection_filter", "sinr",
-    "subspace_basis", "EigenPairs", "Factor", "eig_truncate", "hermitian_eig",
-    "KronCovEstimate", "SampleCovariance", "lr_kron_estimate",
-    "sample_covariance", "StackedHistory", "change_detect",
-    "multipass_estimate", "pass_images", "stack_passes",
+    "EigenPairs", "Factor", "KronCovEstimate", "SampleCovariance",
+    "lr_kron_estimate", "sample_covariance", "StackedHistory",
+    "change_detect", "multipass_estimate", "pass_images", "stack_passes",
     "WorkerPool", "RearrangedMatrix", "rearrange",
     "unrearrange", "PhaseHistory", "SceneConfig", "SceneModel",
     "TargetTruth", "gen_clutter", "gen_multipass", "inject_target",

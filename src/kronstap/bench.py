@@ -85,8 +85,7 @@ def _repeats_for(q):
     return 2
 
 
-def run_bench(sweep, trials=10, n=5, seed=0, max_iter=100, repeats=None,
-              progress=None):
+def run_bench(sweep, trials=10, n=5, seed=0, repeats=None, progress=None):
     """Time the estimator for every (p, q, threads, eps) row in the sweep.
 
     Returns one BenchRow per (row, trial). Data is keyed by
@@ -114,8 +113,7 @@ def run_bench(sweep, trials=10, n=5, seed=0, max_iter=100, repeats=None,
                 elapsed = math.inf
                 for _ in range(max(repeats or _repeats_for(q), 1)):
                     start = time.perf_counter()
-                    est = lr_kron_estimate(scm, 1, q, tol=eps,
-                                           max_iter=max_iter, pool=pool)
+                    est = lr_kron_estimate(scm, 1, q, tol=eps, pool=pool)
                     elapsed = min(elapsed, time.perf_counter() - start)
                 rows.append(BenchRow(p, q, n, eps, threads, trial,
                                      est.iterations, elapsed,

@@ -49,8 +49,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats
 from .errors import ConfigError, DataError, DimensionError, KronStapError
-from .filters import bin_blocks, build_filter, detection_image, \
-    make_doppler_grid, make_spatial_grid
+from .filters import FILTER_KINDS, bin_blocks, build_filter, \
+    detection_image, make_doppler_grid, make_spatial_grid
 from .lrkron import lr_kron_estimate, sample_covariance
 # stack_passes stays importable from here: perfbench's span tracer wraps
 # cli.stack_passes by name, while detect --multipass scans the pass cube
@@ -60,8 +60,8 @@ from .parallel import WorkerPool
 # gen_clutter, gen_multipass and inject_target stay importable from here:
 # perfbench's span tracer wraps them by name, while cmd_simulate streams
 # the scene's blocks and adds targets to them in place
-from .simulate import TargetTruth, _add_target, clutter_blocks, \
-    gen_clutter, gen_multipass, inject_target, multipass_blocks  # noqa: F401
+from .simulate import TargetTruth, _add_target, gen_clutter, \
+    gen_multipass, inject_target, multipass_blocks  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -113,7 +113,9 @@ def build_parser():
     p_est.add_argument("--ra", type=int, required=True, help="spatial rank")
     p_est.add_argument("--rb", type=int, required=True, help="temporal rank")
     p_est.add_argument("--eps", type=float, default=1e-4,
-                       help="residual stall tolerance")
+                       help="residual stall tolerance; a residual r "
+                            "carries about 2.2e-16 / r of rounding, and a "
+                            "tolerance below that compares noise")
     p_est.add_argument("--max-iter", type=int, default=100)
     _add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)
@@ -122,7 +124,7 @@ def build_parser():
     p_fil.add_argument("--input", required=True)
     p_fil.add_argument("--estimate", required=True)
     p_fil.add_argument("--output", required=True)
-    p_fil.add_argument("--kind", choices=("kron", "classical"), default="kron")
+    p_fil.add_argument("--kind", choices=FILTER_KINDS, default="kron")
     p_fil.add_argument("--no-temporal-projection", action="store_true",
                        help="spatial-only cancelation")
     _add_common(p_fil)
@@ -132,7 +134,7 @@ def build_parser():
     p_det.add_argument("--input", required=True)
     p_det.add_argument("--estimate", required=True)
     p_det.add_argument("--output", required=True, help="output CSV path")
-    p_det.add_argument("--kind", choices=("kron", "classical"), default="kron")
+    p_det.add_argument("--kind", choices=FILTER_KINDS, default="kron")
     p_det.add_argument("--grid-doppler", type=int, default=64)
     p_det.add_argument("--grid-spatial", type=int, default=16)
     p_det.add_argument("--multipass", action="store_true",
@@ -171,7 +173,8 @@ def cmd_simulate(args):
                                       job.n_passes, scene.n_bins,
                                       truth) as write:
         if job.n_passes == 1:
-            blocks = clutter_blocks(scene)
+            blocks = multipass_blocks(scene, 1, shared_calibration=True,
+                                      unit_gains=True)
         else:
             blocks = multipass_blocks(
                 scene, job.n_passes, change_fraction=job.change_fraction,

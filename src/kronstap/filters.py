@@ -15,7 +15,7 @@ subspaces.
 A factor's subspace is read off its eigenpairs (linalg.Factor): for an
 estimate from the estimator or from formats.read_estimate, the pairs
 its truncation kept, so building a filter runs no eigensolve and forms
-no dim x dim array. A caller's dense factor or matrix is checked once
+no dim x dim array. A caller's dense factor is checked once
 and decomposed by the full eigensolve.
 
 Projection filters are kept factored; applying one works on the p x q
@@ -48,15 +48,15 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 # hermitian_eig stays importable from here: perfbench's span tracer wraps
-# filters.hermitian_eig by name, while subspace_basis decomposes through
+# filters.hermitian_eig by name, while a factor decomposes through
 # linalg.Factor
-from .linalg import Factor, as_matrix, hermitian_eig  # noqa: F401
+from .linalg import as_matrix, hermitian_eig  # noqa: F401
 from .simulate import PhaseHistory
 
 FILTER_KINDS = ("classical", "kron")
 
 # build_filter drops a factor's eigendirections below this fraction of
-# its largest eigenvalue (see subspace_basis).
+# its largest eigenvalue (see _factor_basis).
 RANK_TOL = 1e-9
 
 # Bins per batched call when a cube is filtered or scanned: enough to
@@ -109,33 +109,6 @@ def make_steering(doppler, p, q, kappa=0.5):
     spatial = np.exp(2j * np.pi * kappa * doppler * np.arange(p))
     temporal = np.exp(2j * np.pi * doppler * np.arange(q)) / np.sqrt(q)
     return SteeringVector(spatial, temporal, float(doppler), float(kappa))
-
-
-def subspace_basis(matrix, rank, tol=1e-9):
-    """Orthonormal basis for the top eigen-subspace of a Hermitian matrix.
-
-    Keeps at most `rank` directions and drops eigenvalues below
-    tol * largest. Returns None when nothing survives, which downstream
-    code treats as an empty subspace. The matrix must be finite and
-    Hermitian within linalg's tolerance, and PSD up to rounding (no
-    eigenvalue below -linalg._CLAMP_RTOL times the largest magnitude), or
-    DataError is raised: the top directions of an indefinite matrix
-    mean nothing. A tol below _CLAMP_RTOL can keep directions of
-    rounding noise, which no eigensolver determines.
-    """
-    return _pairs_basis(Factor.checked(matrix, "matrix").pairs, rank, tol)
-
-
-def _pairs_basis(pairs, rank, tol):
-    """subspace_basis of a factor's checked eigenpairs."""
-    values, vectors = pairs
-    top = values[0] if values.size else 0.0
-    if top <= 0.0:
-        return None
-    keep = min(int(np.sum(values > tol * top)), rank)
-    if keep == 0:
-        return None
-    return vectors[:, :keep]
 
 
 @dataclass
@@ -225,7 +198,7 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q):
     A basis of None is an empty subspace. Spatial-only cancelation,
     (I - P_a) x I, is the kron filter with no temporal basis.
     """
-    if kind not in ("classical", "kron"):
+    if kind not in FILTER_KINDS:
         raise DimensionError(f"unknown projection filter kind {kind!r}")
     for name, basis, dim in (("spatial", spatial_basis, p),
                              ("temporal", temporal_basis, q)):
@@ -237,19 +210,26 @@ def projection_filter(kind, spatial_basis, temporal_basis, p, q):
 
 
 def _factor_basis(estimate, name):
-    """Subspace basis of one factor from its eigenpairs, within its rank
-    budget, which must lie in [1, dim]."""
+    """Orthonormal basis of one factor's top eigen-subspace, from its
+    eigenpairs: at most its rank budget, which must lie in [1, dim], of
+    the directions above RANK_TOL times the largest eigenvalue; None
+    when none is positive, an empty subspace. A dense factor that is
+    not PSD up to rounding raises DataError at its eigensolve."""
     factor = getattr(estimate, f"{name}_factor")
     rank, dim = getattr(estimate, f"rank_{name}"), factor.dim
     if not 1 <= rank <= dim:
         raise DimensionError(f"{name} rank budget {rank} outside [1, {dim}]")
-    return _pairs_basis(factor.pairs, rank, RANK_TOL)
+    values, vectors = factor.pairs
+    if values[0] <= 0.0:
+        return None
+    keep = min(int(np.sum(values > RANK_TOL * values[0])), rank)
+    return vectors[:, :keep]
 
 
 def build_filter(kind, estimate, drop_temporal=False):
     """Construct a projection StapFilter from a KronCovEstimate.
 
-    The bases come from the factors' eigenpairs (see subspace_basis),
+    The bases come from the factors' eigenpairs (see _factor_basis),
     honoring the estimate's rank budgets. drop_temporal still derives,
     and so checks, the temporal basis but leaves it out: spatial-only
     cancelation, the kron filter with no temporal basis, for any kind.

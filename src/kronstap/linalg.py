@@ -74,11 +74,6 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
-
-
 def _hermitian_part(m, name):
     """Check that m is square and Hermitian; return (m + m^H) / 2.
 
@@ -263,8 +258,7 @@ def _top_eigenpairs(b, rank, rows, conj_a, norm_a2):
 def _check_psd(values, name):
     """Raise DataError unless sorted eigenvalues are PSD up to rounding:
     none below -_CLAMP_RTOL times the largest magnitude."""
-    # sorted descending, so the largest magnitude sits at one end
-    scale = max(abs(values[0]), abs(values[-1])) if values.size else 0.0
+    scale = _largest_magnitude(values) if values.size else 0.0
     if values.size and values[-1] < -_CLAMP_RTOL * scale:
         raise DataError(
             f"{name} is not positive semidefinite: eigenvalue "
@@ -323,7 +317,7 @@ class Factor:
         """
         if not np.isfinite(values).all():
             raise DataError(f"{name} has non-finite eigenvalues")
-        top = max(abs(values[0]), abs(values[-1]))
+        top = _largest_magnitude(values)
         if np.any(np.diff(values) > _CLAMP_RTOL * top):
             raise DataError(f"{name} eigenvalues are not in descending order")
         _check_psd(values, name)

@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, DimensionError
-from .filters import BLOCK_BINS
 from .linalg import _HERMITIAN_RTOL, Factor, _hermitian_part, _kept_pairs, \
     _rebuild, _top_eigenpairs, _truncated
 # perfbench's span tracer wraps lrkron.eig_truncate by name
@@ -88,7 +87,7 @@ _COV_ALIGN = 4
 # peaked at 68.0, 76.7 and 92.7 MB RSS with chunks of 512, 1024 and
 # 2048 bins, and at 122.3 MB with the whole cube as one chunk, taking
 # 0.28-0.32 s at each size.
-_COV_CHUNK = 4 * BLOCK_BINS
+_COV_CHUNK = 1024
 
 
 class SampleCovariance:
@@ -399,7 +398,11 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         sqrt(machine epsilon); pass a negative tol, -inf included, to
         disable the stall check and run exactly max_iter iterations
         instead. NaN and +inf raise DimensionError: one would never
-        stop and the other would stop after one iteration.
+        stop and the other would stop after one iteration. A residual
+        eta carries about eps / eta^2 relative rounding (eps = 2.2e-16),
+        since its terms ||S||^2, ||A||^2 ||B||^2 and 2 cross each round
+        at about eps ||S||^2: at the `many-bins` benchmark's eta = 2e-3,
+        1e-13 absolute. A tol below that compares noise.
     max_iter : int
         Iteration cap. Hitting it flags the estimate as not converged
         but still returns the partial factors.
@@ -436,6 +439,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         )
 
     a_mat = sweeps.start()
+    # ||A||^2 of the next sweep's A, carried over from each residual
+    next_a2 = np.vdot(a_mat, a_mat).real
     b_mat = np.empty((q, q), dtype=np.complex128)
     residuals = []
     eta_prev = math.inf
@@ -444,7 +449,7 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
 
     for _ in range(max_iter):
         iterations += 1
-        norm_a2 = np.vdot(a_mat, a_mat).real
+        norm_a2 = next_a2
         if norm_a2 == 0.0:
             raise DegenerateInputError("spatial iterate collapsed to zero")
         conj_a = np.conj(a_mat)
@@ -463,7 +468,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
 
         # || R - a b^T ||^2 expanded; v_mat already holds R conj(b)
         cross = np.vdot(a_mat, v_mat).real
-        eta2 = fro * fro + np.vdot(a_mat, a_mat).real * norm_b2 - 2.0 * cross
+        next_a2 = np.vdot(a_mat, a_mat).real
+        eta2 = fro * fro + next_a2 * norm_b2 - 2.0 * cross
         eta = math.sqrt(max(eta2, 0.0)) / fro
         residuals.append(eta)
 

@@ -74,18 +74,17 @@ def joint_snapshots(history):
     return history, history.n_passes * history.p, history.q
 
 
-def multipass_estimate(history, rank_temporal, tol=1e-4, max_iter=100,
-                       pool=None):
+def multipass_estimate(history, rank_temporal):
     """Joint Kronecker covariance fit of a PhaseHistory's K passes.
 
-    The covariance is the CLI estimate's (see joint_snapshots). The
+    The covariance is the CLI estimate's (see joint_snapshots), and the
+    fit runs with lr_kron_estimate's defaults, as the CLI's does. The
     spatial rank budget is the pass count: each stacked clutter snapshot
     lies in the span of the per-pass calibration directions. K = 1 is
     exactly the single-pass estimate.
     """
     scm = sample_covariance(*joint_snapshots(history))
-    return lr_kron_estimate(scm, history.n_passes, rank_temporal,
-                            tol=tol, max_iter=max_iter, pool=pool)
+    return lr_kron_estimate(scm, history.n_passes, rank_temporal)
 
 
 def pass_images(filt, history, dopplers, spatial_count=16):

@@ -21,10 +21,10 @@ through which bins change: without scene change, a longer scene with
 the same seed extends a shorter one. BLOCK_BINS is part of that
 contract; changing it changes every scene.
 
-clutter_blocks and multipass_blocks stream a scene one block at a time,
-in a buffer of BLOCK_BINS bins that each block reuses, so the CLI's
-simulate writes a scene of any length in that much memory;
-gen_clutter and gen_multipass collect the same blocks into one cube.
+multipass_blocks streams a scene one block at a time, in a buffer of
+BLOCK_BINS bins that each block reuses, so the CLI's simulate writes a
+scene of any length in that much memory; gen_clutter and gen_multipass
+collect the same blocks into one cube.
 """
 
 import math
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import kron
 
 _TEXTURES = ("constant", "inverse_gamma")
 
@@ -134,7 +133,7 @@ class SceneModel:
         """Exact snapshot covariance: clutter Kronecker term plus noise."""
         h = self.calibration
         spatial = np.outer(h, h.conj())
-        full = kron(spatial, self.temporal_covariance())
+        full = np.kron(spatial, self.temporal_covariance())
         full += self.config.noise_power * np.eye(full.shape[0])
         return full
 
@@ -311,20 +310,13 @@ def _collect(config, n_passes, blocks):
     return PhaseHistory(config.p, config.q, n_passes, data)
 
 
-def clutter_blocks(config):
-    """gen_clutter's cube as a stream of (m0, m1, block), one block of
-    BLOCK_BINS bins at a time (see _generate); the config is checked
-    here, before the first block."""
-    return _generate(scene_model(config), 1, 0.0, shared_calibration=True,
-                     unit_gains=True, gain_spread=0.0)
-
-
 def multipass_blocks(config, n_passes, change_fraction=0.0,
                      shared_calibration=False, unit_gains=False,
                      gain_spread=0.5):
-    """gen_multipass's cube as a stream of (m0, m1, block), like
-    clutter_blocks; the arguments are checked here, before the first
-    block."""
+    """gen_multipass's cube as a stream of (m0, m1, block), one block of
+    BLOCK_BINS bins at a time (see _generate); the arguments are checked
+    here, before the first block. One pass with shared_calibration and
+    unit_gains is gen_clutter's cube."""
     if n_passes < 1:
         raise DimensionError(f"need at least one pass, got {n_passes}")
     if not 0.0 <= change_fraction <= 1.0:
@@ -335,7 +327,8 @@ def multipass_blocks(config, n_passes, change_fraction=0.0,
 
 def gen_clutter(config):
     """Single-pass clutter cube for a scene config."""
-    return _collect(config, 1, clutter_blocks(config))
+    return _collect(config, 1, multipass_blocks(
+        config, 1, shared_calibration=True, unit_gains=True))
 
 
 def gen_multipass(config, n_passes, change_fraction=0.0,

@@ -13,7 +13,7 @@ import numpy as np
 
 from kronstap import linalg
 from kronstap.errors import DataError, DimensionError
-from kronstap.filters import DetectionMap, SteeringVector
+from kronstap.filters import RANK_TOL, DetectionMap, SteeringVector
 from kronstap.multipass import StackedHistory
 from kronstap.rearrange import RearrangedMatrix
 from kronstap.simulate import PhaseHistory
@@ -155,6 +155,25 @@ def random_psd(rng, n, rank=None):
     g = complex_gauss(rng, (n, rank))
     m = g @ g.conj().T
     return (m + m.conj().T) / 2.0
+
+
+def dense_subspace_basis(matrix, rank):
+    """Orthonormal basis for the top eigen-subspace of a dense matrix.
+
+    Declared oracle for build_filter's bases from a dense factor. The
+    matrix is checked and decomposed as a caller's dense factor is, by
+    linalg.Factor.checked and its full eigensolve, so a matrix that is
+    not finite, Hermitian within tolerance and PSD up to rounding is a
+    DataError. Of the pairs, at most `rank` directions are kept, none
+    with an eigenvalue below RANK_TOL times the largest; None when
+    nothing survives.
+    """
+    values, vectors = linalg.Factor.checked(matrix, "matrix").pairs
+    top = values[0] if values.size else 0.0
+    if top <= 0.0:
+        return None
+    keep = min(int(np.sum(values > RANK_TOL * top)), rank)
+    return vectors[:, :keep] if keep else None
 
 
 def random_kron_cov(rng, p, q, rank_spatial, rank_temporal):

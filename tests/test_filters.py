@@ -20,7 +20,6 @@ from kronstap.filters import (
     make_steering,
     projection_filter,
     sinr,
-    subspace_basis,
 )
 from kronstap.formats import read_estimate, write_estimate
 from kronstap.lrkron import KronCovEstimate
@@ -74,25 +73,61 @@ class TestSteering:
             assert sv.spatial[0] == 1.0 + 0.0j
 
 
+def dense_factor_basis(matrix, rank):
+    """The basis build_filter takes from a dense spatial factor with
+    rank budget `rank`."""
+    est = KronCovEstimate(matrix, np.eye(1), rank, 1, 1, [0.0], True)
+    return build_filter("kron", est).spatial_basis
+
+
+def spectrum(rng, dim, kind):
+    """dim eigenvalues of a PSD test factor, largest about 1.
+
+    "near-tied" puts a run of values within 0 to 1e-6 of each other,
+    "near-zero" puts values at half and twice RANK_TOL times the
+    largest, exact zeros and rounding-level negatives after them, and
+    "zero" is the zero matrix.
+    """
+    values = 0.1 + rng.random(dim)
+    if kind == "near-tied":
+        run = rng.integers(1, dim + 1)
+        gap = rng.choice([0.0, 1e-13, 1e-9, 1e-6])
+        values[:run] = values[0] * (1.0 + gap * np.arange(run))
+    elif kind == "near-zero":
+        tail = [0.5 * filters.RANK_TOL, 2.0 * filters.RANK_TOL, 0.0, -1e-13]
+        small = rng.choice(tail, size=rng.integers(0, dim))
+        top = values[:dim - small.size].max()
+        values[dim - small.size:] = small * top
+    elif kind == "zero":
+        values[:] = 0.0
+    return values
+
+
 class TestSubspaceBasis:
+    """build_filter's basis of a dense factor: its top eigen-subspace
+    within the rank budget, without directions below RANK_TOL."""
+
     def test_zero_matrix_gives_none(self):
-        assert subspace_basis(np.zeros((4, 4)), 2) is None
+        assert dense_factor_basis(np.zeros((4, 4)), 2) is None
 
     def test_zero_rank_budget_gives_none(self):
+        # a zero budget is refused rather than giving an empty subspace
         rng = np.random.default_rng(13)
-        assert subspace_basis(helpers.random_psd(rng, 4), 0) is None
+        with pytest.raises(DimensionError, match="spatial rank budget 0"):
+            dense_factor_basis(helpers.random_psd(rng, 4), 0)
 
     def test_budget_caps_the_column_count(self):
         rng = np.random.default_rng(14)
         m = helpers.random_psd(rng, 6)
-        basis = subspace_basis(m, 2)
+        basis = dense_factor_basis(m, 2)
         assert basis.shape == (6, 2)
         gram = basis.conj().T @ basis
         assert np.allclose(gram, np.eye(2), atol=1e-12)
 
     def test_tolerance_drops_trailing_directions(self):
+        assert filters.RANK_TOL == 1e-9
         m = np.diag([1.0, 1e-12, 0.0])
-        basis = subspace_basis(m, 3, tol=1e-9)
+        basis = dense_factor_basis(m, 3)
         assert basis.shape == (3, 1)
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
 
@@ -101,13 +136,47 @@ class TestSubspaceBasis:
         m = helpers.random_psd(rng, 4, rank=1)
         # negated, the only positive eigenvalues are rounding noise
         with pytest.raises(DataError, match="positive semidefinite"):
-            subspace_basis(-m, 1)
+            dense_factor_basis(-m, 1)
         with pytest.raises(DataError):
-            subspace_basis(np.diag([1.0, -1e-6]), 1)
+            dense_factor_basis(np.diag([1.0, -1e-6]), 1)
 
     def test_rounding_level_negative_eigenvalues_pass(self):
-        basis = subspace_basis(np.diag([1.0, -1e-12]), 2)
+        basis = dense_factor_basis(np.diag([1.0, -1e-12]), 2)
         assert basis.shape == (2, 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(p=st.integers(1, 6), q=st.integers(1, 10),
+           kinds=st.tuples(*[st.sampled_from(["generic", "near-tied",
+                                               "near-zero", "zero"])] * 2),
+           data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bases_equal_the_dense_oracle(self, p, q, kinds, data, seed):
+        rng = np.random.default_rng(seed)
+        factors = []
+        for dim, kind in zip((p, q), kinds):
+            u = orthonormal_columns(rng, dim, dim)
+            factors.append((u * spectrum(rng, dim, kind)) @ u.conj().T)
+        ranks = (data.draw(st.integers(1, p), label="rank_spatial"),
+                 data.draw(st.integers(1, q), label="rank_temporal"))
+        est = KronCovEstimate(*factors, *ranks, 1, [0.0], True)
+        kind = data.draw(st.sampled_from(filters.FILTER_KINDS), label="kind")
+        filt = build_filter(kind, est)
+        for got, matrix, rank in zip(
+                (filt.spatial_basis, filt.temporal_basis), factors, ranks):
+            want = helpers.dense_subspace_basis(matrix, rank)
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got, want)
+            # against numpy's own solve: the columns are orthonormal
+            # eigenvectors of the top values, as many as the rule keeps
+            values = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)[::-1]
+            keep = min(int(np.sum(values > filters.RANK_TOL * values[0])),
+                       rank)
+            assert got.shape == (matrix.shape[0], keep)
+            assert np.allclose(got.conj().T @ got, np.eye(keep), atol=1e-12)
+            lam = np.einsum("ik,ij,jk->k", got.conj(), matrix, got).real
+            assert np.allclose(lam, values[:keep], rtol=0, atol=1e-12)
+            assert np.abs(matrix @ got - got * lam).max() <= 1e-12
 
 
 def snapshot_iterate(rng, q, values, n):
@@ -232,7 +301,7 @@ class TestRangeSolve:
                                       -(1.0 + np.arange(4.0)), 8)
         assert linalg._top_eigenpairs(b, 4, *factors) is None
         with pytest.raises(DataError, match="positive semidefinite"):
-            subspace_basis(b, 4)
+            helpers.dense_subspace_basis(b, 4)
 
     def test_negative_ritz_values_decline_to_the_zeros_outside_the_span(
             self):
@@ -389,7 +458,7 @@ class TestCheckedFactors:
             build_filter("kron", replace(back, temporal_factor=skewed))
         assert hermitian_checks == ["temporal factor"]
         with pytest.raises(DataError):
-            subspace_basis(skewed, 3)
+            helpers.dense_subspace_basis(skewed, 3)
 
 
 class TestProjectionFilters:
@@ -667,7 +736,7 @@ class TestBuildFilter:
         filt = build_filter("kron", estimate=est, drop_temporal=True)
         x = helpers.complex_gauss(rng, (p, q))
         # rows keep their temporal content, only the spatial span is removed
-        u_a = subspace_basis(spatial, 1)
+        u_a = helpers.dense_subspace_basis(spatial, 1)
         expected = x - u_a @ (u_a.conj().T @ x)
         assert np.allclose(filt.apply_matrix(x), expected, atol=1e-12)
         # either kind: the kron filter with no temporal basis, bit for bit

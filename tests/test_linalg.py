@@ -10,7 +10,6 @@ from kronstap.linalg import (
     as_matrix,
     eig_truncate,
     hermitian_eig,
-    kron,
 )
 
 
@@ -38,12 +37,15 @@ def test_vec_unvec_roundtrip_and_order():
 
 
 def test_kron_against_definition():
+    # np.kron builds every Kronecker product in the package and the
+    # tests, SceneModel.total_covariance's included
     rng = np.random.default_rng(13)
     for _ in range(20):
         pa, qa, pb, qb = rng.integers(1, 5, size=4)
         a = helpers.complex_gauss(rng, (pa, qa))
         b = helpers.complex_gauss(rng, (pb, qb))
-        assert np.max(np.abs(kron(a, b) - helpers.kron_loops(a, b))) < 1e-13
+        assert np.max(np.abs(np.kron(a, b) - helpers.kron_loops(a, b))) \
+            < 1e-13
 
 
 def test_hermitian_eig_reconstructs_and_orders():

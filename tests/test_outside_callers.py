@@ -1,6 +1,7 @@
 """The package as code outside it uses it: README's library example and
 the names perfbench's span tracer looks up."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -43,3 +44,32 @@ def test_tracer_target_is_where_the_tracer_looks(module, attr):
         assert cls in vars(owner)
         owner = vars(owner)[cls]
     assert attr in vars(owner)
+
+
+def _unused_imports(path):
+    """Names a module imports, at any depth, and never reads; a name in
+    its __all__ counts as read."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used |= {ast.literal_eval(elt) for elt in node.value.elts}
+    return imported - used
+
+
+def test_every_unused_import_is_a_tracer_target():
+    # an import no code reads is dead unless the tracer swaps it there
+    targets = {(module, attr) for module, attr, _ in _tracer_targets()}
+    package = os.path.join(ROOT, "src", "kronstap")
+    stale = [(name[:-3], attr) for name in sorted(os.listdir(package))
+             if name.endswith(".py")
+             for attr in sorted(_unused_imports(os.path.join(package, name)))]
+    assert stale, "the walk found no imports at all"
+    assert [entry for entry in stale if entry not in targets] == []
