@@ -1,8 +1,11 @@
 """Command line driver.
 
-Subcommands: simulate, estimate, filter, detect, bench. Exit status is
+Subcommands: simulate, estimate, filter, detect, bench; run them as
+`kronstap ...` or `python -m kronstap.cli ...`. Exit status is
 0 on success, 1 for usage problems, 2 for malformed or mismatched data,
 and 3 when the estimator hit its iteration cap without converging.
+This module opens and parses no file: formats reads the scene config,
+the sweep file, the cubes and the estimates, and writes every output.
 Every subcommand but bench takes its thread count from --threads,
 falling back to the KRONSTAP_THREADS environment variable, and the
 count never changes numerical output. It sizes the one WorkerPool,
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import formats
-from .errors import ConfigError, DataError, DimensionError, KronStapError
+from .errors import DataError, DimensionError, KronStapError
 from .filters import FILTER_KINDS, bin_blocks, build_filter, \
     detection_image, make_doppler_grid, make_spatial_grid
 from .lrkron import lr_kron_estimate, sample_covariance
@@ -167,8 +170,7 @@ def cmd_simulate(args):
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
         scene.validate()
-    truth = [TargetTruth(int(b), float(d), complex(a))
-             for b, d, a in job.targets]
+    truth = [TargetTruth(*target) for target in job.targets]
     with formats.phase_history_writer(args.output, scene.p, scene.q,
                                       job.n_passes, scene.n_bins,
                                       truth) as write:
@@ -300,35 +302,6 @@ def cmd_detect(args):
     return 0
 
 
-def _load_sweep(path):
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(lineno, f"expected 'row = p q threads eps', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            if key.strip() != "row":
-                raise ConfigError(lineno, f"unknown key {key.strip()!r}")
-            parts = value.split()
-            if len(parts) != 4:
-                raise ConfigError(lineno, "row takes exactly: p q threads eps")
-            try:
-                row = (int(parts[0]), int(parts[1]), int(parts[2]),
-                       float(parts[3]))
-            except ValueError:
-                raise ConfigError(lineno, f"bad row fields {value.strip()!r}") from None
-            if min(row[:3]) < 1:
-                raise ConfigError(lineno, f"p, q and threads must be >= 1, "
-                                          f"got {value.strip()!r}")
-            rows.append(row)
-    if not rows:
-        raise DataError("sweep file lists no rows")
-    return rows
-
-
 def cmd_bench(args):
     if args.default_sweep == (args.sweep is not None):
         raise DataError("pass exactly one of --sweep or --default-sweep")
@@ -338,7 +311,7 @@ def cmd_bench(args):
         if value < least:
             raise DataError(f"{flag} must be >= {least}, got {value}")
     sweep = bench_mod.default_sweep() if args.default_sweep \
-        else _load_sweep(args.sweep)
+        else formats.load_sweep(args.sweep)
 
     def progress(trial, trials):
         print(f"completed trial {trial + 1}/{trials} across {len(sweep)} rows")
@@ -387,3 +360,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,4 +1,5 @@
-"""File formats: binary phase-history cubes, estimates, CSV and PGM output.
+"""File formats: binary phase-history cubes, estimates, CSV and PGM
+output, and the scene and bench sweep text files.
 
 Phase-history files ("KPH1") are little-endian throughout:
 
@@ -54,13 +55,17 @@ a failed write leaves no partial file, and an existing file at the
 path, even a stage's own input, stays whole until then. CSV outputs
 always carry a header row, with floats printed at full precision so
 they read back exactly.
+
+Scene configs and bench sweeps are `key = value` text, read through
+one line reader (_key_values) that names the line of each error. Only
+this module opens files; a scene default is SceneConfig's or SimJob's.
 """
 
 import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -442,128 +447,152 @@ def write_pgm(path, values):
 
 
 # ---------------------------------------------------------------------------
-# scene configs
-
-_REQUIRED_KEYS = ("p", "q", "n_bins", "r_b")
-
-_INT_KEYS = {"p", "q", "n_bins", "r_b", "seed", "K"}
-_FLOAT_KEYS = {"sigma2", "texture_shape", "kappa", "change_fraction",
-               "pass_gain_spread"}
-_BOOL_KEYS = {"shared_calibration", "unit_pass_gains"}
-
+# scene and sweep files
 
 @dataclass(frozen=True)
 class SimJob:
-    """Parsed simulation request: scene config plus run options."""
+    """Parsed simulation request: a scene config, its pass options (with
+    simulate.multipass_blocks' defaults) and its targets."""
 
     scene: SceneConfig
-    n_passes: int
-    change_fraction: float
-    shared_calibration: bool
-    unit_pass_gains: bool
-    pass_gain_spread: float
-    targets: list
+    n_passes: int = 1
+    change_fraction: float = 0.0
+    shared_calibration: bool = False
+    unit_pass_gains: bool = False
+    pass_gain_spread: float = 0.5
+    targets: list = field(default_factory=list)
 
 
-def _parse_bool(value, lineno):
-    low = value.lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ConfigError(lineno, f"expected a boolean, got {value!r}")
+# scene key -> (the dataclass it sets, its field, its type)
+_KEYS = {
+    "p": (SceneConfig, "p", int), "q": (SceneConfig, "q", int),
+    "n_bins": (SceneConfig, "n_bins", int), "seed": (SceneConfig, "seed", int),
+    "r_b": (SceneConfig, "rank_temporal", int),
+    "sigma2": (SceneConfig, "noise_power", float),
+    "texture": (SceneConfig, "texture", str),
+    "texture_shape": (SceneConfig, "texture_shape", float),
+    "kappa": (SceneConfig, "kappa", float),
+    "K": (SimJob, "n_passes", int),
+    "change_fraction": (SimJob, "change_fraction", float),
+    "shared_calibration": (SimJob, "shared_calibration", bool),
+    "unit_pass_gains": (SimJob, "unit_pass_gains", bool),
+    "pass_gain_spread": (SimJob, "pass_gain_spread", float),
+}
+_REQUIRED_KEYS = ("p", "q", "n_bins", "r_b")
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+_EXPECTS = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _key_values(text, repeats):
+    """(lineno, key, value) for each `key = value` line of text; a line
+    without `=` or a value, or a key not in repeats set twice, raises
+    ConfigError naming the line."""
+    first = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(lineno, f"expected 'key = value', got {line!r}")
+        if not value:
+            raise ConfigError(lineno, f"missing value for {key!r}")
+        if key in first and key not in repeats:
+            raise ConfigError(lineno, f"{key!r} is set again, first on "
+                                      f"line {first[key]}")
+        first.setdefault(key, lineno)
+        yield lineno, key, value
+
+
+def _typed(lineno, key, value, kind):
+    """value as kind: a string, a boolean or a finite number."""
+    try:
+        typed = _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ConfigError(lineno, f"{key} expects {_EXPECTS[kind]}, "
+                                  f"got {value!r}") from None
+    if kind is float and not math.isfinite(typed):
+        raise ConfigError(lineno, f"{key} must be finite, got {value!r}")
+    return typed
+
+
+def _target(lineno, value):
+    parts = value.split()
+    if len(parts) != 4:
+        raise ConfigError(lineno,
+                          "target takes exactly: bin doppler amp_re amp_im")
+    try:
+        bin_index = int(parts[0])
+        doppler, re, im = map(float, parts[1:])
+    except ValueError:
+        raise ConfigError(lineno, f"bad target fields {value!r}") from None
+    if not all(map(math.isfinite, (doppler, re, im))):
+        raise ConfigError(lineno, f"target doppler and amplitude must be "
+                                  f"finite, got {value!r}")
+    return bin_index, doppler, complex(re, im)
 
 
 def parse_scene_config(text):
     """Parse the key-value scene format into a SimJob.
 
     One `key = value` pair per line, `#` starts a comment. Movers are
-    listed as `target = BIN DOPPLER RE IM`, one per line.
+    listed as `target = BIN DOPPLER RE IM`, one per line; no other key
+    may be set twice. A key left out takes its dataclass's default.
     """
-    values = {}
-    targets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(lineno, f"expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not value:
-            raise ConfigError(lineno, f"missing value for {key!r}")
+    given = {SceneConfig: {}, SimJob: {"targets": []}}
+    for lineno, key, value in _key_values(text, repeats={"target"}):
         if key == "target":
-            parts = value.split()
-            if len(parts) != 4:
-                raise ConfigError(
-                    lineno, "target takes exactly: bin doppler amp_re amp_im"
-                )
-            try:
-                bin_index = int(parts[0])
-                doppler = float(parts[1])
-                amplitude = complex(float(parts[2]), float(parts[3]))
-            except ValueError:
-                raise ConfigError(lineno, f"bad target fields {value!r}") from None
-            if not all(map(math.isfinite,
-                           (doppler, amplitude.real, amplitude.imag))):
-                raise ConfigError(
-                    lineno, f"target doppler and amplitude must be finite, "
-                            f"got {value!r}")
-            targets.append((bin_index, doppler, amplitude))
-            continue
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(lineno, f"{key} expects an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(lineno, f"{key} expects a number, got {value!r}") from None
-            if not math.isfinite(values[key]):
-                raise ConfigError(lineno, f"{key} must be finite, got {value!r}")
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(value, lineno)
-        elif key == "texture":
-            values[key] = value
+            given[SimJob]["targets"].append(_target(lineno, value))
+        elif key in _KEYS:
+            owner, name, kind = _KEYS[key]
+            given[owner][name] = _typed(lineno, key, value, kind)
         else:
             raise ConfigError(lineno, f"unknown key {key!r}")
-
     for key in _REQUIRED_KEYS:
-        if key not in values:
+        if _KEYS[key][1] not in given[SceneConfig]:
             raise DataError(f"config missing required key {key!r}")
-
-    scene = SceneConfig(
-        p=values["p"],
-        q=values["q"],
-        n_bins=values["n_bins"],
-        rank_temporal=values["r_b"],
-        noise_power=values.get("sigma2", 1e-2),
-        texture=values.get("texture", "constant"),
-        texture_shape=values.get("texture_shape", 3.0),
-        kappa=values.get("kappa", 0.5),
-        seed=values.get("seed", 0),
-    )
+    scene = SceneConfig(**given[SceneConfig])
     scene.validate()
-    n_passes = values.get("K", 1)
-    if n_passes < 1:
-        raise DataError(f"K must be >= 1, got {n_passes}")
-    for bin_index, _, _ in targets:
+    job = SimJob(scene, **given[SimJob])
+    if job.n_passes < 1:
+        raise DataError(f"K must be >= 1, got {job.n_passes}")
+    for bin_index, _, _ in job.targets:
         if not 0 <= bin_index < scene.n_bins:
             raise DataError(f"target bin {bin_index} out of range")
-    return SimJob(
-        scene,
-        n_passes,
-        values.get("change_fraction", 0.0),
-        values.get("shared_calibration", False),
-        values.get("unit_pass_gains", False),
-        values.get("pass_gain_spread", 0.5),
-        targets,
-    )
+    return job
 
 
 def load_scene_config(path):
     with open(path) as fh:
         return parse_scene_config(fh.read())
+
+
+def load_sweep(path):
+    """The (p, q, threads, eps) rows of a bench sweep file's repeatable
+    `row = p q threads eps` lines, every one checked before any is
+    returned: p, q and threads >= 1, eps below +inf (a negative eps,
+    -inf too, turns off the estimator's stall test)."""
+    with open(path) as fh:
+        text = fh.read()
+    rows = []
+    for lineno, key, value in _key_values(text, repeats={"row"}):
+        if key != "row":
+            raise ConfigError(lineno, f"unknown key {key!r}")
+        parts = value.split()
+        if len(parts) != 4:
+            raise ConfigError(lineno, "row takes exactly: p q threads eps")
+        try:
+            row = (*map(int, parts[:3]), float(parts[3]))
+        except ValueError:
+            raise ConfigError(lineno, f"bad row fields {value!r}") from None
+        if min(row[:3]) < 1:
+            raise ConfigError(lineno, f"p, q and threads must be >= 1, "
+                                      f"got {value!r}")
+        if not row[3] < math.inf:
+            raise ConfigError(lineno, f"eps must not be NaN or +inf, "
+                                      f"got {parts[3]!r}")
+        rows.append(row)
+    if not rows:
+        raise DataError("sweep file lists no rows")
+    return rows

@@ -48,8 +48,6 @@ _CLAMP_RTOL = 1e-10
 # eigh's vectors of random 64..1024-square PSD matrices left 2e-15 to
 # 4e-15, so this is some 10^4 times that.
 _ORTHO_TOL = 1e-10
-# Rows per tile of checked_pairs' U^H U walk, which copies no vectors.
-_SYM_TILE = 64
 # Relative spacing within which sorted eigenvalues count as tied.
 _TIE_RTOL = 1e-12
 # Ritz solve of _top_eigenpairs: the least q / (p*n) worth trying it
@@ -321,17 +319,15 @@ class Factor:
         if np.any(np.diff(values) > _CLAMP_RTOL * top):
             raise DataError(f"{name} eigenvalues are not in descending order")
         _check_psd(values, name)
-        # summed over row tiles, so no copy of the vectors is made;
-        # finite vectors can still overflow it, to inf or NaN
-        gram = np.zeros((values.size, values.size), dtype=np.complex128)
+        if not np.isfinite(vectors).all():
+            raise DataError(f"{name} has non-finite eigenvectors")
+        # U^H U from the 2 x 2 blocks of one real product over the float64
+        # view, as in lrkron._outer_average: no copy, but it may overflow
+        w = vectors.view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            for r0 in range(0, vectors.shape[0], _SYM_TILE):
-                tile = vectors[r0:r0 + _SYM_TILE]
-                if not np.isfinite(tile).all():
-                    raise DataError(f"{name} has non-finite eigenvectors")
-                gram += tile.conj().T @ tile
-            gram[np.diag_indices_from(gram)] -= 1.0
-            err = np.abs(gram).max()
+            m = w.T @ w
+            real = m[0::2, 0::2] + m[1::2, 1::2] - np.eye(values.size)
+            err = np.hypot(real, m[0::2, 1::2] - m[1::2, 0::2]).max()
         if not err <= _ORTHO_TOL:
             raise DataError(
                 f"{name} eigenvectors are not orthonormal: |U^H U - I| "

@@ -15,8 +15,8 @@ shape alone:
   dense matrix, formed exactly Hermitian from the upper tile pairs
   of _COV_TILE columns as real products on the float64 view of the
   snapshots (a dsyrk on each diagonal tile), summed over fixed chunks
-  of _COV_CHUNK snapshots, read straight from a K-pass cube, or chunk
-  by chunk from a block source such as a cube file, without stacking
+  of _COV_CHUNK snapshots, read from the rows or chunk by chunk from
+  a K-pass cube's block source such as a cube file, without stacking
   or conjugating it, and checked there for finite entries;
 - constructed from a user's matrix, it holds that matrix, checked in
   full and symmetrized once by the constructor; the estimator never
@@ -180,12 +180,12 @@ def sample_covariance(snapshots, p, q):
 
     No mean is subtracted; the clutter model is zero mean. Snapshots
     are length p*q vectors in the channel-major layout, given either as
-    the rows of an (n, p*q) matrix, as a (K, n, p*q / K) pass cube,
-    whose pass k holds column block k of every snapshot, or as a block
-    source of such a cube: a PhaseHistory or a formats.PhaseHistoryReader,
-    whose (K, m, p_pass, q) blocks of bins are read one at a time. A
-    K-pass cube's (K, n_bins, p_pass*q) view is its pass-stacked
-    snapshots, with p = K * p_pass channels, without the stacking copy.
+    the rows of an (n, p*q) matrix or as a block source of a K-pass
+    cube: a PhaseHistory or a formats.PhaseHistoryReader, whose
+    (K, m, p_pass, q) blocks of bins are read one at a time. Pass k of
+    such a block holds column block k of every snapshot, so the cube's
+    (K, n_bins, p_pass*q) view is its pass-stacked snapshots, with
+    p = K * p_pass channels, without the stacking copy.
 
     Fewer than p*q snapshots are checked for finite entries and kept as
     a snapshot stack (see SampleCovariance); a pass cube is stacked for
@@ -203,13 +203,10 @@ def sample_covariance(snapshots, p, q):
             return snapshots.read(m0, m1).reshape(k, m1 - m0, d_pass)
     else:
         x = np.asarray(snapshots, dtype=np.complex128)
-        if x.ndim == 2:
-            x = x[None]
-        elif x.ndim != 3:
-            raise DimensionError(
-                f"snapshots must be 2-D or a 3-D pass cube, got shape "
-                f"{x.shape}")
-        x = np.ascontiguousarray(x)
+        if x.ndim != 2:
+            raise DimensionError(f"snapshots must be 2-D or a block "
+                                 f"source, got shape {x.shape}")
+        x = np.ascontiguousarray(x)[None]
         k, n, d_pass = x.shape
 
         def read(m0, m1):

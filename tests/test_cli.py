@@ -1010,8 +1010,10 @@ class TestBenchCli:
         ("2 16 1 1e-4", ["--n", -1], "--n"),
         ("0 16 1 1e-4", [], "line 1"),
         ("2 0 1 1e-4", [], "line 1"),
+        ("2 16 1 nan", [], "line 1"),
+        ("2 16 1 inf", [], "line 1"),
     ], ids=["trials-0", "trials-negative", "seed-negative", "n-negative",
-            "p-0", "q-0"])
+            "p-0", "q-0", "eps-nan", "eps-inf"])
     def test_bad_inputs_exit_2_naming_the_flag_or_line(self, tmp_path,
                                                         capsys, row, flags,
                                                         named):
@@ -1024,7 +1026,7 @@ class TestBenchCli:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_malformed_sweep_rows_are_data_errors(self, tmp_path):
+    def test_malformed_sweep_rows_are_data_errors(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.cfg"
         sweep.write_text("row = 2 16 1\n")
         assert run("bench", "--sweep", sweep,
@@ -1032,6 +1034,14 @@ class TestBenchCli:
         sweep.write_text("# nothing\n")
         assert run("bench", "--sweep", sweep,
                    "--output", tmp_path / "b.csv") == DATA_ERROR
+        # every row is checked before the first one runs
+        capsys.readouterr()
+        sweep.write_text("row = 2 16 1 1e-4\nrow = 2 16 1 nan\n")
+        assert run("bench", "--sweep", sweep,
+                   "--output", tmp_path / "b.csv") == DATA_ERROR
+        captured = capsys.readouterr()
+        assert "line 2" in captured.err
+        assert "completed trial" not in captured.out
 
 
 class TestExitCodesAndThreads:
@@ -1051,6 +1061,26 @@ class TestExitCodesAndThreads:
         assert code == USAGE_ERROR
         assert "--multipass" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_module_run_is_the_cli(self, tmp_path):
+        # `python -m kronstap.cli` on the source tree runs the stage it
+        # names, with the same output and exit codes as the entry point
+        good = write_config(tmp_path, "p = 2\nq = 8\nn_bins = 8\nr_b = 2\n")
+        bad = write_config(tmp_path, "p = 2\np = 3\n", name="bad.cfg")
+        src = str(Path(lrkron.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert run("simulate", "--config", good,
+                   "--output", tmp_path / "want.kph") == 0
+        for config, code in ((good, 0), (bad, DATA_ERROR)):
+            out = tmp_path / "scene.kph"
+            done = subprocess.run(
+                [sys.executable, "-m", "kronstap.cli", "simulate",
+                 "--config", config, "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+        assert "line 2" in done.stderr
+        assert out.read_bytes() == (tmp_path / "want.kph").read_bytes()
 
     def test_thread_env_fallback(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, "p = 2\nq = 8\nn_bins = 8\nr_b = 2\n")

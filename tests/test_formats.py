@@ -722,6 +722,10 @@ class TestSceneConfigParsing:
             ("shared_calibration = maybe\n", 1),
             ("target = 1 0.5\n", 1),
             ("target = 1 0.5 x y\n", 1),
+            # a key set twice, save target, names both of its lines
+            ("p = 2\nq = 8\np = 3\n", 3),
+            ("target = 1 0.5 1 0\nseed = 1\ntarget = 2 0.5 1 0\n"
+             "seed = 1\n", 4),
         ]
         for text, lineno in cases:
             with pytest.raises(ConfigError) as excinfo:

@@ -106,10 +106,13 @@ def test_snapshot_stack_is_a_private_copy():
     assert np.array_equal(scm.snapshots, want)
 
 
-def _pass_cube(seed, k, n, d_pass):
-    """A (k, n, d_pass) pass cube and its (n, k*d_pass) stacked rows."""
+def _pass_cube(seed, k, n, d_pass, q=4):
+    """A (k, n, d_pass) pass cube as the block source of its k passes of
+    (d_pass / q) x q bins, and its (n, k*d_pass) stacked rows."""
     cube = helpers.complex_gauss(np.random.default_rng(seed), (k, n, d_pass))
-    return cube, np.ascontiguousarray(cube.swapaxes(0, 1)).reshape(n, -1)
+    history = PhaseHistory(d_pass // q, q, k,
+                           cube.reshape(k, n, d_pass // q, q))
+    return history, np.ascontiguousarray(cube.swapaxes(0, 1)).reshape(n, -1)
 
 
 # Pass widths are multiples of 4 and no tile width divides them; tile
@@ -140,8 +143,8 @@ def test_dense_covariance_is_bitwise_the_one_gemm(monkeypatch, k, d_pass,
 
 
 # n spans several chunks and a short tail. Summed over the same chunks,
-# the products meet the oracle bit for bit; the cube read as a block
-# source (PhaseHistory.read) meets the array it holds.
+# the cube read as a block source (PhaseHistory.read) meets the oracle
+# bit for bit, as its stacked rows do.
 @pytest.mark.parametrize("k, d_pass, chunk", [
     (1, 20, 8), (2, 12, 16), (3, 8, 24), (1, 300, 128)])
 def test_dense_covariance_sums_fixed_chunks_of_snapshots(monkeypatch, k,
@@ -153,9 +156,7 @@ def test_dense_covariance_sums_fixed_chunks_of_snapshots(monkeypatch, k,
     p, q = k * d_pass // 4, 4
     from_cube = sample_covariance(cube, p, q).matrix
     assert from_cube.tobytes() == want.tobytes()
-    history = PhaseHistory(d_pass // 4, 4, k, cube.reshape(k, n, -1, 4))
-    assert sample_covariance(history, p, q).matrix.tobytes() == \
-        want.tobytes()
+    assert sample_covariance(rows, p, q).matrix.tobytes() == want.tobytes()
     # the chunked sums differ from the one product only by rounding
     whole = helpers.outer_average_real(rows)
     assert np.max(np.abs(from_cube - whole)) <= 4e-15 * np.max(np.abs(whole))
@@ -169,7 +170,7 @@ def test_dense_covariance_is_exactly_hermitian_at_any_width(monkeypatch, k,
     # agreement holds (measured up to 2.7e-16 of the largest entry)
     monkeypatch.setattr(lrkron, "_COV_TILE", 8)
     n = k * d_pass + 3
-    cube, rows = _pass_cube(70 + k, k, n, d_pass)
+    cube, rows = _pass_cube(70 + k, k, n, d_pass, q=1)
     s = sample_covariance(cube, k * d_pass, 1).matrix
     assert np.array_equal(s, s.conj().T)
     assert not s.diagonal().imag.any()
@@ -179,16 +180,18 @@ def test_dense_covariance_is_exactly_hermitian_at_any_width(monkeypatch, k,
 
 def test_pass_cube_snapshot_path_stacks_the_passes():
     # fewer snapshots than p*q: the cube is stacked into a private stack
-    cube, rows = _pass_cube(80, 2, 5, 6)
+    cube, rows = _pass_cube(80, 2, 5, 6, q=3)
     scm = sample_covariance(cube, 4, 3)
     assert np.array_equal(scm.snapshots, rows.reshape(5, 4, 3))
-    cube[:] = 0.0
+    cube.data[:] = 0.0
     assert scm.matrix is None
     assert np.array_equal(scm.snapshots, rows.reshape(5, 4, 3))
+    # snapshots come as rows or a block source, in no other shape
+    for shape in ((2, 1, 5, 6), (2, 5, 6)):
+        with pytest.raises(DimensionError):
+            sample_covariance(np.zeros(shape), 4, 3)
     with pytest.raises(DimensionError):
-        sample_covariance(np.zeros((2, 1, 5, 6)), 4, 3)
-    with pytest.raises(DimensionError):
-        sample_covariance(np.zeros((2, 5, 7)), 4, 3)
+        sample_covariance(cube, 4, 4)
 
 
 class _CountChecks:
@@ -250,8 +253,8 @@ def test_user_covariance_is_still_checked_in_full(damage):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_pass_cube_fails_the_built_check(bad):
-    cube, _ = _pass_cube(83, 2, 30, 6)
-    cube[1, 17, 4] = bad
+    cube, _ = _pass_cube(83, 2, 30, 6, q=3)
+    cube.data[1, 17, 1, 1] = bad
     with np.errstate(invalid="ignore"), \
             pytest.raises(DataError, match="non-finite"):
         sample_covariance(cube, 4, 3)

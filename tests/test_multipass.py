@@ -9,6 +9,7 @@ from kronstap.filters import (
     make_doppler_grid,
     make_stacked_spatial_grid,
 )
+from kronstap.formats import PhaseHistoryReader, write_phase_history
 from kronstap.lrkron import lr_kron_estimate, sample_covariance
 from kronstap.multipass import (
     change_detect,
@@ -83,9 +84,9 @@ class TestMultipassEstimate:
 
     @pytest.mark.parametrize("shape", [(3, 50, 400), (3, 16, 24)],
                              ids=["dense", "snapshots"])
-    def test_matches_the_cli_fit_bitwise(self, shape):
-        # the CLI's estimate stage: the pass cube read as K*p stacked
-        # channels, no stacked copy. (3, 50, 400) takes the dense path
+    def test_matches_the_cli_fit_bitwise(self, tmp_path, shape):
+        # the CLI's estimate stage: the pass cube read from its file as
+        # K*p stacked channels, no stacked copy. (3, 50, 400) takes the dense path
         # at a shape where a stacked copy's covariance tiles round
         # differently; (3, 16, 24) takes the snapshot path
         p, q, n_bins = shape
@@ -93,8 +94,10 @@ class TestMultipassEstimate:
                                  noise_power=0.01, seed=5)
         history = gen_multipass(config, 2)
         joint = multipass_estimate(history, 3)
-        scm = sample_covariance(history.data.reshape(2, n_bins, p * q),
-                                2 * p, q)
+        path = tmp_path / "scene.kph"
+        write_phase_history(path, history)
+        with PhaseHistoryReader(path) as cube:
+            scm = sample_covariance(cube, 2 * p, q)
         cli_fit = lr_kron_estimate(scm, 2, 3)
         assert np.array_equal(joint.spatial, cli_fit.spatial)
         assert np.array_equal(joint.temporal, cli_fit.temporal)

@@ -73,3 +73,23 @@ def test_every_unused_import_is_a_tracer_target():
              for attr in sorted(_unused_imports(os.path.join(package, name)))]
     assert stale, "the walk found no imports at all"
     assert [entry for entry in stale if entry not in targets] == []
+
+
+def _opens(path):
+    """Line numbers of the calls to open, the builtin or any module's."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "open"]
+
+
+def test_only_formats_opens_files():
+    # every file a stage reads or writes goes through formats, which
+    # knows its layout and checks it
+    package = os.path.join(ROOT, "src", "kronstap")
+    opens = {name: _opens(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert opens.pop("formats.py"), "the walk found no open call at all"
+    assert {name: lines for name, lines in opens.items() if lines} == {}
