@@ -174,15 +174,10 @@ def cmd_simulate(args):
     with formats.phase_history_writer(args.output, scene.p, scene.q,
                                       job.n_passes, scene.n_bins,
                                       truth) as write:
-        if job.n_passes == 1:
-            blocks = multipass_blocks(scene, 1, shared_calibration=True,
-                                      unit_gains=True)
-        else:
-            blocks = multipass_blocks(
-                scene, job.n_passes, change_fraction=job.change_fraction,
-                shared_calibration=job.shared_calibration,
-                unit_gains=job.unit_pass_gains,
-                gain_spread=job.pass_gain_spread)
+        blocks = multipass_blocks(
+            scene, job.n_passes, change_fraction=job.change_fraction,
+            shared_calibration=job.shared_calibration,
+            unit_gains=job.unit_pass_gains, gain_spread=job.pass_gain_spread)
         for m0, m1, block in blocks:
             # targets go into pass 0 of their block, in config order
             for bin_index, doppler, amplitude in job.targets:

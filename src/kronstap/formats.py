@@ -59,6 +59,7 @@ they read back exactly.
 Scene configs and bench sweeps are `key = value` text, read through
 one line reader (_key_values) that names the line of each error. Only
 this module opens files; a scene default is SceneConfig's or SimJob's.
+A one-pass scene is gen_clutter's and takes no pass key.
 """
 
 import math
@@ -452,7 +453,8 @@ def write_pgm(path, values):
 @dataclass(frozen=True)
 class SimJob:
     """Parsed simulation request: a scene config, its pass options (with
-    simulate.multipass_blocks' defaults) and its targets."""
+    simulate.multipass_blocks' defaults, or gen_clutter's for one pass)
+    and its targets."""
 
     scene: SceneConfig
     n_passes: int = 1
@@ -479,6 +481,8 @@ _KEYS = {
     "pass_gain_spread": (SimJob, "pass_gain_spread", float),
 }
 _REQUIRED_KEYS = ("p", "q", "n_bins", "r_b")
+_PASS_KEYS = ("change_fraction", "shared_calibration", "unit_pass_gains",
+              "pass_gain_spread")
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 _EXPECTS = {int: "an integer", float: "a number", bool: "a boolean"}
@@ -538,17 +542,26 @@ def parse_scene_config(text):
 
     One `key = value` pair per line, `#` starts a comment. Movers are
     listed as `target = BIN DOPPLER RE IM`, one per line; no other key
-    may be set twice. A key left out takes its dataclass's default.
+    may be set twice. A key left out takes its dataclass's default. A
+    pass key (_PASS_KEYS) with K = 1 raises ConfigError naming its line.
     """
     given = {SceneConfig: {}, SimJob: {"targets": []}}
+    pass_keys = []
     for lineno, key, value in _key_values(text, repeats={"target"}):
         if key == "target":
             given[SimJob]["targets"].append(_target(lineno, value))
         elif key in _KEYS:
             owner, name, kind = _KEYS[key]
             given[owner][name] = _typed(lineno, key, value, kind)
+            if key in _PASS_KEYS:
+                pass_keys.append((lineno, key))
         else:
             raise ConfigError(lineno, f"unknown key {key!r}")
+    if given[SimJob].get("n_passes", 1) == 1:
+        if pass_keys:
+            lineno, key = pass_keys[0]
+            raise ConfigError(lineno, f"{key} needs K >= 2")
+        given[SimJob].update(shared_calibration=True, unit_pass_gains=True)
     for key in _REQUIRED_KEYS:
         if _KEYS[key][1] not in given[SceneConfig]:
             raise DataError(f"config missing required key {key!r}")

@@ -322,8 +322,8 @@ class Factor:
         if not np.isfinite(vectors).all():
             raise DataError(f"{name} has non-finite eigenvectors")
         # U^H U from the 2 x 2 blocks of one real product over the float64
-        # view, as in lrkron._outer_average: no copy, but it may overflow
-        w = vectors.view(np.float64)
+        # view, as in lrkron._outer_average: it may overflow
+        w = np.ascontiguousarray(vectors).view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             m = w.T @ w
             real = m[0::2, 0::2] + m[1::2, 1::2] - np.eye(values.size)

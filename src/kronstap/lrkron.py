@@ -185,7 +185,8 @@ def sample_covariance(snapshots, p, q):
     (K, m, p_pass, q) blocks of bins are read one at a time. Pass k of
     such a block holds column block k of every snapshot, so the cube's
     (K, n_bins, p_pass*q) view is its pass-stacked snapshots, with
-    p = K * p_pass channels, without the stacking copy.
+    p = K * p_pass channels, without the stacking copy; no other split
+    of a block source is taken.
 
     Fewer than p*q snapshots are checked for finite entries and kept as
     a snapshot stack (see SampleCovariance); a pass cube is stacked for
@@ -198,6 +199,9 @@ def sample_covariance(snapshots, p, q):
     if hasattr(snapshots, "read"):
         k, n = snapshots.n_passes, snapshots.n_bins
         d_pass = snapshots.p * snapshots.q
+        if (p, q) != (k * snapshots.p, snapshots.q):
+            raise DimensionError(f"the cube splits as ({k * snapshots.p}, "
+                                 f"{snapshots.q}), not ({p}, {q})")
 
         def read(m0, m1):
             return snapshots.read(m0, m1).reshape(k, m1 - m0, d_pass)

@@ -23,8 +23,8 @@ contract; changing it changes every scene.
 
 multipass_blocks streams a scene one block at a time, in a buffer of
 BLOCK_BINS bins that each block reuses, so the CLI's simulate writes a
-scene of any length in that much memory; gen_clutter and gen_multipass
-collect the same blocks into one cube.
+scene of any length in that much memory, for any pass count;
+gen_clutter and gen_multipass collect the same blocks into one cube.
 """
 
 import math
@@ -40,11 +40,6 @@ _TEXTURES = ("constant", "inverse_gamma")
 # has its own streams, so changing this changes every scene. It is not
 # filters.BLOCK_BINS, which only sets how many bins one batched call takes.
 BLOCK_BINS = 256
-
-# A block whose clutter entries are bounded below this needs no scan for
-# overflow: the noise it adds stays below sqrt(max float) ~ 1.3e154
-# times a few standard deviations, so the sum is finite.
-_SAFE_MAGNITUDE = 1e300
 
 
 @dataclass(frozen=True)
@@ -215,12 +210,6 @@ def _cmul(a, b, out):
     return out
 
 
-def _part_max(a):
-    """Largest |real| or |imaginary| part in an array (nan if one is)."""
-    return float(np.abs(a.view(np.float64) if a.dtype.kind == "c"
-                        else a).max())
-
-
 def _empty_cube(n_passes, n_bins, p, q):
     """The (n_passes, n_bins, p, q) complex cube, or a DataError with its
     size when numpy cannot allocate it (numpy refuses that at once)."""
@@ -239,7 +228,8 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     """Yield (m0, m1, block) for each BLOCK_BINS block of bins [m0, m1).
 
     block is the (n_passes, m1 - m0, p, q) cube of those bins, in a
-    buffer that the next block reuses.
+    buffer that the next block reuses. One scan of each pass's block
+    turns an overflow or a NaN into a DataError.
     """
     config = model.config
     seed, p, q, n_bins = config.seed, config.p, config.q, config.n_bins
@@ -268,19 +258,17 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                            basis)
         tau = _texture_draws(_stream(seed, 1, b, 1), config, nb)
         block_changed = changed[m0:m1]
-        speckle_max = _part_max(speckle)
         for k in range(n_passes):
             if unit_gains:
                 coef = tau
             else:
                 zeta = _complex_normal(_stream(seed, 2, b, k, 0), (nb,))
                 coef = tau * (1.0 + gain_spread * zeta)
-            speckle_k, speckle_k_max = speckle, speckle_max
+            speckle_k = speckle
             if block_changed.any():
                 fresh = _complex_normal(_stream(seed, 2, b, k, 1), (nb, r))
                 speckle_k = np.where(block_changed[:, None],
                                      _speckle(fresh, basis), speckle)
-                speckle_k_max = _part_max(speckle_k)
             channel = _cmul(coef[:, None], calibrations[k],
                             np.empty((nb, p), dtype=np.complex128))
             out = _cmul(channel[:, :, None], speckle_k[:, None, :],
@@ -288,16 +276,11 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
             if noise_amp > 0:
                 out += _complex_normal(_stream(seed, 2, b, k, 2),
                                        (nb, p, q), noise_amp)
-            # each part of a product of two complex factors is at most
-            # twice the product of their largest parts; only a block whose
-            # bound is not comfortably finite (or is nan) gets scanned
-            bound = 4.0 * _part_max(coef) * _part_max(calibrations[k]) \
-                * speckle_k_max
-            if not bound < _SAFE_MAGNITUDE and not np.isfinite(out).all():
+            if not np.isfinite(out.view(np.float64)).all():
                 raise DataError(
-                    f"pass {k} overflows in bins {m0}..{m1 - 1}: its "
+                    f"pass {k} is not finite in bins {m0}..{m1 - 1}: its "
                     f"clutter gain (pass_gain_spread {gain_spread!r}, "
-                    f"texture {config.texture}) is too large")
+                    f"texture {config.texture}) overflows or is NaN")
         yield m0, m1, buffer[:, :nb]
 
 

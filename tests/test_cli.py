@@ -66,6 +66,9 @@ seed = 19
 K = 2
 change_fraction = 0.1
 """
+# the same scene in one pass, which takes no pass keys
+MANY_BIN_ONE_PASS_CONFIG = MANY_BIN_TWO_PASS_CONFIG.replace(
+    "K = 2\nchange_fraction = 0.1\n", "K = 1\n")
 
 # 40 bins of 2 x 64: fewer snapshots than p*q = 128, so the estimator runs
 # on the snapshot stack, and q = 64 splits its sweeps into several spans
@@ -152,6 +155,8 @@ class TestSimulate:
         ("target = 1 nan 1 0", "target"),
         ("n_bins = 1000000000000000", "384,000,000,000,000,000 bytes"),
         ("K = 2\npass_gain_spread = 1e308", "pass_gain_spread"),
+        ("change_fraction = 0.1", "line 4: change_fraction"),
+        ("K = 1\nunit_pass_gains = yes", "line 5: unit_pass_gains"),
     ])
     def test_bad_scene_values_exit_2_naming_the_key(self, tmp_path, capsys,
                                                     line, key):
@@ -180,17 +185,21 @@ class TestSimulate:
         "texture_shape": st.floats(allow_nan=True, allow_infinity=True),
         "seed": st.integers(-3, 3),
         "n_bins": st.integers(-1, 6),
-        "K": st.integers(1, 2),
-        "pass_gain_spread": st.floats(allow_nan=True, allow_infinity=True),
         "target": st.tuples(st.integers(-1, 6), st.floats(), st.floats(),
                             st.floats()),
-    }), texture=st.sampled_from(["constant", "inverse_gamma"]))
+    }), texture=st.sampled_from(["constant", "inverse_gamma"]),
+        # a one-pass scene takes no pass keys
+        passes=st.one_of(st.just({"K": 1}), st.fixed_dictionaries({
+            "K": st.just(2),
+            "pass_gain_spread": st.floats(allow_nan=True,
+                                          allow_infinity=True)})))
     def test_generated_configs_exit_0_with_a_finite_cube_or_2(
-            self, tmp_path_factory, values, texture):
+            self, tmp_path_factory, values, texture, passes):
         tmp = tmp_path_factory.mktemp("scene")
         target = " ".join(repr(v) for v in values.pop("target"))
         text = "p = 2\nq = 4\nr_b = 2\n" + "".join(
-            f"{key} = {value!r}\n" for key, value in values.items())
+            f"{key} = {value!r}\n"
+            for key, value in {**values, **passes}.items())
         text += f"texture = {texture}\ntarget = {target}\n"
         out = tmp / "x.kph"
         with np.errstate(all="ignore"):
@@ -862,9 +871,8 @@ class TestMultipassCli:
                        "--ra", 2, "--rb", 2) == 0
         else:
             # a single-pass fit of the same shape filters each pass alone
-            single = write_config(
-                tmp_path, MANY_BIN_TWO_PASS_CONFIG.replace("K = 2", "K = 1"),
-                "single.cfg")
+            single = write_config(tmp_path, MANY_BIN_ONE_PASS_CONFIG,
+                                  "single.cfg")
             assert run("simulate", "--config", single,
                        "--output", tmp_path / "single.kph") == 0
             assert run("estimate", "--input", tmp_path / "single.kph",
@@ -1110,8 +1118,7 @@ class TestAtomicOutputs:
     @pytest.fixture()
     def scene(self, tmp_path):
         # two filter blocks; the fit is made before the cube is damaged
-        config = write_config(tmp_path, MANY_BIN_TWO_PASS_CONFIG
-                              .replace("K = 2", "K = 1"))
+        config = write_config(tmp_path, MANY_BIN_ONE_PASS_CONFIG)
         scene, fit = tmp_path / "scene.kph", tmp_path / "fit.kes"
         assert run("simulate", "--config", config, "--output", scene) == 0
         assert run("estimate", "--input", scene, "--output", fit,
@@ -1247,6 +1254,9 @@ class TestStreamedStagesMatchTheLibrary:
         n_bins, k = request.param
         tmp = tmp_path_factory.mktemp("stream")
         text = STREAM_CONFIG.format(n_bins=n_bins, k=k, target=n_bins // 2)
+        if k == 1:
+            # one pass takes no pass keys
+            text = text.replace("change_fraction = 0.1\n", "")
         scene, fit = tmp / "scene.kph", tmp / "fit.kes"
         assert run("simulate", "--config", write_config(tmp, text),
                    "--output", scene) == 0

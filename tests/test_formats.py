@@ -710,6 +710,8 @@ class TestSceneConfigParsing:
         assert job.scene.texture == "constant"
         assert job.scene.seed == 0
         assert job.n_passes == 1
+        # one pass is gen_clutter's scene
+        assert job.shared_calibration and job.unit_pass_gains
         assert job.targets == []
 
     def test_errors_carry_line_numbers(self):

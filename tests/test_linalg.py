@@ -252,6 +252,20 @@ def test_checked_pairs_refuse_what_is_no_eigendecomposition(case, match):
     Factor.checked_pairs(values, vectors, "factor")
 
 
+def test_checked_pairs_take_any_memory_layout():
+    values, vectors = helpers.random_pairs(np.random.default_rng(78), 6,
+                                           [3.0, 2.0, 1.0])
+    wide = np.zeros((6, 6), dtype=np.complex128)
+    wide[:, ::2] = vectors
+    for given in (np.asfortranarray(vectors), wide[:, ::2]):
+        factor = Factor.checked_pairs(values, given, "factor")
+        assert np.array_equal(factor.pairs.vectors, vectors)
+        skewed = given.copy(order="K")
+        skewed[:, 1] += 1e-9 * skewed[:, 0]
+        with pytest.raises(DataError, match="orthonormal"):
+            Factor.checked_pairs(values, skewed, "factor")
+
+
 def overflowing_asymmetry():
     m = helpers.random_psd(np.random.default_rng(70), 6)
     m[0, 1] = 1e156

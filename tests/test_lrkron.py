@@ -192,6 +192,13 @@ def test_pass_cube_snapshot_path_stacks_the_passes():
             sample_covariance(np.zeros(shape), 4, 3)
     with pytest.raises(DimensionError):
         sample_covariance(cube, 4, 4)
+    # a block source fixes its own split: the right p*q, split otherwise,
+    # is refused on the snapshot path and on the dense one (n >= p*q)
+    dense, _ = _pass_cube(81, 2, 12, 6, q=3)
+    for source, p, q in ((cube, 6, 2), (dense, 2, 6)):
+        with pytest.raises(DimensionError,
+                           match=rf"\(4, 3\), not \({p}, {q}\)"):
+            sample_covariance(source, p, q)
 
 
 class _CountChecks:

@@ -319,9 +319,11 @@ class TestGenMultipass:
 
     def test_an_overflowing_gain_spread_is_a_data_error(self):
         config = small_config(p=3, q=8, n_bins=BLOCK_BINS + 5, seed=11)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DataError, match="pass_gain_spread"):
-            gen_multipass(config, 2, gain_spread=1e308)
+        # a NaN gain is caught by the same scan as an overflow
+        for spread in (1e308, np.nan, np.inf, -np.inf):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DataError, match="pass_gain_spread"):
+                gen_multipass(config, 2, gain_spread=spread)
 
     def test_a_huge_but_finite_gain_spread_still_simulates(self):
         config = small_config(p=3, q=8, n_bins=BLOCK_BINS + 5, seed=11)
