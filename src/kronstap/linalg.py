@@ -11,10 +11,11 @@ eigh, for `hermitian_eig`, a dense factor's pairs and every truncation
 keeps. `_top_eigenpairs` serves only the estimator's final temporal
 truncation on the snapshot path. That iterate is
 B = rows^T ((conj(A) kron I_n) / n) conj(rows) / ||A||^2 for the p*n
-snapshot rows, so its Ritz pairs on the span of the rows come from a
-p*n x p*n matrix formed from the rows' QR factor, with no q x q
-product. It keeps them only when they are checked against the computed
-iterate, and returns None otherwise, for the full solve.
+snapshot rows, so with A of rank r its Ritz pairs come from the r*n
+rows that A's eigenvectors mix from them: an r*n x r*n matrix formed
+from those rows' QR factor, with no q x q product. It keeps them only
+when they are checked against the computed iterate, and returns None
+otherwise, for the full solve.
 
 A caller's dense matrix is checked by `_hermitian_part`, the plain
 (m + m^H) / 2 after a Hermitian check. Only library entry points reach
@@ -50,13 +51,13 @@ _CLAMP_RTOL = 1e-10
 _ORTHO_TOL = 1e-10
 # Relative spacing within which sorted eigenvalues count as tied.
 _TIE_RTOL = 1e-12
-# Ritz solve of _top_eigenpairs: the least q / (p*n) worth trying it
-# at, and the accepted eigen-residual of the kept pairs relative to the
-# largest Ritz magnitude, far below the PSD clamp. At q = 4 p*n the
-# earlier span solve, which formed two q x q by q x p*n products, took
-# at most half the full solve's time in an in-process sweep (2-CPU
-# host), and a declined try added at most a fifth; the factored solve
-# costs less.
+# Ritz solve of _top_eigenpairs: the least q / (r*n) worth trying it
+# at, for the r*n rows of a rank-r A, and the accepted eigen-residual
+# of the kept pairs relative to the largest Ritz magnitude, far below
+# the PSD clamp. At q = 4 p*n the earlier span solve, which formed two
+# q x q by q x p*n products, took at most half the full solve's time in
+# an in-process sweep (2-CPU host), and a declined try added at most a
+# fifth; the factored solve, on r*n <= p*n rows, costs less.
 _RANGE_MIN_RATIO = 4
 _RANGE_RTOL = 1e-2 * _CLAMP_RTOL
 
@@ -190,12 +191,17 @@ def _top_eigenpairs(b, rank, rows, conj_a, norm_a2):
     b is the q x q iterate as the fit computed it, Hermitian up to
     rounding, from the (p*n, q) snapshot rows (channel-major: row
     i*n + m is snapshot m's channel i) and the conj_a and norm_a2 of its
-    sweep: B = rows^T ((conj_a kron I_n) / n) conj(rows) / norm_a2. With
-    the QR rows^T = Q K, B = Q T Q^H exactly, for the p*n x p*n Ritz
-    matrix T = K ((conj_a kron I_n) / n) K^H / norm_a2, so the pairs are
+    sweep: B = rows^T ((conj_a kron I_n) / n) conj(rows) / norm_a2. One
+    p x p eigh writes conj_a = V diag(mu) V^H; the r values mu whose
+    magnitude exceeds _CLAMP_RTOL times the largest are kept, so
+    B = Y^T ((diag(mu) kron I_n) / n) conj(Y) / norm_a2 for the (r*n, q)
+    rows Y = (V^T kron I_n) rows of the kept channels. With the QR
+    Y^T = Q K, B = Q T Q^H for the r*n x r*n Ritz matrix
+    T = K ((diag(mu) kron I_n) / n) K^H / norm_a2, so the pairs are
     eigh(T)'s lifted by Q, and no q x q product is formed. Only the kept
-    vectors are formed and pinned. Tried only when rank < p*n and
-    _RANGE_MIN_RATIO * p*n <= q; None otherwise.
+    vectors are formed and pinned. Declined before any solve when
+    rank >= p*n, then tried only when rank < r*n and
+    _RANGE_MIN_RATIO * r*n <= q; None otherwise.
 
     The pairs are checked against sym = (b + b^H) / 2, the matrix the
     full solve would take, and kept only when:
@@ -207,9 +213,9 @@ def _top_eigenpairs(b, rank, rows, conj_a, norm_a2):
       the largest Ritz magnitude) and the Frobenius mass the Ritz values
       theta leave unexplained, sqrt(max(||b||_F^2 - sum theta^2, 0)),
       where ||b||_F bounds ||sym||_F from above. An eigenvalue of sym
-      that no Ritz value accounts for, among them the q - p*n zeros
-      outside the span, is at most that mass in magnitude, so none
-      outranks a kept value;
+      that no Ritz value accounts for, among them the q - r*n zeros
+      outside the span and any mass a dropped mu carried, is at most
+      that mass in magnitude, so none outranks a kept value;
     - the kept pairs (U, lam) leave ||sym U - U lam||_F at most
       _RANGE_RTOL * top, so they are eigenpairs of sym up to rounding.
       sym U is formed as (b U + (U^H b)^H) / 2: q^2 * rank work.
@@ -217,18 +223,23 @@ def _top_eigenpairs(b, rank, rows, conj_a, norm_a2):
     _kept_pairs(sym, rank) up to rounding, with contiguous vectors.
     """
     q_dim = b.shape[0]
-    k = rows.shape[0]
-    if not 1 <= rank < k or _RANGE_MIN_RATIO * k > q_dim:
-        return None
     p = conj_a.shape[0]
-    n = k // p
+    if not 1 <= rank < rows.shape[0]:
+        return None
+    n = rows.shape[0] // p
+    mu, v = np.linalg.eigh(conj_a)
+    mag = np.abs(mu)
+    kept = mag > _CLAMP_RTOL * mag.max()
+    k = int(kept.sum()) * n
+    if rank >= k or _RANGE_MIN_RATIO * k > q_dim:
+        return None
     # entries near the float limit overflow in these products; the full
     # solve scales such a matrix, so non-finite results decline to it
     with np.errstate(over="ignore", invalid="ignore"):
-        q, k_mat = np.linalg.qr(rows.T)
-        # conj(rows) = K^H Q^H: T takes K^H where the B sweep takes conj(rows)
-        z = ((conj_a / n) @ k_mat.conj().T.reshape(p, n * k)).reshape(k, k)
-        t = k_mat @ z
+        y = (v[:, kept].T @ rows.reshape(p, n * q_dim)).reshape(k, q_dim)
+        q, k_mat = np.linalg.qr(y.T)
+        # conj(Y) = K^H Q^H: T takes K^H where the B sweep takes conj(rows)
+        t = (k_mat * np.repeat(mu[kept] / n, n)) @ k_mat.conj().T
         t /= norm_a2
         if not np.isfinite(t).all():
             return None

@@ -35,12 +35,13 @@ Each of these iterates is symmetrized in place and tested once for
 finite entries, not checked again. On the snapshot path the final
 temporal iterate is B = rows^T ((conj(A) kron I_n) / n) conj(rows) /
 ||A||^2 for the p*n snapshot rows, so its truncation takes the Ritz
-pairs of the factors (`linalg._top_eigenpairs`): a q x p*n QR, a
-p*n x p*n product and eigh, and a check of the kept pairs against the
-computed B in q^2 * rank work, instead of the q x q eigh. B is then
-never symmetrized. The full solve of the symmetrized B runs when the
-check declines, when rank_temporal >= p*n, or when p*n is more than
-q / 4 (see linalg).
+pairs of the factors (`linalg._top_eigenpairs`): for an A of rank r,
+a p x p eigh of conj(A), a q x r*n QR of the rows its eigenvectors
+mix, an r*n x r*n product and eigh, and a check of the kept pairs
+against the computed B in q^2 * rank work, instead of the q x q eigh.
+B is then never symmetrized. The full solve of the symmetrized B runs
+when the check declines, when rank_temporal >= r*n, or when r*n is
+more than q / 4 (see linalg).
 
 The estimate keeps each factor as a linalg.Factor: the kept eigenpairs
 of its truncation, which is all the filter needs, and the dense matrix

@@ -1107,6 +1107,29 @@ class TestExitCodesAndThreads:
                    "--output", tmp_path / "a.kph", "--threads", 2) == 0
 
 
+def test_importing_the_cli_loads_no_pool_or_foreign_module():
+    # every stage starts a fresh interpreter, so the import is paid per
+    # call: the serial pool keeps concurrent.futures out of it (see
+    # parallel.WorkerPool), and numpy is the one runtime dependency.
+    # numpy loads ctypes itself, so the child drops what numpy loaded of
+    # these before it imports the package, and any import of them from
+    # the package loads them afresh.
+    code = (
+        "import sys, numpy\n"
+        "heavy = ('concurrent', 'ctypes', 'multiprocessing', 'scipy')\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] in heavy]:\n"
+        "    del sys.modules[name]\n"
+        "import kronstap.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.split('.')[0] in heavy)))\n")
+    src = str(Path(lrkron.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def _files(path):
     return sorted(p.name for p in path.iterdir())
 

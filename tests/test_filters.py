@@ -254,8 +254,9 @@ class TestRangeSolve:
         n = max(len(values), budget) + 2
         b, factors = snapshot_iterate(rng, q, values, n)
         got = linalg._top_eigenpairs(b, budget, *factors)
-        # tried when 4 * p * n <= q; kept where the cut falls in a gap
-        # between values above zero, declined at ties and at or below zero
+        # tried when 4 * r * n <= q, and A has full rank r = p = 2; kept
+        # where the cut falls in a gap between values above zero, declined
+        # at ties and at or below zero
         tried = 4 * 2 * n <= q
         kept = (kind == "low" and budget <= rank
                 or kind == "indefinite" and budget == rank)

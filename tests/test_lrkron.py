@@ -609,10 +609,12 @@ class TestTemporalTruncation:
            in_band=st.booleans(), data=st.data())
     def test_matches_the_full_truncation_of_the_same_b(self, p, q, in_band,
                                                        data):
-        # in_band keeps 4*p*n <= q, where the span solve is tried
-        n_max = max(1, q // (4 * p)) if in_band else min(p * q - 1, 48)
-        n = data.draw(st.integers(1, n_max), label="n")
+        # in_band keeps 4 * rank_spatial * n <= q, where the span solve is
+        # tried on an A of full budget rank
         rank_spatial = data.draw(st.integers(1, p), label="rank_spatial")
+        n_max = max(1, q // (4 * rank_spatial)) if in_band \
+            else min(p * q - 1, 48)
+        n = data.draw(st.integers(1, n_max), label="n")
         rank_temporal = data.draw(st.integers(1, q), label="rank_temporal")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         snaps = helpers.complex_gauss(rng, (n, p * q))
@@ -634,10 +636,21 @@ class TestTemporalTruncation:
         return helpers.cube_to_snapshots(gen_clutter(config).data[0])
 
     def test_a_wide_q_fit_never_runs_the_q_by_q_solve(self, monkeypatch):
+        # a rank-1 A leaves r*n = 24 of the p*n = 192 snapshot rows, so
+        # the final truncation's one QR is q x 24, not q x 192
+        scm = sample_covariance(self.wide_q_snapshots(), 8, 768)
+        shapes = []
+        qr = np.linalg.qr
+
+        def recorded(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return qr(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
         full = helpers.CountFullSolves(monkeypatch)
-        snaps = self.wide_q_snapshots()
-        est = lr_kron_estimate(sample_covariance(snaps, 8, 768), 1, 4)
+        est = lr_kron_estimate(scm, 1, 4)
         assert full.sizes and set(full.sizes) == {8}   # the spatial solves
+        assert shapes == [(768, 24)]
         assert est.temporal.shape == (768, 768)
 
     def test_the_span_path_symmetrizes_no_q_by_q_iterate(self, monkeypatch):
@@ -689,7 +702,7 @@ class TestTemporalTruncation:
                 self.fit(snaps * 1e77, 8, 768, 1, rank_temporal)
 
     @pytest.mark.parametrize("p, q, n, rank_temporal", [
-        (2, 64, 9, 3),       # 4 * p * n > q
+        (2, 32, 9, 3),       # 4 * r * n > q, r = 1
         (2, 128, 8, 16),     # rank_temporal == p * n
         (2, 128, 8, 20),     # rank_temporal > p * n
     ])
@@ -701,6 +714,18 @@ class TestTemporalTruncation:
         assert full.sizes.count(q) == 1
         want = eig_truncate(self.final_b(snaps, p, q, 1), rank_temporal)
         assert np.array_equal(est.temporal, want)
+
+    @pytest.mark.parametrize("rank_spatial, full_solves", [(1, 0), (2, 1)])
+    def test_the_span_rule_counts_the_rank_of_a(self, monkeypatch,
+                                                rank_spatial, full_solves):
+        # 4 * 1 * 9 <= 64 < 4 * 2 * 9: only the rank-1 A gets a Ritz solve
+        p, q, n = 2, 64, 9
+        snaps = helpers.complex_gauss(np.random.default_rng(72), (n, p * q))
+        full = helpers.CountFullSolves(monkeypatch)
+        est = self.fit(snaps, p, q, rank_spatial, 3)
+        assert full.sizes.count(q) == full_solves
+        want = eig_truncate(self.final_b(snaps, p, q, rank_spatial), 3)
+        assert helpers.relative_error(est.temporal, want) <= 1e-12
 
     def test_a_tie_across_the_cut_runs_the_full_solve(self, monkeypatch):
         # p = 1 and orthonormal snapshot rows: B is a multiple of a
