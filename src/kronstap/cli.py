@@ -8,10 +8,12 @@ This module opens and parses no file: formats reads the scene config,
 the sweep file, the cubes and the estimates, and writes every output.
 Every subcommand but bench takes its thread count from --threads,
 falling back to the KRONSTAP_THREADS environment variable, and the
-count never changes numerical output. It sizes the one WorkerPool,
-which estimate opens for the snapshot-path sweeps (fewer snapshots
-than p*q); every other stage runs on the calling thread. bench takes
-no --threads: its pool widths are the sweep rows' threads column.
+count never changes numerical output. It sizes the WorkerPool that
+simulate opens to draw its blocks ahead of the writer, and that
+estimate opens for the snapshot-path sweeps (fewer snapshots than
+p*q); filter, detect and the dense estimate run on the calling thread.
+bench takes no --threads: its pool widths are the sweep rows' threads
+column.
 
 The cube stages stream the cube in blocks of bins through
 formats.PhaseHistoryReader and formats.phase_history_writer, so no
@@ -19,12 +21,17 @@ stage holds a whole cube and none's working set grows with n_bins,
 save for detect's map:
 
 - simulate generates, injects targets into and writes one block of
-  simulate.BLOCK_BINS bins at a time (K * 256 * p * q entries);
+  simulate.BLOCK_BINS bins at a time (K * 256 * p * q entries). With
+  --threads N above 1 the pool draws up to N blocks while the calling
+  thread writes one, so it holds N + 1 blocks, each with its draw's
+  scratch (a pass of the block and two 256 x q speckle arrays);
 - estimate fits a K-pass cube as one K*p-channel system through
   multipass.joint_snapshots, so its fit is bitwise multipass_estimate's.
   With at least p*q bins it reads chunks of 1024 bins (lrkron._COV_CHUNK)
-  and holds one chunk, the tile pairs' real sums and the pq x pq matrix;
-  with fewer, the whole cube, which is then smaller than that matrix;
+  and holds one chunk and the tile pairs' real sums, then those sums
+  and the pq x pq matrix; with fewer, the whole cube, which is then
+  smaller than that matrix. A fit that numpy cannot allocate exits 2
+  with the bytes its path needs (lrkron.working_set);
 - filter reads, filters and writes one block of filters.BLOCK_BINS
   bins at a time;
 - detect reads one block of filters.BLOCK_BINS bins at a time and never
@@ -45,6 +52,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -54,7 +62,7 @@ from . import formats
 from .errors import DataError, DimensionError, KronStapError
 from .filters import FILTER_KINDS, bin_blocks, build_filter, \
     detection_image, make_doppler_grid, make_spatial_grid
-from .lrkron import lr_kron_estimate, sample_covariance
+from .lrkron import lr_kron_estimate, sample_covariance, working_set
 # stack_passes stays importable from here: perfbench's span tracer wraps
 # cli.stack_passes by name, while detect --multipass scans the pass cube
 from .multipass import change_detect, joint_snapshots, pass_images, \
@@ -93,7 +101,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the estimator's snapshot sweeps "
+                        help="threads for simulate's block draws and the "
+                             "estimator's snapshot sweeps "
                              "(default: KRONSTAP_THREADS or 1)")
 
 
@@ -171,13 +180,15 @@ def cmd_simulate(args):
         scene = replace(scene, seed=args.seed)
         scene.validate()
     truth = [TargetTruth(*target) for target in job.targets]
-    with formats.phase_history_writer(args.output, scene.p, scene.q,
-                                      job.n_passes, scene.n_bins,
-                                      truth) as write:
-        blocks = multipass_blocks(
-            scene, job.n_passes, change_fraction=job.change_fraction,
-            shared_calibration=job.shared_calibration,
-            unit_gains=job.unit_pass_gains, gain_spread=job.pass_gain_spread)
+    with WorkerPool(args.threads) as pool, \
+            formats.phase_history_writer(args.output, scene.p, scene.q,
+                                         job.n_passes, scene.n_bins,
+                                         truth) as write, \
+            closing(multipass_blocks(
+                scene, job.n_passes, change_fraction=job.change_fraction,
+                shared_calibration=job.shared_calibration,
+                unit_gains=job.unit_pass_gains,
+                gain_spread=job.pass_gain_spread, pool=pool)) as blocks:
         for m0, m1, block in blocks:
             # targets go into pass 0 of their block, in config order
             for bin_index, doppler, amplitude in job.targets:
@@ -193,15 +204,26 @@ def cmd_simulate(args):
 
 def cmd_estimate(args):
     with formats.PhaseHistoryReader(args.input) as cube:
-        scm = sample_covariance(*joint_snapshots(cube))
-    with WorkerPool(args.threads) as pool:
+        n, d = cube.n_bins, cube.n_passes * cube.p * cube.q
+        # numpy refuses an array it cannot allocate at once
         try:
-            est = lr_kron_estimate(scm, args.ra, args.rb, tol=args.eps,
-                                   max_iter=args.max_iter, pool=pool)
-        except DimensionError as exc:
-            raise DimensionError(
-                f"{exc} (from --ra {args.ra}, --rb {args.rb}, "
-                f"--eps {args.eps}, --max-iter {args.max_iter})") from None
+            scm = sample_covariance(*joint_snapshots(cube))
+            with WorkerPool(args.threads) as pool:
+                try:
+                    est = lr_kron_estimate(scm, args.ra, args.rb,
+                                           tol=args.eps,
+                                           max_iter=args.max_iter, pool=pool)
+                except DimensionError as exc:
+                    raise DimensionError(
+                        f"{exc} (from --ra {args.ra}, --rb {args.rb}, "
+                        f"--eps {args.eps}, --max-iter {args.max_iter})"
+                    ) from None
+        except MemoryError:
+            path, need = working_set(n, d)
+            raise DataError(
+                f"the {path} path's fit of {n} snapshots of length {d} "
+                f"needs about {need:,} bytes, more than can be "
+                f"allocated") from None
     formats.write_estimate(args.output, est)
     formats.write_residuals_csv(args.output + ".residuals.csv", est.residuals)
     state = "converged" if est.converged else "hit max-iter"

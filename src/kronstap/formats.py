@@ -266,7 +266,9 @@ class PhaseHistoryReader:
     def read(self, m0, m1):
         """The (n_passes, m1 - m0, p, q) cube of bins [m0, m1).
 
-        It lives in the reader's buffer until the next read.
+        It lives in the reader's buffer until the next read. A read that
+        reaches the last bin lets go of the buffer, so its memory goes
+        as soon as the caller drops the cube.
         """
         if not 0 <= m0 < m1 <= self.n_bins:
             raise DimensionError(
@@ -280,6 +282,8 @@ class PhaseHistoryReader:
             self._fh.seek(_PH_HEADER.size + bin_index * p * q * 16)
             if self._fh.readinto(segment) != segment.nbytes:
                 raise DataError("truncated payload")
+        if m1 == self.n_bins:
+            self._buffer = np.empty(0, dtype="<c16")
         # native on little-endian hosts; astype only copies on a
         # big-endian one
         return block.astype(np.complex128, copy=False)

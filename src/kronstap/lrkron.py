@@ -91,6 +91,17 @@ _COV_ALIGN = 4
 _COV_CHUNK = 1024
 
 
+def working_set(n, d):
+    """(path, bytes): the path a fit of n snapshots of length d = p*q
+    takes, and about how many bytes it holds at once. The snapshot path
+    (n < d) holds about five n x d complex arrays and the n x n Gram
+    (see _snapshot_sweeps); the dense path the d x d matrix, the tile
+    pairs' real sums, as large again, and one chunk of snapshots."""
+    if n < d:
+        return "snapshot", 16 * (5 * n * d + n * n)
+    return "dense", 16 * (2 * d * d + min(n, _COV_CHUNK) * d)
+
+
 class SampleCovariance:
     """Mean of snapshot outer products, tagged with the bin shape.
 
@@ -283,7 +294,13 @@ def _outer_average(read, k, n, d_pass):
                 sums[index] = v_a.T @ v_b
             else:
                 sums[index] += v_a.T @ v_b
+    # np.empty touches no page of S: the fold pages it in after the last
+    # chunk has gone (a block reader lets go of its buffer after the
+    # last bin), so resident memory never holds the chunk, the sums and
+    # S at once. Folded sums stay in malloc's heap, so folding during
+    # the last chunk would page S in on top of the chunk.
     out = np.empty((k * d_pass, k * d_pass), dtype=np.complex128)
+    del x_f, v_a, v_b
     for index, ((_, a0, a1, i0), (_, b0, b1, j0)) in enumerate(pairs):
         m, sums[index] = sums[index], None
         rows = slice(i0, i0 + a1 - a0)
@@ -382,6 +399,20 @@ def _symmetrize_iterate(m, name):
     return m
 
 
+def _overflow_error(scm):
+    """The DataError of a fit whose ||S||_F^2 or residual is not finite,
+    naming the snapshot scale: the root of S's largest diagonal entry,
+    the RMS size of the largest snapshot entry."""
+    if scm.snapshots is not None:
+        power = (np.abs(scm.snapshots) ** 2).mean(axis=0).max()
+    else:
+        power = scm.matrix.diagonal().real.max()
+    return DataError(
+        f"the fit's residual is non-finite: ||S||_F^2 or the residual "
+        f"overflows at snapshot scale {math.sqrt(power):.3g} (RMS of the "
+        f"largest entry); scale the snapshots down")
+
+
 def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
                      max_iter=100, pool=None):
     """Alternating Kronecker-factor fit to a sample covariance.
@@ -411,6 +442,11 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
     pool : WorkerPool, optional
         Thread pool for the snapshot sweeps (n < p*q); the dense path
         runs on the calling thread. Does not change the result.
+
+    An iterate that is not finite raises DataError where it is formed.
+    So does a residual that is not finite, as when ||S||_F^2 overflows
+    for snapshots near 1e77, and its message names the snapshot scale:
+    such a fit would otherwise run to max_iter on NaN residuals.
     """
     if not isinstance(scm, SampleCovariance):
         raise DimensionError("estimator expects a SampleCovariance")
@@ -472,6 +508,8 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         cross = np.vdot(a_mat, v_mat).real
         next_a2 = np.vdot(a_mat, a_mat).real
         eta2 = fro * fro + next_a2 * norm_b2 - 2.0 * cross
+        if not math.isfinite(eta2):
+            raise _overflow_error(scm)
         eta = math.sqrt(max(eta2, 0.0)) / fro
         residuals.append(eta)
 

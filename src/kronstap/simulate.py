@@ -21,9 +21,14 @@ through which bins change: without scene change, a longer scene with
 the same seed extends a shorter one. BLOCK_BINS is part of that
 contract; changing it changes every scene.
 
-multipass_blocks streams a scene one block at a time, in a buffer of
-BLOCK_BINS bins that each block reuses, so the CLI's simulate writes a
-scene of any length in that much memory, for any pass count;
+The blocks do not depend on each other, so they can be drawn in any
+order or at once. multipass_blocks streams a scene one block at a time
+in bin order. On the serial pool it draws each block into one buffer
+of BLOCK_BINS bins that every block reuses. On a WorkerPool of N
+threads (the CLI's simulate --threads N) it draws up to N blocks
+ahead, into N + 1 buffers made once, while the caller writes one. So
+its working set is (blocks in flight) x (block size and the scratch
+of its draw), for a scene of any length and any pass count.
 gen_clutter and gen_multipass collect the same blocks into one cube.
 """
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .parallel import get_pool, one_blas_thread
 
 _TEXTURES = ("constant", "inverse_gamma")
 
@@ -144,9 +150,12 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _complex_normal(rng, shape, scale=1.0):
-    """Circular complex normals of variance scale**2, viewed from float pairs."""
-    draws = rng.standard_normal((*shape, 2))
+def _complex_normal(rng, shape, scale=1.0, out=None):
+    """Circular complex normals of variance scale**2, viewed from float
+    pairs; drawn into out, a C-contiguous float64 (*shape, 2) array, when
+    given, with the same bits."""
+    draws = rng.standard_normal((*shape, 2)) if out is None \
+        else rng.standard_normal(out=out)
     draws *= scale / math.sqrt(2.0)
     return draws.view(np.complex128)[..., 0]
 
@@ -181,8 +190,9 @@ def _texture_draws(rng, config, n):
     return 1.0 / np.sqrt(rng.gamma(shape, 1.0 / (shape - 1.0), n))
 
 
-def _speckle(z, basis):
-    """(nb, q) speckle of (nb, r) weights; each row's bits ignore nb.
+def _speckle(z, basis, out):
+    """(nb, q) speckle of (nb, r) weights, a view of the (BLOCK_BINS, q)
+    out; each row's bits ignore nb.
 
     The product always runs at the full block height, because numpy
     sends a lone row through a vector kernel whose rounding differs from
@@ -191,11 +201,13 @@ def _speckle(z, basis):
     """
     padded = np.zeros((BLOCK_BINS, z.shape[1]), dtype=np.complex128)
     padded[:len(z)] = z
-    return (padded @ basis)[:len(z)]
+    return np.matmul(padded, basis, out=out)[:len(z)]
 
 
-def _cmul(a, b, out):
-    """out = a * b for broadcastable complex arrays, in real arithmetic.
+def _cmul(a, b, out, tmp=None):
+    """out = a * b for broadcastable complex arrays, in real arithmetic;
+    tmp, a float64 array of out's shape, holds the cross products when
+    given.
 
     numpy's complex multiply rounds differently (with or without fused
     multiply-add) in its contiguous and broadcast loops, and which loop
@@ -204,9 +216,9 @@ def _cmul(a, b, out):
     a real factor (textures) rounds once either way and needs no care.
     """
     np.multiply(a.real, b.real, out=out.real)
-    out.real -= a.imag * b.imag
+    out.real -= np.multiply(a.imag, b.imag, out=tmp)
     np.multiply(a.real, b.imag, out=out.imag)
-    out.imag += a.imag * b.real
+    out.imag += np.multiply(a.imag, b.real, out=tmp)
     return out
 
 
@@ -224,12 +236,16 @@ def _empty_cube(n_passes, n_bins, p, q):
 
 
 def _generate(model, n_passes, change_fraction, shared_calibration,
-              unit_gains, gain_spread):
+              unit_gains, gain_spread, pool):
     """Yield (m0, m1, block) for each BLOCK_BINS block of bins [m0, m1).
 
     block is the (n_passes, m1 - m0, p, q) cube of those bins, in a
-    buffer that the next block reuses. One scan of each pass's block
-    turns an overflow or a NaN into a DataError.
+    buffer that a later block reuses once the next one is asked for.
+    One scan of each pass's block turns an overflow or a NaN into a
+    DataError. The blocks are drawn on pool (see parallel.ordered), in
+    one buffer on the serial pool and in pool.threads + 1 buffers on a
+    wider one, which then runs with OpenBLAS held at one thread; each
+    buffer comes with the scratch its draw reuses.
     """
     config = model.config
     seed, p, q, n_bins = config.seed, config.p, config.q, config.n_bins
@@ -242,8 +258,7 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     else:
         calibrations = [model.pass_calibration(k) for k in range(n_passes)]
 
-    buffer = np.empty((n_passes, min(BLOCK_BINS, n_bins), p, q),
-                      dtype=np.complex128)
+    height = min(BLOCK_BINS, n_bins)
     n_changed = int(round(change_fraction * n_bins))
     changed = np.zeros(n_bins, dtype=bool)
     if n_changed > 0:
@@ -251,11 +266,14 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                                         replace=False)
         changed[picks] = True
 
-    for b, m0 in enumerate(range(0, n_bins, BLOCK_BINS)):
+    def draw(b, slot):
+        buffer, noise, base, fresh = slot
+        m0 = b * BLOCK_BINS
         m1 = min(m0 + BLOCK_BINS, n_bins)
         nb = m1 - m0
+        cross = noise.reshape(-1)[:nb * p * q].reshape(nb, p, q)
         speckle = _speckle(_complex_normal(_stream(seed, 1, b, 0), (nb, r)),
-                           basis)
+                           basis, base)
         tau = _texture_draws(_stream(seed, 1, b, 1), config, nb)
         block_changed = changed[m0:m1]
         for k in range(n_passes):
@@ -266,22 +284,46 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
                 coef = tau * (1.0 + gain_spread * zeta)
             speckle_k = speckle
             if block_changed.any():
-                fresh = _complex_normal(_stream(seed, 2, b, k, 1), (nb, r))
-                speckle_k = np.where(block_changed[:, None],
-                                     _speckle(fresh, basis), speckle)
+                speckle_k = _speckle(
+                    _complex_normal(_stream(seed, 2, b, k, 1), (nb, r)),
+                    basis, fresh)
+                np.copyto(speckle_k, speckle, where=~block_changed[:, None])
             channel = _cmul(coef[:, None], calibrations[k],
                             np.empty((nb, p), dtype=np.complex128))
             out = _cmul(channel[:, :, None], speckle_k[:, None, :],
-                        buffer[k, :nb])
+                        buffer[k, :nb], cross)
             if noise_amp > 0:
                 out += _complex_normal(_stream(seed, 2, b, k, 2),
-                                       (nb, p, q), noise_amp)
-            if not np.isfinite(out.view(np.float64)).all():
+                                       (nb, p, q), noise_amp, noise[:nb])
+            # max and min carry a NaN and reach an inf, with no flag array
+            values = out.view(np.float64)
+            if not (math.isfinite(values.max())
+                    and math.isfinite(values.min())):
                 raise DataError(
                     f"pass {k} is not finite in bins {m0}..{m1 - 1}: its "
                     f"clutter gain (pass_gain_spread {gain_spread!r}, "
                     f"texture {config.texture}) overflows or is NaN")
-        yield m0, m1, buffer[:, :nb]
+        return m0, m1, buffer[:, :nb]
+
+    # a block's buffer and the scratch its draw needs, made once here on
+    # the calling thread: temporaries made on pool threads stay in their
+    # threads' malloc arenas, out of reach of the stages that follow.
+    # The noise array holds the clutter product's cross terms before
+    # the noise is drawn into it.
+    slots = [(np.empty((n_passes, height, p, q), dtype=np.complex128),
+              np.empty((height, p, q, 2)),
+              np.empty((BLOCK_BINS, q), dtype=np.complex128),
+              np.empty((BLOCK_BINS, q), dtype=np.complex128))
+             for _ in range(1 if pool.threads == 1 else pool.threads + 1)]
+    blocks = pool.ordered(draw, -(-n_bins // BLOCK_BINS), slots)
+    if pool.threads == 1:
+        yield from blocks
+    else:
+        # a threaded small product stalls behind the pool's threads; the
+        # speckle GEMMs and the targets' short vector norms keep their
+        # bits at any OpenBLAS thread count
+        with one_blas_thread():
+            yield from blocks
 
 
 def _collect(config, n_passes, blocks):
@@ -295,17 +337,20 @@ def _collect(config, n_passes, blocks):
 
 def multipass_blocks(config, n_passes, change_fraction=0.0,
                      shared_calibration=False, unit_gains=False,
-                     gain_spread=0.5):
+                     gain_spread=0.5, pool=None):
     """gen_multipass's cube as a stream of (m0, m1, block), one block of
     BLOCK_BINS bins at a time (see _generate); the arguments are checked
     here, before the first block. One pass with shared_calibration and
-    unit_gains is gen_clutter's cube."""
+    unit_gains is gen_clutter's cube. pool, a parallel.WorkerPool,
+    draws the blocks ahead of the caller and does not change a bit;
+    close the stream to stop its pool work when leaving it early."""
     if n_passes < 1:
         raise DimensionError(f"need at least one pass, got {n_passes}")
     if not 0.0 <= change_fraction <= 1.0:
         raise DataError(f"change fraction must be in [0, 1], got {change_fraction}")
     return _generate(scene_model(config), n_passes, change_fraction,
-                     shared_calibration, unit_gains, gain_spread)
+                     shared_calibration, unit_gains, gain_spread,
+                     get_pool(pool))
 
 
 def gen_clutter(config):

@@ -8,6 +8,9 @@ checked against.
 
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +29,22 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def run_cli_child(*args, blas_threads):
+    """Run `kronstap *args` in a fresh interpreter whose OpenBLAS starts
+    with blas_threads threads, with this checkout's source first on its
+    path; returns the subprocess.CompletedProcess. OpenBLAS reads
+    OPENBLAS_NUM_THREADS when it loads, so each count needs its own
+    interpreter."""
+    src = str(Path(linalg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               OPENBLAS_NUM_THREADS=str(blas_threads))
+    return subprocess.run(
+        [sys.executable, "-c", "from kronstap.cli import entry; entry()",
+         *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120)
 
 
 def complex_gauss(rng, shape):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from kronstap import formats, linalg, lrkron
+from kronstap import cli, formats, linalg, lrkron, parallel
 from kronstap.cli import DATA_ERROR, NO_CONVERGENCE, USAGE_ERROR, main
 from kronstap.errors import KronStapError
 from kronstap.filters import BLOCK_BINS, build_filter, detection_image, \
@@ -80,6 +81,33 @@ r_b = 3
 sigma2 = 0.01
 seed = 21
 target = 7 0.375 10 0
+"""
+
+# four blocks of bins, the last a 232-bin tail, two passes with scene
+# change and a target in the third block
+POOLED_SCENE_CONFIG = """
+p = 2
+q = 8
+n_bins = 1000
+r_b = 2
+sigma2 = 0.01
+seed = 23
+K = 2
+change_fraction = 0.1
+texture = inverse_gamma
+target = 600 0.25 3 0
+"""
+
+# a gain spread at which bins 256..511 are the first to overflow
+OVERFLOW_LATER_CONFIG = """
+p = 2
+q = 8
+n_bins = 2000
+r_b = 2
+seed = 19
+K = 2
+texture = inverse_gamma
+pass_gain_spread = 2.3e307
 """
 
 SPAN_PATH_CONFIG = """
@@ -293,6 +321,44 @@ class TestEstimate:
                    "--ra", 1, "--rb", 3, *flag, "--max-iter", 3)
         assert code == NO_CONVERGENCE
         assert read_estimate(fit).iterations == 3
+
+    @pytest.mark.parametrize("n, scale", [(10, 2e76), (300, 5e76)],
+                             ids=["snapshots", "dense"])
+    def test_an_overflowing_fit_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, n, scale):
+        # exit 3 with a KES2 that read_estimate refuses, at the parent
+        x = helpers.complex_gauss(np.random.default_rng(86), (n, 4, 64))
+        cube = tmp_path / "huge.kph"
+        write_phase_history(cube, PhaseHistory(4, 64, 1, x[None] * scale))
+        fit = tmp_path / "fit.kes"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("estimate", "--input", cube, "--output", fit,
+                       "--ra", 1, "--rb", 3)
+        assert code == DATA_ERROR
+        assert "snapshot scale" in capsys.readouterr().err
+        assert _files(tmp_path) == ["huge.kph"]
+
+    @pytest.mark.parametrize("n_bins, stage", [(40, "_snapshot_sweeps"),
+                                               (300, "_outer_average")])
+    def test_a_fit_numpy_cannot_allocate_exits_2_with_its_working_set(
+            self, tmp_path, capsys, monkeypatch, n_bins, stage):
+        config = write_config(tmp_path, f"p = 2\nq = 64\nn_bins = {n_bins}"
+                                        f"\nr_b = 3\nseed = 24\n")
+        cube, fit = tmp_path / "scene.kph", tmp_path / "fit.kes"
+        assert run("simulate", "--config", config, "--output", cube) == 0
+
+        def refused(*args):
+            raise MemoryError("refused")
+
+        monkeypatch.setattr(lrkron, stage, refused)
+        assert run("estimate", "--input", cube, "--output", fit,
+                   "--ra", 1, "--rb", 3) == DATA_ERROR
+        path, need = lrkron.working_set(n_bins, 128)
+        assert path == ("snapshot" if n_bins < 128 else "dense")
+        err = capsys.readouterr().err
+        assert f"the {path} path's fit of {n_bins} snapshots" in err
+        assert f"{need:,} bytes" in err
+        assert _files(tmp_path) == ["scene.cfg", "scene.kph"]
 
     def test_the_file_carries_the_residual_history(self, tmp_path,
                                                    clutter_file):
@@ -724,28 +790,116 @@ class TestThreadInvariance:
                               "r_b = 3\ntexture = inverse_gamma\nseed = 20\n")
         scene = tmp_path / "scene.kph"
         assert run("simulate", "--config", config, "--output", scene) == 0
-        src = str(Path(lrkron.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         outputs = []
-        for threads in ("1", "2"):
+        for threads in (1, 2):
             fit = tmp_path / f"fit{threads}.kes"
-            env = dict(os.environ, PYTHONPATH=path,
-                       OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run(
-                [sys.executable, "-c",
-                 "from kronstap.cli import entry; entry()",
-                 "estimate", "--input", str(scene), "--output", str(fit),
-                 "--ra", "1", "--rb", "3"],
-                env=env, capture_output=True, text=True, timeout=120)
+            done = helpers.run_cli_child(
+                "estimate", "--input", scene, "--output", fit,
+                "--ra", 1, "--rb", 3, blas_threads=threads)
             assert done.returncode == 0, done.stderr
             residuals = tmp_path / f"fit{threads}.kes.residuals.csv"
             outputs.append((fit.read_bytes(), residuals.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_pooled_scene_does_not_depend_on_blas_threads(self, tmp_path):
+        # simulate --threads 2 holds OpenBLAS at one thread, whatever it
+        # started with; its speckle GEMMs would give the same bits anyway
+        config = write_config(tmp_path, POOLED_SCENE_CONFIG)
+        scenes = []
+        for threads in (1, 2):
+            scene = tmp_path / f"scene{threads}.kph"
+            done = helpers.run_cli_child(
+                "simulate", "--config", config, "--output", scene,
+                "--threads", 2, blas_threads=threads)
+            assert done.returncode == 0, done.stderr
+            scenes.append(scene.read_bytes())
+        assert scenes[0] == scenes[1]
+
+
+class TestSimulatePool:
+    """simulate draws its blocks on the --threads pool, with OpenBLAS
+    held at one thread while it runs."""
+
+    @pytest.fixture()
+    def blas(self):
+        calls = parallel._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread calls")
+        get, set_ = calls
+        old = get()
+        set_(2)
+        yield get
+        set_(old)
+
+    def test_scene_bytes_do_not_depend_on_threads(self, tmp_path):
+        config = write_config(tmp_path, POOLED_SCENE_CONFIG)
+        scenes = []
+        for threads in (1, 2, 3):
+            scene = tmp_path / f"scene{threads}.kph"
+            assert run("simulate", "--config", config, "--output", scene,
+                       "--threads", threads) == 0
+            scenes.append(scene.read_bytes())
+        assert scenes[0] == scenes[1] == scenes[2]
+
+    def test_the_pool_runs_pinned_and_leaves_nothing_behind(
+            self, tmp_path, monkeypatch, blas):
+        # the target's block is handed to the calling thread while the
+        # pool draws the next ones
+        counts = []
+        add_target = cli._add_target
+
+        def recorded(*args, **kwargs):
+            counts.append(blas())
+            return add_target(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_add_target", recorded)
+        config = write_config(tmp_path, POOLED_SCENE_CONFIG)
+        before = threading.active_count()
+        assert run("simulate", "--config", config, "--output",
+                   tmp_path / "pooled.kph", "--threads", 2) == 0
+        assert counts == [1]
+        assert blas() == 2
+        assert threading.active_count() == before
+        counts.clear()
+        assert run("simulate", "--config", config, "--output",
+                   tmp_path / "serial.kph", "--threads", 1) == 0
+        assert counts == [2]
+
+    # numpy's errstate does not reach the pool's threads
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failure_mid_stream_leaves_nothing_behind(self, tmp_path,
+                                                        capsys, blas):
+        # bins 256..511 are the first to overflow at this spread, on a
+        # pool thread, while the calling thread writes bins 0..255
+        config = write_config(tmp_path, OVERFLOW_LATER_CONFIG)
+        before = threading.active_count()
+        messages = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"scene{threads}.kph"
+            assert run("simulate", "--config", config, "--output", out,
+                       "--threads", threads) == DATA_ERROR
+            assert not out.exists()
+            assert blas() == 2
+            assert threading.active_count() == before
+            messages.append(capsys.readouterr().err)
+        assert "bins 256..511" in messages[0]
+        assert messages[1] == messages[0] and messages[2] == messages[0]
+
+    def test_without_the_blas_symbols_the_bytes_stay(self, tmp_path,
+                                                      monkeypatch):
+        config = write_config(tmp_path, POOLED_SCENE_CONFIG)
+        pinned, unpinned = tmp_path / "pinned.kph", tmp_path / "unpinned.kph"
+        assert run("simulate", "--config", config, "--output", pinned,
+                   "--threads", 2) == 0
+        monkeypatch.setattr(parallel, "_blas_thread_calls", lambda: None)
+        assert run("simulate", "--config", config, "--output", unpinned,
+                   "--threads", 2) == 0
+        assert pinned.read_bytes() == unpinned.read_bytes()
+
 
 class TestParallelSite:
-    """The estimator's snapshot sweeps are the one place a pool runs."""
+    """The estimator's snapshot sweeps are the one place WorkerPool.run
+    runs; simulate's block pool goes through WorkerPool.ordered."""
 
     @pytest.fixture()
     def pool_runs(self, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import helpers
 from kronstap import linalg, lrkron
 from kronstap.errors import DataError, DegenerateInputError, DimensionError
 from kronstap.filters import build_filter
-from kronstap.formats import read_estimate, write_estimate
+from kronstap.formats import PhaseHistoryReader, read_estimate, \
+    write_estimate, write_phase_history
 from kronstap.linalg import _hermitian_part, eig_truncate
 from kronstap.lrkron import (
     SampleCovariance,
@@ -279,6 +281,25 @@ def test_overflowing_iterates_raise_data_error():
         lr_kron_estimate(scm, 1, 2)
 
 
+@pytest.mark.parametrize("n, scale", [(10, 2e76), (300, 5e76)],
+                         ids=["snapshots", "dense"])
+def test_an_overflowing_norm_is_a_data_error_naming_the_scale(n, scale):
+    # every entry and iterate is finite, but ||S||_F^2 is not: the fit
+    # stops at its first residual, where it ran to max_iter on NaNs
+    rng = np.random.default_rng(85)
+    rows = helpers.complex_gauss(rng, (n, 256)) * scale
+    scm = sample_covariance(rows, 4, 64)
+    assert (scm.snapshots is None) == (n >= 256)
+    rms = np.sqrt((np.abs(rows) ** 2).mean(axis=0).max())
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DataError,
+                          match=re.escape(f"snapshot scale {rms:.3g}")):
+        lr_kron_estimate(scm, 1, 3)
+    # a hundredth of the scale fits
+    est = lr_kron_estimate(sample_covariance(rows / 100, 4, 64), 1, 3)
+    assert np.isfinite(est.residuals).all()
+
+
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -532,6 +553,30 @@ def test_dense_covariance_memory_does_not_grow_with_the_snapshots():
     assert peaks[1] - peaks[0] < n * 256 * 16 / 8
 
 
+def test_the_covariance_of_a_file_keeps_no_chunk(tmp_path):
+    # K = 2 passes of 4 x 128, 1024 bins: one 16 MB chunk and the 16 MB
+    # S. The reader lets go of its buffer after the last bin, and the
+    # fold drops the chunk's views, so the fit that follows holds S
+    # alone; at the parent the reader kept the chunk until closed
+    k, n, p, q = 2, 1024, 4, 128
+    cube = helpers.complex_gauss(np.random.default_rng(87), (k, n, p, q))
+    path = tmp_path / "cube.kph"
+    write_phase_history(path, PhaseHistory(p, q, k, cube))
+    chunk, s_bytes = n * k * p * q * 16, (k * p * q) ** 2 * 16
+    with PhaseHistoryReader(path) as reader:
+        tracemalloc.start()
+        try:
+            scm = sample_covariance(reader, k * p, q)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert s_bytes <= held < s_bytes + chunk / 8
+    want = sample_covariance(
+        np.ascontiguousarray(cube.transpose(1, 0, 2, 3)).reshape(n, -1),
+        k * p, q)
+    assert np.array_equal(scm.matrix, want.matrix)
+
+
 def test_zero_input_returns_zero_estimate():
     est = lr_kron_estimate(_exact_cov(np.zeros((6, 6)), 2, 3), 1, 2)
     assert est.converged
@@ -688,18 +733,19 @@ class TestTemporalTruncation:
 
     def test_rows_near_the_float_limit_decline_with_the_same_verdict(
             self, monkeypatch):
-        # at 2e76 the undivided Ritz matrix overflows (its top entry is
-        # ~q times the undivided B's largest) and the full solve runs;
-        # at 1e77 the sweeps overflow, at either budget
+        # ||S||_F^2 overflows on these rows from about 1e75 on, before
+        # the undivided Ritz matrix does (from about 1e76; TestRangeSolve
+        # takes that decline directly). So at 2e76 the first residual is
+        # not finite, and at 1e77 the sweeps overflow: either way a
+        # DataError at either budget, before any temporal solve
         snaps = self.wide_q_snapshots(noise_power=0.0)
         full = helpers.CountFullSolves(monkeypatch)
-        est = self.fit(snaps * 2e76, 8, 768, 1, 4)
-        assert full.sizes.count(768) == 1
-        want = eig_truncate(self.final_b(snaps * 2e76, 8, 768, 1), 4)
-        assert np.array_equal(est.temporal, want)
-        for rank_temporal in (4, 768):
-            with pytest.raises(DataError, match="non-finite"):
-                self.fit(snaps * 1e77, 8, 768, 1, rank_temporal)
+        for scale, match in ((2e76, "snapshot scale"), (1e77, "non-finite")):
+            for rank_temporal in (4, 768):
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(DataError, match=match):
+                    self.fit(snaps * scale, 8, 768, 1, rank_temporal)
+        assert 768 not in full.sizes
 
     @pytest.mark.parametrize("p, q, n, rank_temporal", [
         (2, 32, 9, 3),       # 4 * r * n > q, r = 1

@@ -1,5 +1,7 @@
 """Scene generator checks: covariance law, determinism, pass coupling."""
 
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 import helpers
 from kronstap.errors import DataError, DimensionError
+from kronstap.parallel import WorkerPool
 from kronstap.simulate import (
     BLOCK_BINS,
     SceneConfig,
     gen_clutter,
     gen_multipass,
     inject_target,
+    multipass_blocks,
     scene_model,
 )
 
@@ -336,3 +340,85 @@ class TestGenMultipass:
                                unit_gains=True)
         clutter = gen_clutter(config)
         assert np.array_equal(single.data, clutter.data)
+
+
+def _stream_bits(config, n_passes, pool, **kwargs):
+    """(m0, m1, block copy) of every block multipass_blocks yields; the
+    blocks live in reused buffers, so each is copied as it comes."""
+    return [(m0, m1, block.copy()) for m0, m1, block in
+            multipass_blocks(config, n_passes, pool=pool, **kwargs)]
+
+
+class TestPooledBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(n_bins=st.integers(1, 800), n_passes=st.sampled_from([1, 2, 3]),
+           threads=st.sampled_from([1, 2, 3]),
+           change_fraction=st.sampled_from([0.0, 0.1, 1.0]),
+           p=st.integers(1, 3), q=st.integers(1, 8),
+           texture=st.sampled_from(["constant", "inverse_gamma"]),
+           seed=st.integers(0, 2**32 - 1))
+    # a one-bin tail block after full ones, and a lone partial block
+    @example(n_bins=2 * BLOCK_BINS + 1, n_passes=2, threads=3,
+             change_fraction=0.1, p=2, q=4, texture="inverse_gamma", seed=1)
+    @example(n_bins=1, n_passes=3, threads=2, change_fraction=1.0, p=1, q=1,
+             texture="constant", seed=0)
+    def test_a_pool_yields_the_serial_stream(self, n_bins, n_passes, threads,
+                                             change_fraction, p, q, texture,
+                                             seed):
+        config = SceneConfig(p=p, q=q, n_bins=n_bins,
+                             rank_temporal=min(2, q), texture=texture,
+                             seed=seed)
+        kwargs = dict(change_fraction=change_fraction)
+        serial = _stream_bits(config, n_passes, None, **kwargs)
+        with WorkerPool(threads) as pool:
+            pooled = _stream_bits(config, n_passes, pool, **kwargs)
+        assert [(m0, m1) for m0, m1, _ in pooled] == \
+            [(m0, m1) for m0, m1, _ in serial]
+        for (_, _, got), (_, _, want) in zip(pooled, serial):
+            assert np.array_equal(got.view(np.float64),
+                                  want.view(np.float64))
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # the draws hand their buffers and scratch round the pool: with
+        # more threads than cores and a switch every microsecond, a
+        # buffer reused too early would mix two blocks' draws
+        config = SceneConfig(p=3, q=16, n_bins=9 * BLOCK_BINS + 7,
+                             rank_temporal=3, texture="inverse_gamma",
+                             seed=29)
+        kwargs = dict(change_fraction=0.2)
+        serial = _stream_bits(config, 2, None, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            with WorkerPool(6) as pool:
+                pooled = _stream_bits(config, 2, pool, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - started < 60
+        assert len(pooled) == len(serial) == 10
+        for (_, _, got), (_, _, want) in zip(pooled, serial):
+            assert np.array_equal(got.view(np.float64),
+                                  want.view(np.float64))
+
+    # numpy's errstate does not reach the pool's threads
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflow_in_a_later_block_raises_the_serial_error(self):
+        # at this spread bins 256..511 are the first to overflow; the
+        # pool draws later blocks too, and may see one of them fail first
+        config = SceneConfig(p=2, q=8, n_bins=2000, rank_temporal=2,
+                             texture="inverse_gamma", seed=19)
+        errors = []
+        for threads in (1, 2, 3):
+            yielded = []
+            with WorkerPool(threads) as pool, \
+                    np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DataError) as caught:
+                for m0, _, _ in multipass_blocks(config, 2,
+                                                 gain_spread=2.3e307,
+                                                 pool=pool):
+                    yielded.append(m0)
+            errors.append((yielded, str(caught.value)))
+        assert errors[0][0] == [0]
+        assert "bins 256..511" in errors[0][1]
+        assert errors[1] == errors[0] and errors[2] == errors[0]
