@@ -30,8 +30,10 @@ save for detect's map:
   With at least p*q bins it reads chunks of 1024 bins (lrkron._COV_CHUNK)
   and holds one chunk and the tile pairs' real sums, then those sums
   and the pq x pq matrix; with fewer, the whole cube, which is then
-  smaller than that matrix. A fit that numpy cannot allocate exits 2
-  with the bytes its path needs (lrkron.working_set);
+  smaller than that matrix, held once, channel-major, beside one
+  cube-sized scratch for the sweeps and the q x q iterate. A fit that
+  numpy cannot allocate exits 2 with the bytes its path needs
+  (lrkron.working_set);
 - filter reads, filters and writes one block of filters.BLOCK_BINS
   bins at a time;
 - detect reads one block of filters.BLOCK_BINS bins at a time and never
@@ -219,7 +221,7 @@ def cmd_estimate(args):
                         f"--eps {args.eps}, --max-iter {args.max_iter})"
                     ) from None
         except MemoryError:
-            path, need = working_set(n, d)
+            path, need = working_set(n, cube.n_passes * cube.p, cube.q)
             raise DataError(
                 f"the {path} path's fit of {n} snapshots of length {d} "
                 f"needs about {need:,} bytes, more than can be "

@@ -7,10 +7,14 @@ whichever representation the SampleCovariance keeps, fixed by its
 shape alone:
 
 - built by `sample_covariance` from n < p*q snapshots, it keeps the
-  (n, p, q) snapshot stack and the pq x pq matrix is never formed.
-  With S = (1/n) sum x_m x_m^H, ||S||_F comes from the n x n Gram
-  matrix, the block-sum start from per-channel row sums, and each
-  sweep is a sum over snapshots computed as two GEMMs;
+  snapshots once, channel-major: the (p*n, q) rows that the sweeps and
+  the final temporal truncation read, with `snapshots` their (n, p, q)
+  view. The pq x pq matrix is never formed. With
+  S = (1/n) sum x_m x_m^H, ||S||_F comes from the n x n Gram matrix of
+  a transient bin-major copy, the block-sum start from per-channel row
+  sums, and each sweep is a sum over snapshots computed as two GEMMs
+  that share one rows-sized scratch. Each sweep conjugates inside its
+  own product, so no conjugated copy of the rows or of B is held;
 - built by `sample_covariance` from n >= p*q snapshots, it holds the
   dense matrix, formed exactly Hermitian from the upper tile pairs
   of _COV_TILE columns as real products on the float64 view of the
@@ -91,15 +95,25 @@ _COV_ALIGN = 4
 _COV_CHUNK = 1024
 
 
-def working_set(n, d):
-    """(path, bytes): the path a fit of n snapshots of length d = p*q
-    takes, and about how many bytes it holds at once. The snapshot path
-    (n < d) holds about five n x d complex arrays and the n x n Gram
-    (see _snapshot_sweeps); the dense path the d x d matrix, the tile
-    pairs' real sums, as large again, and one chunk of snapshots."""
+def working_set(n, p, q):
+    """(path, bytes): the path a fit of n snapshots of p x q bins takes,
+    and about how many bytes it holds at once, for d = p*q.
+
+    The snapshot path (n < d) holds its n x d channel-major rows and, at
+    its peak, the larger of: the two transient bin-major copies that the
+    n x n Gram is formed from, with the Gram; and the sweeps' one n x d
+    scratch, with the q x q iterate and its final truncation's
+    temporaries, about 1.5 q^2 in all (a range solve's few, a full
+    solve's one q^2 more; see _snapshot_sweeps). The dense path holds
+    the d x d matrix, the tile pairs' real sums, as large again and a
+    tile's width more per row, and one chunk of snapshots.
+    """
+    d = p * q
     if n < d:
-        return "snapshot", 16 * (5 * n * d + n * n)
-    return "dense", 16 * (2 * d * d + min(n, _COV_CHUNK) * d)
+        return "snapshot", 16 * (n * d + max(2 * n * d + n * n,
+                                             n * d + 3 * q * q // 2))
+    return "dense", 16 * (2 * d * d + min(d, _COV_TILE) * d
+                          + min(n, _COV_CHUNK) * d)
 
 
 class SampleCovariance:
@@ -111,8 +125,9 @@ class SampleCovariance:
     finite, Hermitian within tolerance, with a non-negative diagonal;
     it keeps the symmetrized copy as `matrix`. `sample_covariance`
     checks its own input and skips this: from n < p*q snapshots it
-    keeps only the stack, and from n >= p*q it holds the dense matrix,
-    built exactly Hermitian.
+    keeps only the stack, held channel-major as a C-ordered (p, n, q)
+    array, of which `snapshots` is the (n, p, q) view, and from
+    n >= p*q it holds the dense matrix, built exactly Hermitian.
     """
 
     def __init__(self, matrix, n_samples, p, q):
@@ -126,11 +141,12 @@ class SampleCovariance:
         self._fill(s, n_samples, p, q)
 
     def _fill(self, held, n_samples, p, q):
-        """Keep held read-only: the (n, p, q) stack or the dense matrix."""
+        """Keep held read-only: the channel-major (p, n, q) stack, seen
+        as its (n, p, q) view, or the dense matrix."""
         held.flags.writeable = False
         stack = held.ndim == 3
         self.matrix = None if stack else held
-        self.snapshots = held if stack else None
+        self.snapshots = held.transpose(1, 0, 2) if stack else None
         self.n_samples = n_samples
         self.p = p
         self.q = q
@@ -201,12 +217,12 @@ def sample_covariance(snapshots, p, q):
     of a block source is taken.
 
     Fewer than p*q snapshots are checked for finite entries and kept as
-    a snapshot stack (see SampleCovariance); a pass cube is stacked for
-    that. Otherwise the dense matrix is formed here, chunk by chunk of
-    _COV_CHUNK bins, from the upper tile pairs and mirrored, which makes
-    it exactly Hermitian with a non-negative diagonal, and checked here
-    for finite entries. Either way this is the one check the estimator's
-    input gets.
+    a snapshot stack, copied once into its channel-major layout (see
+    SampleCovariance). Otherwise the dense matrix is formed here, chunk
+    by chunk of _COV_CHUNK bins, from the upper tile pairs and mirrored,
+    which makes it exactly Hermitian with a non-negative diagonal, and
+    checked here for finite entries. Either way this is the one check
+    the estimator's input gets.
     """
     if hasattr(snapshots, "read"):
         k, n = snapshots.n_passes, snapshots.n_bins
@@ -238,8 +254,10 @@ def sample_covariance(snapshots, p, q):
         cube = read(0, n)
         if not np.isfinite(cube).all():
             raise DataError("snapshots contain non-finite entries")
-        stack = np.array(cube.swapaxes(0, 1), order="C").reshape(n, p, q)
-        return SampleCovariance._from_checked(stack, n, p, q)
+        # channel-major: pass l's channel i is channel l * p_pass + i
+        held = np.array(cube.reshape(k, n, p // k, q).transpose(0, 2, 1, 3),
+                        order="C").reshape(p, n, q)
+        return SampleCovariance._from_checked(held, n, p, q)
     s = _outer_average(read, k, n, d_pass)
     # finite only if the snapshots were and their products did not overflow
     if not np.isfinite(s).all():
@@ -320,12 +338,14 @@ def _outer_average(read, k, n, d_pass):
 
 # The four kernels one ALS fit needs from its covariance: its Frobenius
 # norm; the block-sum start sum_rc S[ir, jc] / q^2; the B sweep, which
-# writes sum_ij S[ir, jc] conj_a[i, j] into `out`; and the V sweep,
-# which returns sum_rc S[ir, jc] conj_b[r, c]. The snapshot sweeps split
-# their GEMMs over chunk_spans(q); each span writes its own slice of the
-# output, so the result does not depend on the pool width. `rows` is
-# the (p*n, q) snapshot rows, channel-major, in which every B sweep is
-# rows^T ((conj_a kron I_n) / n) conj(rows), or None on the dense path.
+# writes sum_ij S[ir, jc] conj(a[i, j]) into `out`; and the V sweep,
+# which returns sum_rc S[ir, jc] conj(b[r, c]). Each sweep takes the
+# factor as the fit holds it and conjugates inside its own product. The
+# snapshot sweeps split their GEMMs over chunk_spans(q); each span
+# writes its own slice of the output, so the result does not depend on
+# the pool width. `rows` is the (p*n, q) snapshot rows, channel-major,
+# in which every B sweep is rows^T ((conj(a) kron I_n) / n) conj(rows),
+# or None on the dense path.
 _Sweeps = namedtuple("_Sweeps",
                      ["fro", "start", "b_sweep", "v_sweep", "rows"])
 
@@ -337,11 +357,11 @@ def _dense_sweeps(s, p, q):
     def start():
         return np.einsum("irjc->ij", s4) / float(q * q)
 
-    def b_sweep(conj_a, out):
-        np.einsum("irjc,ij->rc", s4, conj_a, out=out)
+    def b_sweep(a, out):
+        np.einsum("irjc,ij->rc", s4, np.conj(a), out=out)
 
-    def v_sweep(conj_b):
-        return np.einsum("irjc,rc->ij", s4, conj_b)
+    def v_sweep(b):
+        return np.einsum("irjc,rc->ij", s4, np.conj(b))
 
     # ||S||_F^2 as a numpy reduction over the float64 view, not a BLAS
     # dot, whose partial sums split by BLAS thread
@@ -354,35 +374,48 @@ def _snapshot_sweeps(x, pool):
     # B = (1/n) sum_m X_m^T conj(A) conj(X_m), V = (1/n) sum_m X_m conj(B) X_m^H.
     # Regrouped channel-major, rows[i*n + m, r] = X_m[i, r], each sum over
     # snapshots is a plain 2-D GEMM with (channel, snapshot) as one axis.
+    # A stack that sample_covariance made is those rows already, so
+    # nothing is copied; conj(A B) = conj(A) conj(B) holds bitwise, a
+    # sign flip commuting with rounding, so no conjugated copy is kept.
     n, p, q = x.shape
+    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(p * n, q)
+    wide = rows.reshape(p, n * q)
+    # the Gram of a transient bin-major copy, freed before the scratch
     flat = x.reshape(n, p * q)
     gram = flat @ flat.conj().T
-    rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(p * n, q)
-    conj_wide = np.conj(rows).reshape(p, n * q)
+    fro = math.sqrt(np.vdot(gram, gram).real) / n
+    del flat, gram
     spans = chunk_spans(q, min_chunk=32)
+    # the B sweep's z and the V sweep's conj(W) in turn
     w = np.empty_like(rows)
+    w_wide = w.reshape(p, n * q)
 
     def start():
         sums = x.sum(axis=2)
         return (sums.T @ sums.conj()) / float(n * q * q)
 
-    def b_sweep(conj_a, out):
-        z = ((conj_a / n) @ conj_wide).reshape(p * n, q)
+    def b_sweep(a, out):
+        # z = ((conj(A) kron I_n) / n) conj(rows) = conj((A/n) wide)
+        np.matmul(a / n, wide, out=w_wide)
+        np.conjugate(w, out=w)
 
         def step(r0, r1):
-            out[r0:r1] = rows[:, r0:r1].T @ z
+            np.matmul(rows[:, r0:r1].T, w, out=out[r0:r1])
 
         pool.run(step, spans)
 
-    def v_sweep(conj_b):
+    def v_sweep(b):
+        # W = rows conj(B), held conjugated, as
+        # W conj(wide)^T = conj(conj(W) wide^T)
         def step(c0, c1):
-            w[:, c0:c1] = rows @ conj_b[:, c0:c1]
+            span = w[:, c0:c1]
+            np.matmul(rows, np.conj(b[:, c0:c1]), out=span)
+            np.conjugate(span, out=span)
 
         pool.run(step, spans)
-        return (w.reshape(p, n * q) @ conj_wide.T) / n
+        return np.conj(w_wide @ wide.T) / n
 
-    return _Sweeps(math.sqrt(np.vdot(gram, gram).real) / n,
-                   start, b_sweep, v_sweep, rows)
+    return _Sweeps(fro, start, b_sweep, v_sweep, rows)
 
 
 def _symmetrize_iterate(m, name):
@@ -490,14 +523,15 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
         norm_a2 = next_a2
         if norm_a2 == 0.0:
             raise DegenerateInputError("spatial iterate collapsed to zero")
-        conj_a = np.conj(a_mat)
-        sweeps.b_sweep(conj_a, b_mat)
+        # the A of this sweep, which the final truncation factors B by
+        swept_a = a_mat
+        sweeps.b_sweep(a_mat, b_mat)
         b_mat /= norm_a2
 
         norm_b2 = np.vdot(b_mat, b_mat).real
         if norm_b2 == 0.0:
             raise DegenerateInputError("temporal iterate collapsed to zero")
-        v_mat = sweeps.v_sweep(np.conj(b_mat))
+        v_mat = sweeps.v_sweep(b_mat)
 
         # the truncation, as eig_truncate's: the sweeps need A dense
         v_sym = _symmetrize_iterate(v_mat / norm_b2, "spatial")
@@ -520,11 +554,11 @@ def lr_kron_estimate(scm, rank_spatial, rank_temporal, tol=1e-4,
 
     spatial = Factor(kept, a_mat, name="spatial factor")
     # on the snapshot path the final B's pairs come from its factors
-    # (conj_a and norm_a2 are still the final sweep's), unless declined
+    # (swept_a and norm_a2 are still the final sweep's), unless declined
     pairs = None
     if sweeps.rows is not None:
-        pairs = _top_eigenpairs(b_mat, rank_temporal, sweeps.rows, conj_a,
-                                norm_a2)
+        pairs = _top_eigenpairs(b_mat, rank_temporal, sweeps.rows,
+                                np.conj(swept_a), norm_a2)
     if pairs is None:
         temporal = _truncated(_symmetrize_iterate(b_mat, "temporal"),
                               rank_temporal, name="temporal factor")

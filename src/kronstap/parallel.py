@@ -17,8 +17,10 @@ The numerical result is therefore bitwise identical for any thread
 count, including the serial pool.
 
 OpenBLAS runs its own threads inside a product. one_blas_thread holds
-it at one thread for a block of code: while the generator's blocks run
-on the pool, a threaded small product stalls (see simulate).
+it at one thread for a block of code. The scene generator's blocks run
+under it at every pool width, the serial one too: beside the pool's
+threads a threaded small product stalls, and on the calling thread
+alone its second BLAS thread only spins (see simulate).
 """
 
 from collections import deque

@@ -244,8 +244,8 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
     One scan of each pass's block turns an overflow or a NaN into a
     DataError. The blocks are drawn on pool (see parallel.ordered), in
     one buffer on the serial pool and in pool.threads + 1 buffers on a
-    wider one, which then runs with OpenBLAS held at one thread; each
-    buffer comes with the scratch its draw reuses.
+    wider one, with OpenBLAS held at one thread on either; each buffer
+    comes with the scratch its draw reuses.
     """
     config = model.config
     seed, p, q, n_bins = config.seed, config.p, config.q, config.n_bins
@@ -316,14 +316,12 @@ def _generate(model, n_passes, change_fraction, shared_calibration,
               np.empty((BLOCK_BINS, q), dtype=np.complex128))
              for _ in range(1 if pool.threads == 1 else pool.threads + 1)]
     blocks = pool.ordered(draw, -(-n_bins // BLOCK_BINS), slots)
-    if pool.threads == 1:
+    # a threaded small product stalls behind the pool's threads, and on
+    # the serial pool its second BLAS thread only spins; the speckle
+    # GEMMs and the targets' short vector norms keep their bits at any
+    # OpenBLAS thread count
+    with one_blas_thread():
         yield from blocks
-    else:
-        # a threaded small product stalls behind the pool's threads; the
-        # speckle GEMMs and the targets' short vector norms keep their
-        # bits at any OpenBLAS thread count
-        with one_blas_thread():
-            yield from blocks
 
 
 def _collect(config, n_passes, blocks):

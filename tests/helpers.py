@@ -10,6 +10,8 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,25 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+#: What traced_peak saw: fn's return value, the peak of the memory
+#: allocated while it ran, and the memory still held when it returned.
+Traced = namedtuple("Traced", ["result", "peak", "held"])
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs) under tracemalloc; return its Traced.
+
+    Tracing starts afresh for the call and stops when it returns or
+    raises, so only the allocations fn makes count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(result, peak, held)
 
 
 def run_cli_child(*args, blas_threads):

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -211,7 +210,7 @@ def snapshot_iterate(rng, q, values, n):
     sweeps = lrkron._snapshot_sweeps(stack, get_pool(None))
     conj_a = np.conj(a)
     b = np.empty((q, q), dtype=np.complex128)
-    sweeps.b_sweep(conj_a, b)
+    sweeps.b_sweep(a, b)
     b /= norm_a2
     return b, (sweeps.rows, conj_a, norm_a2)
 
@@ -366,7 +365,7 @@ class TestRangeSolve:
         sweeps = lrkron._snapshot_sweeps(stack, get_pool(None))
         factors = (sweeps.rows, conj_a * (s * s), norm_a2 * s ** 4)
         b = np.empty((q, q), dtype=np.complex128)
-        sweeps.b_sweep(factors[1], b)
+        sweeps.b_sweep(np.conj(factors[1]), b)
         b /= factors[2]
         assert np.isfinite(b).all()
         assert linalg._top_eigenpairs(b, budget, *factors) is None
@@ -395,12 +394,8 @@ class TestRangeSolve:
         q = 768
         b, factors = snapshot_iterate(np.random.default_rng(58), q,
                                       [4.0, 3.0, 2.0, 1.0], 4)
-        tracemalloc.start()
-        try:
-            got = linalg._top_eigenpairs(b, 3, *factors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak, _ = helpers.traced_peak(linalg._top_eigenpairs, b, 3,
+                                           *factors)
         assert got.values.size == 3
         assert peak < q * q * 16 / 4
 
@@ -595,12 +590,7 @@ class TestStackedApply:
                                  orthonormal_columns(rng, q, 3), p, q)
         stack = helpers.complex_gauss(rng, (512, p, q))
         before = stack.copy()
-        tracemalloc.start()
-        try:
-            out = filt.apply_matrix(stack)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak, _ = helpers.traced_peak(filt.apply_matrix, stack)
         assert peak < 2.75 * stack.nbytes
         assert np.array_equal(stack, before)
         assert not np.shares_memory(out, stack)

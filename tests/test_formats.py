@@ -3,7 +3,6 @@
 import os
 import struct
 import tempfile
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -127,15 +126,9 @@ class TestPhaseHistoryFile:
         data = helpers.complex_gauss(rng, (2, 256, 4, 64))   # 4 MB
         history = PhaseHistory(4, 64, 2, data, [])
         path = tmp_path / "scene.kph"
-        tracemalloc.start()
-        try:
-            write_phase_history(path, history)
-            _, write_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            back = read_phase_history(path)
-            _, read_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        write_peak = helpers.traced_peak(write_phase_history, path,
+                                         history).peak
+        back, read_peak, _ = helpers.traced_peak(read_phase_history, path)
         assert write_peak < 0.25 * data.nbytes
         assert read_peak < 1.25 * data.nbytes
         assert np.array_equal(back.data, data)
@@ -397,15 +390,8 @@ class TestEstimateFile:
         pair_bytes = sum(a.nbytes for a in (*est.spatial_pairs,
                                             *est.temporal_pairs))
         path = tmp_path / "fit.kes"
-        tracemalloc.start()
-        try:
-            write_estimate(path, est)
-            _, write_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            back = read_estimate(path)
-            _, read_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        write_peak = helpers.traced_peak(write_estimate, path, est).peak
+        back, read_peak, _ = helpers.traced_peak(read_estimate, path)
         assert write_peak < 0.25 * pair_bytes
         assert read_peak < 1.25 * pair_bytes
         assert_same_pairs(back, est)

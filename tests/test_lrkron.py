@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,14 +523,55 @@ def test_snapshot_path_never_forms_the_dense_matrix():
     p, q, n = 8, 512, 8
     dense_bytes = (p * q) ** 2 * 16
     snaps = helpers.complex_gauss(np.random.default_rng(47), (n, p * q))
-    tracemalloc.start()
-    try:
-        scm = sample_covariance(snaps, p, q)
-        lr_kron_estimate(scm, 1, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = helpers.traced_peak(
+        lambda: lr_kron_estimate(sample_covariance(snaps, p, q), 1, 4)).peak
     assert peak < dense_bytes / 8
+
+
+def test_the_snapshot_sweeps_read_the_held_stack_in_place():
+    # from rows and from a two-pass cube, whose channels stack pass-major
+    p, q, n = 4, 16, 10
+    snaps = helpers.complex_gauss(np.random.default_rng(88), (n, p * q))
+    cube = PhaseHistory(2, q, 2, np.ascontiguousarray(
+        snaps.reshape(n, 2, 2, q).transpose(1, 0, 2, 3)))
+    for source in (snaps, cube):
+        scm = sample_covariance(source, p, q)
+        assert np.array_equal(scm.snapshots, snaps.reshape(n, p, q))
+        sweeps = lrkron._snapshot_sweeps(scm.snapshots, get_pool(None))
+        assert np.shares_memory(sweeps.rows, scm.snapshots)
+
+
+def test_a_wide_snapshot_fit_holds_the_rows_and_one_scratch():
+    # besides the rows the stack holds, the fit keeps one rows-sized
+    # scratch and the q x q iterate, and forms the Gram from two
+    # transient rows-sized copies; a conjugated q x q copy of B, or two
+    # more rows-sized arrays held beside the scratch, break the bound
+    p, q, n = 8, 512, 16
+    rows_bytes, square_bytes = n * p * q * 16, q * q * 16
+    snaps = helpers.complex_gauss(np.random.default_rng(89), (n, p * q))
+    scm = sample_covariance(snaps, p, q)
+    peak = helpers.traced_peak(lr_kron_estimate, scm, 1, 4).peak
+    assert peak < 2 * rows_bytes + 1.25 * square_bytes + 64 * 1024
+
+
+@pytest.mark.parametrize("k, n, p, q, ra, rb", [
+    (1, 16, 8, 512, 1, 4),      # the iterate and the scratch
+    (1, 200, 8, 64, 1, 3),      # the Gram's transient copies
+    (1, 40, 2, 256, 2, 3),      # the full solve of the final B
+    (2, 1024, 2, 64, 1, 3),     # dense, one chunk of a two-pass cube
+    (1, 2000, 4, 64, 1, 3),     # dense, two chunks
+])
+def test_the_working_set_sizes_a_fit_from_its_file(tmp_path, k, n, p, q,
+                                                   ra, rb):
+    cube = helpers.complex_gauss(np.random.default_rng(90), (k, n, p, q))
+    path = tmp_path / "cube.kph"
+    write_phase_history(path, PhaseHistory(p, q, k, cube))
+    with PhaseHistoryReader(path) as reader:
+        peak = helpers.traced_peak(lambda: lr_kron_estimate(
+            sample_covariance(reader, k * p, q), ra, rb)).peak
+    kind, need = lrkron.working_set(n, k * p, q)
+    assert kind == ("snapshot" if n < k * p * q else "dense")
+    assert 0.75 * peak <= need <= 1.5 * peak
 
 
 def test_dense_covariance_memory_does_not_grow_with_the_snapshots():
@@ -543,13 +583,8 @@ def test_dense_covariance_memory_does_not_grow_with_the_snapshots():
     for count in (n, 4 * n):
         snaps = helpers.complex_gauss(np.random.default_rng(48),
                                       (count, p * q))
-        tracemalloc.start()
-        try:
-            sample_covariance(snaps, p, q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
+        peaks.append(helpers.traced_peak(sample_covariance, snaps, p,
+                                         q).peak)
     assert peaks[1] - peaks[0] < n * 256 * 16 / 8
 
 
@@ -564,12 +599,8 @@ def test_the_covariance_of_a_file_keeps_no_chunk(tmp_path):
     write_phase_history(path, PhaseHistory(p, q, k, cube))
     chunk, s_bytes = n * k * p * q * 16, (k * p * q) ** 2 * 16
     with PhaseHistoryReader(path) as reader:
-        tracemalloc.start()
-        try:
-            scm = sample_covariance(reader, k * p, q)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        scm, _, held = helpers.traced_peak(sample_covariance, reader,
+                                           k * p, q)
     assert s_bytes <= held < s_bytes + chunk / 8
     want = sample_covariance(
         np.ascontiguousarray(cube.transpose(1, 0, 2, 3)).reshape(n, -1),
@@ -798,7 +829,7 @@ class TestTemporalTruncation:
         scm = sample_covariance(snaps, p, q)
         b_mat = np.empty((q, q), dtype=np.complex128)
         lrkron._snapshot_sweeps(scm.snapshots, get_pool(None)).b_sweep(
-            np.conj(a_mat), b_mat)
+            a_mat, b_mat)
         b_mat /= np.vdot(a_mat, a_mat).real
         want = _hermitian_part(b_mat, "matrix")
         assert est.temporal.tobytes() == want.tobytes()
